@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -120,13 +121,19 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     commodities = []
     for pos, item in enumerate(raw_commodities):
         cwhere = f"{where}.commodities[{pos}]"
+        cid = _field(item, "id", int, cwhere)
+        if any(c.id == cid for c in commodities):
+            raise ValidationError(f"{cwhere}.id: duplicate commodity id {cid}")
+        rate = float(_field(item, "rate", (int, float), cwhere))
+        if not math.isfinite(rate):
+            raise ValidationError(f"{cwhere}.rate: must be finite, got {rate}")
         try:
             commodities.append(
                 CommoditySpec(
-                    id=_field(item, "id", int, cwhere),
+                    id=cid,
                     source=_field(item, "source", int, cwhere),
                     dest=_field(item, "dest", int, cwhere),
-                    rate=float(_field(item, "rate", (int, float), cwhere)),
+                    rate=rate,
                     dummy_packets=int(item.get("dummy_packets", 0)),
                 )
             )
@@ -185,8 +192,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
             raise ValidationError(f"{twhere}: {exc}") from exc
 
     load_factors = tuple(float(r) for r in _field(data, "load_factors", list, where))
-    if not load_factors or any(r <= 0 for r in load_factors):
-        raise ValidationError(f"{where}.load_factors: all load factors must be > 0")
+    if not load_factors or not all(math.isfinite(r) and r > 0 for r in load_factors):
+        raise ValidationError(f"{where}.load_factors: all load factors must be finite and > 0")
     horizon = _field(data, "horizon", int, where)
     if horizon < 0:
         raise ValidationError(f"{where}.horizon: must be nonnegative")
@@ -196,8 +203,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     dummy_scale = data.get("dummy_scale")
     if dummy_scale is not None:
         dummy_scale = float(dummy_scale)
-        if dummy_scale < 0:
-            raise ValidationError(f"{where}.dummy_scale: must be nonnegative")
+        if not (math.isfinite(dummy_scale) and dummy_scale >= 0):
+            raise ValidationError(f"{where}.dummy_scale: must be finite and nonnegative")
 
     return ScenarioConfig(
         name=name,
@@ -390,7 +397,7 @@ def er_batch(
         rng.shuffle(ranking)
         dag0 = orient_by_ranking(net, {node: pos for node, pos in zip(sorted(net.nodes), ranking)})
         fmax = max_flow_undirected(net)
-        bound = default_max_iters(dag0, fmax)
+        bound = default_max_iters(dag0, fmax, fmax=fmax)
         trace = converge(dag0, fmax, max_iters=bound, record_overload=False)
         iters = trace.iterations
         if iters > bound:

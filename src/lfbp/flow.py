@@ -1,14 +1,14 @@
 """Exact max-flow / min-cut computations over orientations and raw networks.
 
-Shortest-augmenting-path max-flow (BFS) on exact rational capacities, the
-unique smallest min-cut via residual reachability, construction of a
-throughput-optimal orientation from an undirected max-flow, and the cut
-granularity constant used to bound link-reversal iteration counts.
+Dinic's blocking-flow max-flow on exact rational capacities (scaled once to
+integers), the unique smallest min-cut via residual reachability,
+construction of a throughput-optimal orientation from an undirected
+max-flow, and the cut granularity constant used to bound link-reversal
+iteration counts.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -42,53 +42,148 @@ class CutPartition:
     capacity: Rational
 
 
-def _solve(nodes: Iterable[int], arcs: Iterable[tuple[int, int, Rational]], s: int, t: int):
-    """Edmonds-Karp on merged arcs.  Returns (value, residual, reachable-from-s)."""
-    res: dict[int, dict[int, Rational]] = {n: {} for n in nodes}
-    for u, v, cap in arcs:
-        if cap <= 0:
+class MaxFlow:
+    """One solved max-flow, kept on the kernel's scaled integer residual.
+
+    ``value`` is the exact flow value and ``source_side`` the smallest min-cut
+    source side: the nodes labelled by the last level-graph BFS, the one that
+    failed to reach the sink.  The maximal source side and the flow between
+    two nodes are derived on demand.
+    """
+
+    __slots__ = ("value", "source_side", "_nodes", "_arc", "_head", "_cap", "_res", "_adj", "_t", "_scale")
+
+    def __init__(self, value, source_side, nodes, arc, head, cap, res, adj, t, scale):
+        self.value: Rational = value
+        self.source_side: frozenset = source_side
+        self._nodes, self._arc, self._head, self._cap = nodes, arc, head, cap
+        self._res, self._adj, self._t, self._scale = res, adj, t, scale
+
+    def maximal_source_side(self) -> frozenset:
+        """The largest min-cut source side: every node that cannot reach the
+        sink in the residual graph, found by a reverse BFS from the sink."""
+        head, res = self._head, self._res
+        reaches = [False] * len(self._nodes)
+        reaches[self._t] = True
+        queue = [self._t]
+        for v in queue:
+            for k in self._adj[v]:
+                u = head[k]
+                if not reaches[u] and res[k ^ 1]:
+                    reaches[u] = True
+                    queue.append(u)
+        return frozenset(n for n, r in zip(self._nodes, reaches) if not r)
+
+    def net_flow(self, u, v) -> Rational:
+        """Exact flow from u to v less any flow from v to u (0 if no arc joins
+        them); arcs between the same two nodes share one residual pair."""
+        k = self._arc.get((u, v))
+        if k is None:
+            return 0
+        used = self._cap[k] - self._res[k]
+        return used if self._scale == 1 else Fraction(used, self._scale)
+
+
+def _solve(nodes: Iterable, arcs: Iterable[tuple[object, object, Rational]], s, t) -> MaxFlow:
+    """Dinic's blocking-flow max-flow on integer arrays.
+
+    Capacities are scaled once by the least common multiple of their
+    denominators.  Arcs between the same two nodes, either way round, merge
+    into one twin pair ``k``/``k ^ 1``; arcs without positive capacity are
+    dropped.
+    """
+    if s == t:
+        raise ValueError("source and sink must differ")
+    nodes = list(nodes)
+    index = {n: i for i, n in enumerate(nodes)}
+    arcs = list(arcs)
+    scale = math.lcm(*{c.denominator for _, _, c in arcs})
+    arc: dict = {}  # (tail, head) -> arc id
+    head: list[int] = []
+    res: list[int] = []
+    adj: list[list[int]] = [[] for _ in nodes]
+    for u, v, c in arcs:
+        if c <= 0:
             continue
-        row = res[u]
-        row[v] = row.get(v, 0) + cap
-        res[v].setdefault(u, 0)
-    value: Rational = 0
+        if scale != 1 or type(c) is not int:
+            c = c.numerator * (scale // c.denominator)
+        k = arc.get((u, v))
+        if k is None:
+            k = len(head)
+            arc[(u, v)] = k
+            arc[(v, u)] = k + 1
+            iu, iv = index[u], index[v]
+            head.append(iv)
+            head.append(iu)
+            res.append(c)
+            res.append(0)
+            adj[iu].append(k)
+            adj[iv].append(k + 1)
+        else:
+            res[k] += c
+    cap = res[:]
+
+    si, ti = index[s], index[t]
+    total = 0
     while True:
-        parent: dict[int, int] = {s: s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if u == t:
-                break
-            for v, r in res[u].items():
-                if r > 0 and v not in parent:
-                    parent[v] = u
+        level = [-1] * len(nodes)
+        level[si] = 0
+        queue = [si]
+        for u in queue:
+            below = level[u] + 1
+            for k in adj[u]:
+                v = head[k]
+                if res[k] and level[v] < 0:
+                    level[v] = below
                     queue.append(v)
-        if t not in parent:
+            if level[ti] >= 0:
+                break
+        else:
+            source_side = frozenset(nodes[i] for i in queue)
             break
-        bottleneck = None
-        v = t
-        while v != s:
-            u = parent[v]
-            r = res[u][v]
-            if bottleneck is None or r < bottleneck:
-                bottleneck = r
-            v = u
-        v = t
-        while v != s:
-            u = parent[v]
-            res[u][v] -= bottleneck
-            res[v][u] = res[v].get(u, 0) + bottleneck
-            v = u
-        value += bottleneck
-    reach = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v, r in res[u].items():
-            if r > 0 and v not in reach:
-                reach.add(v)
-                queue.append(v)
-    return value, res, reach
+        total += _blocking_flow(adj, head, res, level, si, ti)
+    value = total if scale == 1 else Fraction(total, scale)
+    return MaxFlow(value, source_side, nodes, arc, head, cap, res, adj, ti, scale)
+
+
+def _blocking_flow(adj, head, res, level, s: int, t: int) -> int:
+    """Saturate every shortest s-t path of the level graph; returns the flow
+    pushed.  Iterative DFS with one arc pointer per node: an arc is passed
+    over only once it is saturated or leads to a dead end."""
+    pointer = [0] * len(adj)
+    path: list[int] = []
+    pushed = 0
+    u = s
+    while True:
+        if u == t:
+            f = min(res[k] for k in path)
+            pushed += f
+            first = None
+            for j, k in enumerate(path):
+                res[k] -= f
+                res[k ^ 1] += f
+                if first is None and not res[k]:
+                    first = j
+            u = head[path[first] ^ 1]
+            del path[first:]
+            continue
+        out = adj[u]
+        i, end, below = pointer[u], len(out), level[u] + 1
+        while i < end:
+            k = out[i]
+            if res[k] and level[head[k]] == below:
+                break
+            i += 1
+        pointer[u] = i
+        if i < end:
+            path.append(out[i])
+            u = head[out[i]]
+        elif u == s:
+            return pushed
+        else:
+            level[u] = -1
+            u = head[path.pop() ^ 1]
+            pointer[u] += 1
 
 
 def max_flow(dag: DagOrientation, src: int | None = None, dst: int | None = None) -> FlowAllocation:
@@ -98,12 +193,9 @@ def max_flow(dag: DagOrientation, src: int | None = None, dst: int | None = None
     if src == dst:
         raise ValueError("source and destination must differ")
     arcs = list(dag.directed_edges())
-    value, res, _ = _solve(dag.net.nodes, arcs, src, dst)
-    flow = {}
-    for tail, head, cap in arcs:
-        used = cap - res[tail].get(head, 0) if cap > 0 else 0
-        flow[(tail, head)] = used if used > 0 else 0
-    return FlowAllocation(flow=flow, value=value)
+    result = _solve(dag.net.nodes, arcs, src, dst)
+    flow = {(tail, head): result.net_flow(tail, head) for tail, head, _ in arcs}
+    return FlowAllocation(flow=flow, value=result.value)
 
 
 def _undirected_arcs(net: Network) -> list[tuple[int, int, Rational]]:
@@ -118,8 +210,7 @@ def max_flow_undirected(net: Network, src: int | None = None, dst: int | None = 
     """Max-flow when every undirected edge is usable in either direction."""
     src = net.source if src is None else src
     dst = net.dest if dst is None else dst
-    value, _, _ = _solve(net.nodes, _undirected_arcs(net), src, dst)
-    return value
+    return _solve(net.nodes, _undirected_arcs(net), src, dst).value
 
 
 def smallest_min_cut(dag: DagOrientation, src: int | None = None, dst: int | None = None) -> CutPartition:
@@ -130,12 +221,11 @@ def smallest_min_cut(dag: DagOrientation, src: int | None = None, dst: int | Non
     """
     src = dag.net.source if src is None else src
     dst = dag.net.dest if dst is None else dst
-    value, _, reach = _solve(dag.net.nodes, list(dag.directed_edges()), src, dst)
-    source_side = frozenset(reach)
+    result = _solve(dag.net.nodes, dag.directed_edges(), src, dst)
     return CutPartition(
-        source_side=source_side,
-        sink_side=frozenset(dag.net.nodes) - source_side,
-        capacity=value,
+        source_side=result.source_side,
+        sink_side=frozenset(dag.net.nodes) - result.source_side,
+        capacity=result.value,
     )
 
 
@@ -199,10 +289,10 @@ def optimal_dag(net: Network) -> DagOrientation:
     consistently with a deterministic topological order of the flow support.
     """
     s, d = net.source, net.dest
-    _, res, _ = _solve(net.nodes, _undirected_arcs(net), s, d)
+    result = _solve(net.nodes, _undirected_arcs(net), s, d)
     support: dict[int, dict[int, Rational]] = {}
-    for (i, j), cap in net.capacity.items():
-        net_flow = cap - res[i].get(j, cap)  # f_ij - f_ji after arc merging
+    for i, j in net.capacity:
+        net_flow = result.net_flow(i, j)
         if net_flow > 0:
             support.setdefault(i, {})[j] = net_flow
         elif net_flow < 0:

@@ -91,28 +91,9 @@ def _max_surplus_set(
         leak = absorb.get(n, 0) + tau
         if leak > 0:
             aux_arcs.append((n, SINK, leak))
-    aux_arcs.extend((u, v, c) for u, v, c in arcs)
-    value, res, _ = _solve(aux_nodes, aux_arcs, SRC, SINK)
-
-    # Maximal min-cut source side = nodes that cannot reach the sink in the
-    # residual graph (reverse reachability).
-    reaches_sink = {SINK}
-    rev: dict = {}
-    for u, row in res.items():
-        for v, r in row.items():
-            if r > 0:
-                rev.setdefault(v, []).append(u)
-    frontier = [SINK]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in rev.get(v, ()):
-                if u not in reaches_sink:
-                    reaches_sink.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    maximizer = {n for n in active if n not in reaches_sink}
-    return total_supply - value, maximizer
+    aux_arcs.extend(arcs)
+    result = _solve(aux_nodes, aux_arcs, SRC, SINK)
+    return total_supply - result.value, result.maximal_source_side() - {SRC}
 
 
 def _surplus(
@@ -200,8 +181,8 @@ def _inducing_flow(dag: DagOrientation, rate: Rational, rates: Mapping[int, Rati
             aux.append((n, SINK, -balance))
     aux.append((dest, SINK, needed))
     aux.extend(arcs)
-    value, res, _ = _solve(list(net.nodes) + [SRC, SINK], aux, SRC, SINK)
-    if value != needed:
+    result = _solve(list(net.nodes) + [SRC, SINK], aux, SRC, SINK)
+    if result.value != needed:
         raise InvariantViolation("overload rates admit no inducing flow")
     flow = {}
     delivered: Rational = 0
@@ -209,9 +190,7 @@ def _inducing_flow(dag: DagOrientation, rate: Rational, rates: Mapping[int, Rati
         if u == dest:
             flow[(u, v)] = 0
             continue
-        used = c - res[u].get(v, c)
-        if used < 0:
-            used = 0
+        used = result.net_flow(u, v)
         flow[(u, v)] = as_rational(used)
         if v == dest:
             delivered += used

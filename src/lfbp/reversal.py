@@ -131,17 +131,19 @@ def _has_usable_entering(dag: DagOrientation, inside) -> bool:
     )
 
 
-def default_max_iters(dag: DagOrientation, rate: Rational) -> int:
+def default_max_iters(dag: DagOrientation, rate: Rational, fmax: Rational | None = None) -> int:
     """Iteration budget: ceil(|N| f_max / delta) plus |N| slack.
 
     The cut-granularity bound covers the iterations needed to reach a
     max-flow-achieving orientation (delta from the analytic 1/D bound when
     exhaustive enumeration is infeasible); an infeasible rate can then grow
     the overloaded side for up to |N| further reversals before no usable
-    link remains.
+    link remains.  ``fmax`` is the network's undirected max-flow, computed
+    here when the caller does not already hold it.
     """
     n = len(dag.net.nodes)
-    fmax = max_flow_undirected(dag.net)
+    if fmax is None:
+        fmax = max_flow_undirected(dag.net)
     if fmax == 0:
         return n
     try:

@@ -106,6 +106,36 @@ class TestScenarioParsing:
         with pytest.raises(ValidationError, match="load_factors"):
             scenario_from_dict(minimal_doc(load_factors=[0.0]))
 
+    def test_duplicate_commodity_id_rejected(self):
+        commodities = [
+            {"id": 0, "source": 0, "dest": 2, "rate": 1.0},
+            {"id": 0, "source": 1, "dest": 2, "rate": 0.5},
+        ]
+        with pytest.raises(ValidationError, match=r"commodities\[1\]\.id: duplicate commodity id 0"):
+            scenario_from_dict(minimal_doc(commodities=commodities))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        commodities = [{"id": 0, "source": 0, "dest": 2, "rate": rate}]
+        with pytest.raises(ValidationError, match=r"commodities\[0\]\.rate: must be finite"):
+            scenario_from_dict(minimal_doc(commodities=commodities))
+
+    def test_json_nan_rate_rejected(self, tmp_path):
+        path = tmp_path / "nan.scn"
+        path.write_text(json.dumps(minimal_doc()).replace('"rate": 1.0', '"rate": NaN'))
+        with pytest.raises(ValidationError, match=r"rate: must be finite"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), "nan"])
+    def test_non_finite_load_factor_rejected(self, factor):
+        with pytest.raises(ValidationError, match="load_factors: all load factors must be finite"):
+            scenario_from_dict(minimal_doc(load_factors=[0.5, factor]))
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
+    def test_bad_dummy_scale_rejected(self, scale):
+        with pytest.raises(ValidationError, match="dummy_scale: must be finite and nonnegative"):
+            scenario_from_dict(minimal_doc(dummy_scale=scale))
+
     def test_cyclic_explicit_orientation_rejected(self):
         doc = minimal_doc(
             edges=[[0, 1, 1], [1, 2, 1], [0, 2, 1]],
@@ -185,6 +215,20 @@ class TestErBatch:
         stats = er_batch(40, (5, 15), 0.5, (1, 8), seed=23)
         for row in stats["rows"]:
             assert row["iterations"] <= row["bound"]
+
+    def test_one_undirected_max_flow_per_sample(self, monkeypatch):
+        import lfbp.reversal as reversal
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return max_flow_undirected(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "max_flow_undirected", counted)
+        monkeypatch.setattr(reversal, "max_flow_undirected", counted)
+        er_batch(12, (6, 12), 0.5, (1, 5), seed=3)
+        assert len(calls) == 12
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from lfbp import (
     orient_explicit,
     smallest_min_cut,
 )
+from lfbp.flow import _solve
 
 from conftest import (
     brute_force_max_flow,
@@ -85,6 +86,103 @@ class TestMaxFlow:
                 continue
             assert max_flow(dag).value == expect
             checked += 1
+
+
+def random_arcs(rng):
+    """Arc list over shuffled nodes 0..n-1 with integer and Fraction
+    capacities, zero-capacity, parallel and antiparallel arcs, and a sink
+    that is often cut off from the source."""
+    n = rng.randint(2, 10)
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    arcs = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.sample(nodes, 2)
+        if rng.random() < 0.5:
+            cap = rng.randint(0, 6)
+        else:
+            cap = Fraction(rng.randint(0, 12), rng.randint(1, 6))
+        arcs.append((u, v, cap))
+        if rng.random() < 0.15:
+            arcs.append((v, u, rng.randint(0, 4)))
+    s, t = rng.sample(nodes, 2)
+    return nodes, arcs, s, t
+
+
+def merged_capacity(arcs):
+    caps = {}
+    for u, v, c in arcs:
+        if c > 0:
+            caps[(u, v)] = caps.get((u, v), 0) + c
+    return caps
+
+
+class TestKernel:
+    def test_parallel_arcs_add_up(self):
+        assert _solve([0, 1], [(0, 1, 1), (0, 1, 2)], 0, 1).value == 3
+
+    def test_antiparallel_arcs_share_a_pair(self):
+        result = _solve([0, 1, 2], [(0, 1, 2), (1, 0, 5), (1, 2, 3)], 0, 2)
+        assert result.value == 2
+        assert result.net_flow(0, 1) == 2
+        assert result.net_flow(1, 0) == -2
+        assert result.net_flow(0, 2) == 0
+
+    def test_fraction_capacities_stay_exact(self):
+        result = _solve([0, 1, 2], [(0, 1, Fraction(1, 3)), (0, 2, Fraction(1, 2)), (1, 2, 1)], 0, 2)
+        assert result.value == Fraction(5, 6)
+        assert result.net_flow(1, 2) == Fraction(1, 3)
+
+    def test_unreachable_sink(self):
+        result = _solve([0, 1, 2, 3], [(0, 1, 1), (2, 1, 1), (2, 3, 0)], 0, 3)
+        assert result.value == 0
+        assert result.source_side == frozenset({0, 1})
+        assert result.maximal_source_side() == frozenset({0, 1, 2})
+
+    def test_flows_bounded_and_conserved(self, rng):
+        for _ in range(300):
+            nodes, arcs, s, t = random_arcs(rng)
+            result = _solve(nodes, arcs, s, t)
+            caps = merged_capacity(arcs)
+            excess = {n: 0 for n in nodes}
+            for u in nodes:
+                for v in nodes:
+                    if u == v:
+                        continue
+                    f = result.net_flow(u, v)
+                    assert f == -result.net_flow(v, u)
+                    assert -caps.get((v, u), 0) <= f <= caps.get((u, v), 0)
+                    excess[u] += f
+            for n in nodes:
+                expect = result.value if n == s else -result.value if n == t else 0
+                assert excess[n] == expect
+
+    def test_matches_networkx(self, rng):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.flow import edmonds_karp
+
+        unreachable = 0
+        for _ in range(300):
+            nodes, arcs, s, t = random_arcs(rng)
+            graph = nx.DiGraph()
+            graph.add_nodes_from(nodes)
+            for (u, v), c in merged_capacity(arcs).items():
+                graph.add_edge(u, v, capacity=c)
+            flow = edmonds_karp(graph, s, t)
+            residual = nx.DiGraph()
+            residual.add_nodes_from(nodes)
+            residual.add_edges_from(
+                (u, v) for u, v, a in flow.edges(data=True) if a["capacity"] - a["flow"] > 0
+            )
+            smallest = frozenset(nx.descendants(residual, s) | {s})
+            maximal = frozenset(nodes) - nx.ancestors(residual, t) - {t}
+
+            result = _solve(nodes, arcs, s, t)
+            assert result.value == flow.graph["flow_value"]
+            assert result.source_side == smallest
+            assert result.maximal_source_side() == maximal
+            unreachable += result.value == 0
+        assert unreachable >= 30
 
 
 class TestMaxFlowUndirected:
