@@ -60,6 +60,7 @@ from .sim import (
     CommoditySpec,
     MetricsReport,
     TopologyProcess,
+    check_load,
     run,
 )
 
@@ -194,6 +195,11 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     load_factors = tuple(float(r) for r in _field(data, "load_factors", list, where))
     if not load_factors or not all(math.isfinite(r) and r > 0 for r in load_factors):
         raise ValidationError(f"{where}.load_factors: all load factors must be finite and > 0")
+    for pos, c in enumerate(commodities):
+        try:
+            check_load([c], max(load_factors))
+        except ValueError as exc:
+            raise ValidationError(f"{where}.commodities[{pos}].rate: {exc}") from exc
     horizon = _field(data, "horizon", int, where)
     if horizon < 0:
         raise ValidationError(f"{where}.horizon: must be nonnegative")
@@ -397,7 +403,7 @@ def er_batch(
         rng.shuffle(ranking)
         dag0 = orient_by_ranking(net, {node: pos for node, pos in zip(sorted(net.nodes), ranking)})
         fmax = max_flow_undirected(net)
-        bound = default_max_iters(dag0, fmax, fmax=fmax)
+        bound = default_max_iters(dag0, fmax)
         trace = converge(dag0, fmax, max_iters=bound, record_overload=False)
         iters = trace.iterations
         if iters > bound:
@@ -479,6 +485,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = _load_arg_scenario(args.scenario)
+            if args.rho is not None:
+                try:
+                    check_load(config.commodities, args.rho)
+                except ValueError as exc:
+                    raise ValidationError(f"--rho: {exc}") from exc
             report = run(
                 config,
                 args.policy,

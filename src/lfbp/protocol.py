@@ -58,11 +58,11 @@ class LfbpParams:
 def mark_step(state: sim.SimState, params: LfbpParams) -> sim.SimState:
     """Mark queues above the current threshold; marks stick until epoch end."""
     limit = params.threshold(state.epoch)
-    for y in range(len(state.commodities)):
-        marks = state.marks[y]
-        queue = state.queues[y]
-        for i in range(state.n):
-            if not marks[i] and queue[i] > limit:
+    for queue, marks in zip(state.queues, state.marks):
+        if max(queue) <= limit:
+            continue
+        for i, backlog in enumerate(queue):
+            if backlog > limit:
                 marks[i] = True
     return state
 

@@ -131,7 +131,7 @@ def _has_usable_entering(dag: DagOrientation, inside) -> bool:
     )
 
 
-def default_max_iters(dag: DagOrientation, rate: Rational, fmax: Rational | None = None) -> int:
+def default_max_iters(dag: DagOrientation, fmax: Rational | None = None) -> int:
     """Iteration budget: ceil(|N| f_max / delta) plus |N| slack.
 
     The cut-granularity bound covers the iterations needed to reach a
@@ -163,7 +163,7 @@ def converge(
     """Iterate reversal steps until the orientation supports the rate or no
     link qualifies.  The trace keeps one entry per visited orientation."""
     if max_iters is None:
-        max_iters = default_max_iters(dag0, rate)
+        max_iters = default_max_iters(dag0)
     entries: list[TraceEntry] = []
     dag = dag0
     for _ in range(max_iters + 1):

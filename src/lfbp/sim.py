@@ -1,19 +1,27 @@
 """Slot-driven stochastic simulation: arrivals, backpressure forwarding,
 random link failures, and per-run metrics.
 
-The engine is synchronous: all transmission decisions in a slot are taken
-from start-of-slot queue values (after that slot's arrivals), then applied
-together.  Queues hold integer packets, so capacities must be integers here;
-the analytical modules accept general rationals.
+The engine is synchronous and works in two phases per slot: every
+transmission is decided from the start-of-slot queue values (after that
+slot's arrivals), then all the moves are applied.  The updates are sums, so
+the order in which they are applied cannot change the result.  Queues hold
+integer packets, so capacities must be integers here; the analytical modules
+accept general rationals.
 
 Policies: ``bp`` is classical backpressure on the bidirected live network
 (loop-prone); ``lfbp`` constrains forwarding to a per-commodity acyclic
 orientation maintained by threshold-driven link reversals.
+
+The links a slot reads change only when the orientation or the live mask
+does, so ``SimState.rebuild_plans`` compiles them into a forwarding plan at
+those moments, not every slot.  Poisson arrivals come from a CDF table built
+once per commodity.
 """
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -126,26 +134,59 @@ BUCKET_FIELDS = [
 ]
 
 
+# Largest Poisson mean an arrival stream accepts: above it exp(-mean), the
+# first term of the CDF, is no longer a normal float.
+MAX_POISSON_MEAN = 700
+
+
+def check_load(commodities, rho: float) -> None:
+    """Raise ``ValueError`` unless the load factor is finite and positive and
+    every commodity's Poisson mean ``rate x rho`` is at most
+    ``MAX_POISSON_MEAN``."""
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"load factor must be finite and positive, got {rho}")
+    for c in commodities:
+        if c.rate * rho > MAX_POISSON_MEAN:
+            raise ValueError(
+                f"commodity {c.id}: Poisson mean rate x load = {c.rate * rho} exceeds {MAX_POISSON_MEAN}"
+            )
+
+
 def _stream(seed, label: str) -> random.Random:
     return random.Random(f"{seed}|{label}")
 
 
-def poisson_draw(rng: random.Random, mean: float) -> int:
-    """Poisson sample by CDF inversion; always consumes exactly one uniform
-    so parallel runs stay on identical sample paths."""
-    u = rng.random()
-    if mean <= 0.0:
-        return 0
+def poisson_cdf(mean: float) -> list[float]:
+    """Cumulative Poisson probabilities ``table[k] = P(X <= k)`` as floats,
+    summed term by term from ``exp(-mean)`` until the sum stops changing.
+
+    Above ``MAX_POISSON_MEAN`` the first term ``exp(-mean)`` is no longer a
+    normal float (it is 0.0 from about 745 on), so such a mean is rejected.
+    """
+    if not 0.0 <= mean <= MAX_POISSON_MEAN:
+        raise ValueError(f"Poisson mean must be in [0, {MAX_POISSON_MEAN}], got {mean}")
     p = math.exp(-mean)
     c = p
+    table = [c]
     k = 0
-    while u > c:
+    while True:
         k += 1
         p *= mean / k
+        if c + p == c:
+            return table
         c += p
-        if k > 100_000:  # numerically unreachable for desk-scale means
-            break
-    return k
+        table.append(c)
+
+
+def poisson_draw(rng: random.Random, mean: float) -> int:
+    """Poisson sample by CDF inversion; always consumes exactly one uniform
+    so parallel runs stay on identical sample paths.
+
+    The sample is the smallest k with ``u <= table[k]``; a uniform above the
+    table's last entry (probability about 1e-16) takes the last k.
+    """
+    table = poisson_cdf(mean)
+    return bisect_left(table, rng.random(), 0, len(table) - 1)
 
 
 class SimState:
@@ -168,8 +209,7 @@ class SimState:
             raise ValueError(f"unknown policy {policy!r}")
         if policy == "lfbp" and not initial_dags:
             raise ValueError("lfbp policy requires per-commodity initial orientations")
-        if rho <= 0:
-            raise ValueError("load factor must be positive")
+        check_load(commodities, rho)
         self.net = net
         self.commodities = commodities
         self.policy = policy
@@ -195,7 +235,7 @@ class SimState:
         ncom = len(commodities)
         self.src_idx = [self.idx[c.source] for c in commodities]
         self.dst_idx = [self.idx[c.dest] for c in commodities]
-        self.means = [rho * c.rate for c in commodities]
+        self.cdfs = [poisson_cdf(rho * c.rate) for c in commodities]
         self.queues = [[0] * self.n for _ in range(ncom)]
         self.dummies = list(dummies) if dummies is not None else [c.dummy_packets for c in commodities]
         self.backlog_now = 0
@@ -220,7 +260,6 @@ class SimState:
 
         self.arr_rngs = [_stream(seed, f"arrivals|{c.id}") for c in commodities]
         self.topo_rng = _stream(seed, "topology")
-        self.tie_rng = _stream(seed, "tiebreak")  # reserved; policies are deterministic
 
         self.t = 0
         self.arrivals = [0] * ncom
@@ -234,45 +273,64 @@ class SimState:
         self.reversal_log: list = []
         self.arrival_record = [[] for _ in range(ncom)] if record_arrivals else None
 
-        self.edge_plan: list = [None] * self.m
-        self.plans_dirty = True
         self.rebuild_plans()
 
     def rebuild_plans(self) -> None:
-        ncom = len(self.commodities)
-        for e_idx in range(self.m):
-            if not self.live_mask[e_idx]:
-                self.edge_plan[e_idx] = None
-                continue
-            a, b = self.edge_list[e_idx]
-            ia, ib = self.idx[a], self.idx[b]
-            cap = self.cap_int[e_idx]
-            options = []
+        """Compile the forwarding plan ``bp_step`` reads.
+
+        Run at init and whenever the orientation or the live mask changes.
+        Each live link offers one arc ``(y, u, v)`` per commodity and
+        direction it may carry: under ``bp`` both directions of every
+        commodity, ``a -> b`` first; under ``lfbp`` each commodity's DAG
+        direction.  With one commodity the arcs are grouped by tail as
+        ``(u, ((v, cap, node id of v), ...))``; with several, each link keeps
+        its options ``(queues[y], u, v, y, node id of v)`` in that order,
+        commodity ascending, as ``(cap, options)``.  A zero-capacity link
+        never sends, so it is left out.
+        """
+        idx, node_of = self.idx, self.node_of
+        links = []
+        for e_idx in self.live_order:
+            edge = self.edge_list[e_idx]
+            ia, ib = idx[edge[0]], idx[edge[1]]
+            arcs = []
             if self.policy == "bp":
-                for y in range(ncom):
-                    options.append((y, ia, ib))
-                    options.append((y, ib, ia))
+                for y in range(len(self.commodities)):
+                    arcs.append((y, ia, ib))
+                    arcs.append((y, ib, ia))
             else:
-                edge = self.edge_list[e_idx]
                 for y, dag in enumerate(self.dags):
                     head = dag.heads.get(edge)
-                    if head is None:
-                        continue
-                    tail = edge[0] if edge[1] == head else edge[1]
-                    options.append((y, self.idx[tail], self.idx[head]))
-            self.edge_plan[e_idx] = (cap, tuple(options))
-        self.plans_dirty = False
+                    if head is not None:
+                        arcs.append((y, ia, ib) if head == edge[1] else (y, ib, ia))
+            cap = self.cap_int[e_idx]
+            if cap and arcs:
+                links.append((cap, arcs))
+        if len(self.commodities) == 1:
+            by_tail: dict[int, list] = {}
+            for cap, arcs in links:
+                for _y, u, v in arcs:
+                    by_tail.setdefault(u, []).append((v, cap, node_of[v]))
+            self.plans = [(u, tuple(by_tail[u])) for u in sorted(by_tail)]
+        else:
+            queues = self.queues
+            self.plans = [
+                (cap, tuple((queues[y], u, v, y, node_of[v]) for y, u, v in arcs))
+                for cap, arcs in links
+            ]
 
     def total_backlog(self) -> int:
         return sum(sum(q) for q in self.queues)
 
 
 def arrivals_step(state: SimState) -> SimState:
-    """Inject Poisson arrivals at each commodity's source."""
-    for y in range(len(state.commodities)):
-        k = poisson_draw(state.arr_rngs[y], state.means[y])
-        if state.arrival_record is not None:
-            state.arrival_record[y].append(k)
+    """Inject Poisson arrivals at each commodity's source, one uniform per
+    commodity, drawn from its CDF table as ``poisson_draw`` does."""
+    record = state.arrival_record
+    for y, table in enumerate(state.cdfs):
+        k = bisect_left(table, state.arr_rngs[y].random(), 0, len(table) - 1)
+        if record is not None:
+            record[y].append(k)
         if k:
             state.queues[y][state.src_idx[y]] += k
             state.arrivals[y] += k
@@ -281,86 +339,130 @@ def arrivals_step(state: SimState) -> SimState:
 
 
 def bp_step(state: SimState) -> SimState:
-    """One backpressure transmission round.
+    """One backpressure transmission round, in two phases.
 
-    Per live link, the commodity (and direction) with the largest positive
-    queue differential wins the slot; each node then serves its winning links
-    in descending differential order without overdrawing its start-of-slot
-    backlog.  Ties prefer the lower neighbor ID, then the lower commodity.
+    Decide: per live link, the commodity (and direction) with the largest
+    positive queue differential wins the slot, the first option in plan
+    order on a tie.  Each tail then serves its winning links in descending
+    differential order (ties to the lower neighbour ID, then the lower
+    commodity) without overdrawing its start-of-slot backlog of that
+    commodity.  Every send is decided from the queues as they stood before
+    the step.  Apply: all the moves are made afterwards; a packet sent to its
+    destination is delivered.
+
+    With one commodity there is no contest on a link, and a tail whose
+    winning capacities sum to at most its backlog sends every capacity in
+    full, so only a contended tail sorts its winners.  With several, one
+    sort over all winners, keyed by tail first, puts each tail's winners in
+    serving order.
     """
-    queues = state.queues
-    snaps = [q.copy() for q in queues]
-    node_of = state.node_of
-    sends_by_tail: dict[int, list] = {}
-    for e_idx in state.live_order:
-        cap, options = state.edge_plan[e_idx]
+    if len(state.commodities) == 1:
+        return _step_one(state)
+    return _step_many(state)
+
+
+def _step_one(state: SimState) -> SimState:
+    q = state.queues[0]
+    moves = []
+    for u, arcs in state.plans:
+        qu = q[u]
+        if not qu:
+            continue
+        wins = []
+        total = 0
+        for arc in arcs:
+            if q[arc[0]] < qu:
+                wins.append(arc)
+                total += arc[1]
+        if total <= qu:
+            for v, cap, _vid in wins:
+                moves.append((u, v, cap))
+            continue
+        # Descending differential is ascending neighbour queue.
+        avail = qu
+        for _qv, _vid, v, cap in sorted([(q[v], vid, v, cap) for v, cap, vid in wins]):
+            send = cap if cap < avail else avail
+            if send > 0:
+                avail -= send
+                moves.append((u, v, send))
+    dst = state.dst_idx[0]
+    gone = 0
+    for u, v, send in moves:
+        q[u] -= send
+        if v == dst:
+            gone += send
+        else:
+            q[v] += send
+    state.delivered[0] += gone
+    state.backlog_now -= gone
+    return state
+
+
+def _step_many(state: SimState) -> SimState:
+    wins = []
+    for cap, options in state.plans:
         best_d = 0
         best = None
-        for y, u, v in options:
-            d = snaps[y][u] - snaps[y][v]
+        for option in options:
+            q, u, v, _y, _vid = option
+            d = q[u] - q[v]
             if d > best_d:
                 best_d = d
-                best = (y, u, v)
-        if best is None:
-            continue
-        y, u, v = best
-        sends_by_tail.setdefault(u, []).append((-best_d, node_of[v], y, v, cap))
-    dst_idx = state.dst_idx
-    delivered = state.delivered
-    for u in sorted(sends_by_tail):
-        plans = sends_by_tail[u]
-        plans.sort()
-        avail: dict[int, int] = {}
-        for _negd, _vid, y, v, cap in plans:
-            a = avail.get(y)
-            if a is None:
-                a = snaps[y][u]
-            send = cap if cap < a else a
-            if send <= 0:
-                avail[y] = a
-                continue
-            avail[y] = a - send
-            queues[y][u] -= send
-            if v == dst_idx[y]:
-                delivered[y] += send
-                state.backlog_now -= send
-            else:
-                queues[y][v] += send
+                best = option
+        if best is not None:
+            _q, u, v, y, vid = best
+            wins.append((u, -best_d, vid, y, v, cap))
+    # One sort groups the winners by tail, each tail's in serving order.
+    wins.sort()
+    queues = state.queues
+    moves = []
+    avail: dict[tuple[int, int], int] = {}
+    for u, _negd, _vid, y, v, cap in wins:
+        a = avail.get((u, y))
+        if a is None:
+            a = queues[y][u]
+        send = cap if cap < a else a
+        if send > 0:
+            moves.append((y, u, v, send))
+        avail[u, y] = a - send
+    dst_idx, delivered = state.dst_idx, state.delivered
+    for y, u, v, send in moves:
+        queue = queues[y]
+        queue[u] -= send
+        if v == dst_idx[y]:
+            delivered[y] += send
+            state.backlog_now -= send
+        else:
+            queue[v] += send
     return state
 
 
 def topology_step(state: SimState) -> SimState:
     """Fail live links / revive dead ones; one uniform draw per edge per slot
-    regardless of state, so sample paths are comparable across runs."""
+    regardless of state, so sample paths are comparable across runs.
+
+    The draws are taken first, in edge order; then the events are applied
+    in the same order."""
     proc = state.topology
     if proc is None:
         return state
     rng_random = state.topo_rng.random
     fail, recover = proc.fail_prob, proc.recover_prob
-    dirty = False
-    for e_idx in range(state.m):
-        r = rng_random()
-        if state.live_mask[e_idx]:
-            if r < fail:
-                state.live_mask[e_idx] = False
-                state.topo_events += 1
-                dirty = True
-                if state.dags is not None:
-                    edge = state.edge_list[e_idx]
-                    for y in range(len(state.dags)):
-                        state.dags[y] = apply_topology_event(state.dags[y], "remove", edge)
-        else:
-            if r < recover:
-                state.live_mask[e_idx] = True
-                state.topo_events += 1
-                dirty = True
-                if state.dags is not None:
-                    edge = state.edge_list[e_idx]
-                    for y in range(len(state.dags)):
-                        state.dags[y] = apply_topology_event(state.dags[y], "add", edge)
-    if dirty:
-        state.live_order = [i for i in range(state.m) if state.live_mask[i]]
-        state.rebuild_plans()
+    live = state.live_mask
+    events = [i for i in range(state.m) if rng_random() < (fail if live[i] else recover)]
+    if not events:
+        return state
+    dags, edge_list, apply = state.dags, state.edge_list, apply_topology_event
+    for e_idx in events:
+        kind = "remove" if live[e_idx] else "add"
+        live[e_idx] = not live[e_idx]
+        if dags is not None:
+            edge = edge_list[e_idx]
+            for y in range(len(dags)):
+                dags[y] = apply(dags[y], kind, edge)
+    state.topo_events += len(events)
+    state.live_order = [i for i in range(state.m) if live[i]]
+    state.rebuild_plans()
     return state
 
 

@@ -2,10 +2,13 @@
 
 The oracles here deliberately avoid the production code paths: min cuts by
 exhaustive subset enumeration, max-flow by grid enumeration of feasible
-flows.  They are slow and only meant for small instances.
+flows.  They are slow and only meant for small instances.  The slot engine's
+earlier per-link forwarding step and term-by-term Poisson draw are kept here
+as references for the compiled plans and the CDF table that replaced them.
 """
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -114,6 +117,99 @@ def brute_force_max_flow(dag, src=None, dst=None, cap_limit=200_000):
 
     descend(0)
     return best
+
+
+def reference_edge_plan(state):
+    """Per-edge forwarding options ``(cap, ((y, tail, head), ...))``, ``None``
+    for a dead link: the engine's earlier per-slot plan, rebuilt from the
+    state's live mask, policy and orientations."""
+    edge_plan = [None] * state.m
+    ncom = len(state.commodities)
+    for e_idx in range(state.m):
+        if not state.live_mask[e_idx]:
+            edge_plan[e_idx] = None
+            continue
+        a, b = state.edge_list[e_idx]
+        ia, ib = state.idx[a], state.idx[b]
+        cap = state.cap_int[e_idx]
+        options = []
+        if state.policy == "bp":
+            for y in range(ncom):
+                options.append((y, ia, ib))
+                options.append((y, ib, ia))
+        else:
+            edge = state.edge_list[e_idx]
+            for y, dag in enumerate(state.dags):
+                head = dag.heads.get(edge)
+                if head is None:
+                    continue
+                tail = edge[0] if edge[1] == head else edge[1]
+                options.append((y, state.idx[tail], state.idx[head]))
+        edge_plan[e_idx] = (cap, tuple(options))
+    return edge_plan
+
+
+def reference_bp_step(state):
+    """The engine's earlier backpressure round: snapshot every queue vector,
+    pick each live link's winner, then serve each tail's winners sorted by
+    descending differential."""
+    edge_plan = reference_edge_plan(state)
+    queues = state.queues
+    snaps = [q.copy() for q in queues]
+    node_of = state.node_of
+    sends_by_tail: dict[int, list] = {}
+    for e_idx in state.live_order:
+        cap, options = edge_plan[e_idx]
+        best_d = 0
+        best = None
+        for y, u, v in options:
+            d = snaps[y][u] - snaps[y][v]
+            if d > best_d:
+                best_d = d
+                best = (y, u, v)
+        if best is None:
+            continue
+        y, u, v = best
+        sends_by_tail.setdefault(u, []).append((-best_d, node_of[v], y, v, cap))
+    dst_idx = state.dst_idx
+    delivered = state.delivered
+    for u in sorted(sends_by_tail):
+        plans = sends_by_tail[u]
+        plans.sort()
+        avail: dict[int, int] = {}
+        for _negd, _vid, y, v, cap in plans:
+            a = avail.get(y)
+            if a is None:
+                a = snaps[y][u]
+            send = cap if cap < a else a
+            if send <= 0:
+                avail[y] = a
+                continue
+            avail[y] = a - send
+            queues[y][u] -= send
+            if v == dst_idx[y]:
+                delivered[y] += send
+                state.backlog_now -= send
+            else:
+                queues[y][v] += send
+    return state
+
+
+def reference_poisson_draw(rng: random.Random, mean: float) -> int:
+    """The engine's earlier Poisson draw: walk the CDF term by term."""
+    u = rng.random()
+    if mean <= 0.0:
+        return 0
+    p = math.exp(-mean)
+    c = p
+    k = 0
+    while u > c:
+        k += 1
+        p *= mean / k
+        c += p
+        if k > 100_000:  # numerically unreachable for desk-scale means
+            break
+    return k
 
 
 @pytest.fixture

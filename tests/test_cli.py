@@ -136,6 +136,17 @@ class TestScenarioParsing:
         with pytest.raises(ValidationError, match="dummy_scale: must be finite and nonnegative"):
             scenario_from_dict(minimal_doc(dummy_scale=scale))
 
+    @pytest.mark.parametrize(("rate", "factors"), [(800.0, [0.5, 1.0]), (100.0, [0.5, 7.5])])
+    def test_poisson_mean_above_limit_rejected(self, rate, factors):
+        # rate x the largest load factor is the largest per-slot Poisson mean
+        commodities = [{"id": 0, "source": 0, "dest": 2, "rate": rate}]
+        with pytest.raises(ValidationError, match=r"commodities\[0\]\.rate: .* exceeds 700"):
+            scenario_from_dict(minimal_doc(commodities=commodities, load_factors=factors))
+
+    def test_poisson_mean_at_limit_accepted(self):
+        commodities = [{"id": 0, "source": 0, "dest": 2, "rate": 700.0}]
+        scenario_from_dict(minimal_doc(commodities=commodities, load_factors=[1.0]))
+
     def test_cyclic_explicit_orientation_rejected(self):
         doc = minimal_doc(
             edges=[[0, 1, 1], [1, 2, 1], [0, 2, 1]],
@@ -256,6 +267,16 @@ class TestMainVerbs:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ",".join(SUMMARY_FIELDS)
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("rho", ["60", "nan", "inf", "-1", "0"])
+    def test_run_bad_rho_exits_one_naming_rho(self, rho, tmp_path, capsys):
+        # sixnode_fixed has rate 15: --rho 60 asks for a Poisson mean of 900
+        out = tmp_path / "run.csv"
+        code = cli.main(["run", "--scenario", "sixnode_fixed.scn", "--rho", rho,
+                         "--horizon", "200", "--out", str(out)])
+        assert code == 1
+        assert "validation error: --rho" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

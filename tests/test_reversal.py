@@ -248,14 +248,14 @@ class TestConverge:
         for _ in range(10):
             net = random_network(rng, n_max=7)
             dag = random_orientation(rng, net)
-            assert default_max_iters(dag, 1) >= 1
+            assert default_max_iters(dag) >= 1
 
     def test_supplied_network_max_flow_gives_same_budget(self, rng):
         for _ in range(20):
             net = random_network(rng, n_max=9)
             dag = random_orientation(rng, net)
             fmax = max_flow_undirected(net)
-            assert default_max_iters(dag, fmax, fmax=fmax) == default_max_iters(dag, fmax)
+            assert default_max_iters(dag, fmax) == default_max_iters(dag)
 
 
 class TestTrace:

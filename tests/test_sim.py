@@ -1,16 +1,21 @@
 """Slot engine: arrivals, backpressure transmissions, topology, metrics."""
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfbp import (
     CommoditySpec,
     Network,
     SimState,
     TopologyProcess,
+    apply_topology_event,
     arrivals_step,
     bp_step,
     grid_network,
@@ -20,7 +25,10 @@ from lfbp import (
     run,
     topology_step,
 )
-from lfbp.cli import ScenarioConfig
+from lfbp.cli import ScenarioConfig, bundled_scenario, bundled_scenario_names, sweep
+from lfbp.sim import MAX_POISSON_MEAN, poisson_cdf
+
+from conftest import random_orientation, reference_bp_step, reference_poisson_draw
 
 
 def tiny_state(edges, directions, queues, *, ncom=1, commodities=None, policy="lfbp"):
@@ -84,6 +92,44 @@ class TestArrivals:
         poisson_draw(a, 0.0)
         b.random()
         assert a.random() == b.random()
+
+    def test_zero_mean_table_is_one_entry(self):
+        assert poisson_cdf(0.0) == [1.0]
+
+    @pytest.mark.parametrize("mean", [0, 0.1, 1, 14.25, 50, 300, 700])
+    def test_table_draw_equals_term_by_term_draw(self, mean):
+        # 100,000 slots of the engine's own draw against the earlier loop on
+        # the same arrival stream.
+        net = Network.build([0, 1], [(0, 1, 1)], 0, 1)
+        state = SimState(net, [CommoditySpec(0, 0, 1, mean)], "bp", 1.0, 3, record_arrivals=True)
+        for _ in range(100_000):
+            arrivals_step(state)
+        reference = random.Random("3|arrivals|0")
+        assert state.arrival_record[0] == [reference_poisson_draw(reference, mean) for _ in range(100_000)]
+
+    @pytest.mark.parametrize("mean", [MAX_POISSON_MEAN + 1, 900.0, float("inf"), float("nan"), -1.0])
+    def test_unrepresentable_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="Poisson mean"):
+            poisson_cdf(mean)
+
+
+class TestLoadValidation:
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_bad_load_factor_rejected_before_first_slot(self, rho):
+        net = Network.build([0, 1], [(0, 1, 3)], 0, 1)
+        with pytest.raises(ValueError, match="load factor must be finite and positive"):
+            SimState(net, [CommoditySpec(0, 0, 1, 2.0)], "bp", rho, 0)
+
+    def test_mean_above_limit_rejected_before_first_slot(self):
+        # rate 15 at load 60 is a mean of 900: exp(-900) is 0.0
+        config = make_config(Network.build([0, 1], [(0, 1, 15)], 0, 1), [CommoditySpec(0, 0, 1, 15.0)])
+        with pytest.raises(ValueError, match="commodity 0: .* exceeds 700"):
+            run(config, "bp", 10, rho=60.0)
+
+    def test_mean_at_limit_runs(self):
+        config = make_config(Network.build([0, 1], [(0, 1, 1000)], 0, 1), [CommoditySpec(0, 0, 1, 700.0)])
+        report = run(config, "bp", 200, rho=1.0)
+        assert abs(report.arrivals / 200 - 700) < 5 * math.sqrt(700 / 200)
 
 
 class TestBpStep:
@@ -158,6 +204,65 @@ class TestBpStep:
         # flows both toward dest and back toward the source (loop-prone)
         assert state.queues[0][0] == 2
         assert state.delivered == [2]
+
+
+def twin_states(seed, ncom, policy, qmax):
+    """Two identical random engine states: 3-7 nodes, zero-capacity and dead
+    links, ``ncom`` commodities, queues drawn from ``[0, qmax]``."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    edges = [
+        (i, j, rng.choice([0, 1, 2, 3, 5, 8]))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.6
+    ] or [(0, 1, 1)]
+    commodities = [CommoditySpec(y, *rng.sample(range(n), 2), 0.0) for y in range(ncom)]
+    net = Network.build(range(n), edges, commodities[0].source, commodities[0].dest)
+    dags = [random_orientation(rng, net) for _ in commodities]
+    for edge in sorted(net.capacity):
+        if rng.random() < 0.25:
+            dags = [apply_topology_event(dag, "remove", edge) for dag in dags]
+    queues = [[rng.randint(0, qmax) for _ in range(n)] for _ in commodities]
+    states = []
+    for _ in range(2):
+        state = SimState(net, commodities, policy, 1.0, 0, initial_dags=dags)
+        for queue, start in zip(state.queues, queues):
+            queue[:] = start
+        state.backlog_now = sum(map(sum, queues))
+        states.append(state)
+    return states
+
+
+class TestBpStepAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ncom=st.integers(1, 3),
+        policy=st.sampled_from(["bp", "lfbp"]),
+        qmax=st.sampled_from([2, 6, 40]),
+    )
+    def test_one_step_matches_reference(self, seed, ncom, policy, qmax):
+        state, reference = twin_states(seed, ncom, policy, qmax)
+        bp_step(state)
+        reference_bp_step(reference)
+        assert state.queues == reference.queues
+        assert state.delivered == reference.delivered
+        assert state.backlog_now == reference.backlog_now
+
+    @pytest.mark.parametrize("qmax", [2, 40])
+    def test_generator_reaches_both_tail_cases(self, qmax):
+        # Small queues leave tails whose winning capacities overdraw the
+        # backlog (the sorted case); large ones mostly do not.
+        contended = 0
+        for seed in range(200):
+            state, _ = twin_states(seed, 1, "bp", qmax)
+            q = state.queues[0]
+            contended += any(
+                sum(cap for v, cap, _vid in arcs if q[v] < q[u]) > q[u] > 0
+                for u, arcs in state.plans
+            )
+        assert (contended > 100) if qmax == 2 else (contended < 50)
 
 
 class TestTopology:
@@ -317,3 +422,45 @@ class TestRun:
         net = Network.build([0, 1], [(0, 1, Fraction(1, 2))], 0, 1)
         with pytest.raises(ValueError, match="integer capacities"):
             SimState(net, [CommoditySpec(0, 0, 1, 1.0)], "bp", 1.0, 0)
+
+
+# sha256 of the summary, trace and reversal CSVs that ``cli.sweep`` writes for
+# every load factor of each bundled scenario, seed 1, both policies, 5,000
+# slots, bucket 500.  A change that moves a sample path must update these
+# digests and say why.
+GOLDEN_SHA256 = {
+    "grid4x4.scn": (
+        "07637a6e2d7d66f1f933dded00c66027635fbf452f3bbd52d094c74797b47c39",
+        "7b0708eea7dfb16c9118597e7636875e3cf866dc05182163931d60350fe1c0d0",
+        "638a1397290f9d9c9623155eed1dcd0afe3c558610bd34b792c09af0d7d0f84d",
+    ),
+    "grid4x4_multi.scn": (
+        "869233758741eb0f8a27263d927c3ab7997cec5969214ba9fb8801e711d9721c",
+        "c72545b3cb70f3deeba4d30b817966206935afd19147ff6938b034e7c703eb5e",
+        "e264fb9cf8847ee675abd9bebab535acebd5b90358c9a3b660c6a1bfb65d6fbe",
+    ),
+    "sixnode_detect.scn": (
+        "9fc0b0b1f0798fe19c5a565e44c638269345418cdaae195f756c359f3f4bb9fb",
+        "6460039e993fe296a0b5142a9ab2acb56a29af400e02d561aa9b6e3c3a5ddccf",
+        "a2efac103849dc31582466bf15e8ef2501e3f5e5b29d3334a33cbc03deba5bfd",
+    ),
+    "sixnode_fixed.scn": (
+        "079e436a441eb9e2d7ecc76dd41f5488e18eed0ade0627ab188b72716dbd7b43",
+        "ed815d2b6b7129e2da09f46b7c4a57d77f6e8c8759f81387844b9c45f0c25a13",
+        "637bd270dd155af5db4785c800cc208bca9d3b28111dc83191d80e82387b2962",
+    ),
+}
+
+
+class TestGoldenSamplePaths:
+    def test_every_bundled_scenario_is_covered(self):
+        assert sorted(GOLDEN_SHA256) == bundled_scenario_names()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+    def test_csv_digests(self, name, tmp_path):
+        config = replace(bundled_scenario(name), seeds=(1,))
+        out = tmp_path / "summary.csv"
+        sweep(config, ("bp", "lfbp"), out, horizon=5_000, bucket=500)
+        paths = (out, out.with_suffix(".trace.csv"), out.with_suffix(".reversals.csv"))
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+        assert digests == GOLDEN_SHA256[name]
