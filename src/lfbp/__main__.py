@@ -1,0 +1,7 @@
+"""``python -m lfbp``: the ``lfbp`` command line (see ``lfbp.cli``)."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

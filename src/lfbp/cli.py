@@ -45,6 +45,7 @@ from importlib import resources
 from pathlib import Path
 
 from .graph import (
+    DEFAULT_RESCALE_EVERY,
     InvariantViolation,
     Network,
     as_rational,
@@ -61,6 +62,7 @@ from .sim import (
     MetricsReport,
     TopologyProcess,
     check_load,
+    initial_orientation,
     run,
 )
 
@@ -89,13 +91,51 @@ class ScenarioConfig:
         return replace(self, lfbp_params=params)
 
 
-def _field(data: dict, key: str, kind, where: str):
+# What converting a field's value may raise: a wrong type, a malformed string
+# or NaN, an infinite float, and a fraction string with a zero denominator.
+_CONVERSION_ERRORS = (TypeError, ValueError, OverflowError, ZeroDivisionError)
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, kind, where: str, default=_REQUIRED):
     if key not in data:
-        raise ValidationError(f"{where}: missing field {key!r}")
+        if default is _REQUIRED:
+            raise ValidationError(f"{where}: missing field {key!r}")
+        return default
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ValidationError(f"{where}.{key}: expected {kind}, got {type(value).__name__}")
     return value
+
+
+def _object(data: dict, key: str, where: str) -> dict | None:
+    """An optional sub-object; None when absent or null."""
+    value = data.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ValidationError(f"{where}.{key}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _int(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{where}: expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool):
+        raise ValidationError(f"{where}: expected a number, got bool")
+    try:
+        return float(value)
+    except _CONVERSION_ERRORS as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _rational(value, where: str):
+    try:
+        return as_rational(value)
+    except _CONVERSION_ERRORS as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
@@ -103,18 +143,23 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     if version != SCHEMA_VERSION:
         raise ValidationError(f"{where}.version: unsupported schema version {version}")
     name = _field(data, "name", str, where)
-    nodes = _field(data, "nodes", list, where)
-    raw_edges = _field(data, "edges", list, where)
+    nodes = [_int(n, f"{where}.nodes[{pos}]") for pos, n in enumerate(_field(data, "nodes", list, where))]
+    node_set = set(nodes)
+    if len(node_set) != len(nodes):
+        raise ValidationError(f"{where}.nodes: node IDs must be unique")
+
+    def node(value, field: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or value not in node_set:
+            raise ValidationError(f"{field}: {value!r} is not one of the nodes")
+        return value
+
     edges = []
-    for pos, item in enumerate(raw_edges):
+    for pos, item in enumerate(_field(data, "edges", list, where)):
+        ewhere = f"{where}.edges[{pos}]"
         if not isinstance(item, list) or len(item) != 3:
-            raise ValidationError(f"{where}.edges[{pos}]: expected [i, j, capacity]")
+            raise ValidationError(f"{ewhere}: expected [i, j, capacity]")
         i, j, cap = item
-        try:
-            cap = as_rational(cap)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{where}.edges[{pos}].capacity: {exc}") from exc
-        edges.append((i, j, cap))
+        edges.append((node(i, ewhere), node(j, ewhere), _rational(cap, f"{ewhere}.capacity")))
 
     raw_commodities = _field(data, "commodities", list, where)
     if not raw_commodities:
@@ -122,20 +167,25 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     commodities = []
     for pos, item in enumerate(raw_commodities):
         cwhere = f"{where}.commodities[{pos}]"
+        if not isinstance(item, dict):
+            raise ValidationError(f"{cwhere}: expected an object, got {type(item).__name__}")
         cid = _field(item, "id", int, cwhere)
         if any(c.id == cid for c in commodities):
             raise ValidationError(f"{cwhere}.id: duplicate commodity id {cid}")
-        rate = float(_field(item, "rate", (int, float), cwhere))
+        rate = _number(_field(item, "rate", (int, float), cwhere), f"{cwhere}.rate")
         if not math.isfinite(rate):
             raise ValidationError(f"{cwhere}.rate: must be finite, got {rate}")
+        dummy_packets = _field(item, "dummy_packets", int, cwhere, 0)
+        if dummy_packets < 0:
+            raise ValidationError(f"{cwhere}.dummy_packets: must be nonnegative")
         try:
             commodities.append(
                 CommoditySpec(
                     id=cid,
-                    source=_field(item, "source", int, cwhere),
-                    dest=_field(item, "dest", int, cwhere),
+                    source=node(_field(item, "source", int, cwhere), f"{cwhere}.source"),
+                    dest=node(_field(item, "dest", int, cwhere), f"{cwhere}.dest"),
                     rate=rate,
-                    dummy_packets=int(item.get("dummy_packets", 0)),
+                    dummy_packets=dummy_packets,
                 )
             )
         except ValueError as exc:
@@ -145,17 +195,15 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         network = Network.build(nodes, edges, commodities[0].source, commodities[0].dest)
     except ValueError as exc:
         raise ValidationError(f"{where}.edges: {exc}") from exc
-    for pos, c in enumerate(commodities):
-        if c.source not in network.nodes or c.dest not in network.nodes:
-            raise ValidationError(f"{where}.commodities[{pos}]: unknown source/dest node")
 
     initial = data.get("initial_dag", "by_id")
     if isinstance(initial, list):
         pairs = []
         for pos, pair in enumerate(initial):
+            pwhere = f"{where}.initial_dag[{pos}]"
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ValidationError(f"{where}.initial_dag[{pos}]: expected [tail, head]")
-            pairs.append((pair[0], pair[1]))
+                raise ValidationError(f"{pwhere}: expected [tail, head]")
+            pairs.append((node(pair[0], pwhere), node(pair[1], pwhere)))
         from .graph import orient_explicit
 
         try:
@@ -167,48 +215,66 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         raise ValidationError(f"{where}.initial_dag: expected 'by_id', 'optimal' or pair list")
 
     lfbp_params = None
-    if data.get("lfbp") is not None:
+    raw = _object(data, "lfbp", where)
+    if raw is not None:
         lwhere = f"{where}.lfbp"
-        raw = data["lfbp"]
+        thresholds = _field(raw, "thresholds", list, lwhere, [60])
+        periods = _field(raw, "periods", list, lwhere, [50])
+        delta = raw.get("delta")
+        if delta is not None:
+            delta = _rational(delta, f"{lwhere}.delta")
+            # A smaller delta lets a state drop of 2^k * delta fall short of
+            # the span it must clear, and the run fails at a later reversal.
+            carried = initial_orientation(network, initial).delta
+            if delta < carried:
+                raise ValidationError(
+                    f"{lwhere}.delta: {delta} is below {carried}, the delta the initial orientation "
+                    "carries (its state span plus one)"
+                )
+        rescale_every = _field(raw, "rescale_every", int, lwhere, DEFAULT_RESCALE_EVERY)
+        if rescale_every < 0:
+            raise ValidationError(f"{lwhere}.rescale_every: must be nonnegative")
         try:
             lfbp_params = LfbpParams(
-                thresholds=tuple(as_rational(t) for t in raw.get("thresholds", [60])),
-                periods=tuple(int(p) for p in raw.get("periods", [50])),
-                delta=as_rational(raw["delta"]) if raw.get("delta") is not None else None,
-                rescale_every=int(raw.get("rescale_every", 32)),
+                thresholds=tuple(_rational(t, f"{lwhere}.thresholds[{pos}]") for pos, t in enumerate(thresholds)),
+                periods=tuple(_int(p, f"{lwhere}.periods[{pos}]") for pos, p in enumerate(periods)),
+                delta=delta,
+                rescale_every=rescale_every,
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"{lwhere}: {exc}") from exc
 
     topology = None
-    if data.get("topology") is not None:
+    raw = _object(data, "topology", where)
+    if raw is not None:
         twhere = f"{where}.topology"
-        raw = data["topology"]
         try:
             topology = TopologyProcess(
-                fail_prob=float(_field(raw, "fail_prob", (int, float), twhere)),
-                recover_prob=float(_field(raw, "recover_prob", (int, float), twhere)),
+                fail_prob=_number(_field(raw, "fail_prob", (int, float), twhere), f"{twhere}.fail_prob"),
+                recover_prob=_number(_field(raw, "recover_prob", (int, float), twhere), f"{twhere}.recover_prob"),
             )
         except ValueError as exc:
             raise ValidationError(f"{twhere}: {exc}") from exc
 
-    load_factors = tuple(float(r) for r in _field(data, "load_factors", list, where))
+    load_factors = tuple(
+        _number(r, f"{where}.load_factors[{pos}]") for pos, r in enumerate(_field(data, "load_factors", list, where))
+    )
     if not load_factors or not all(math.isfinite(r) and r > 0 for r in load_factors):
         raise ValidationError(f"{where}.load_factors: all load factors must be finite and > 0")
     for pos, c in enumerate(commodities):
         try:
             check_load([c], max(load_factors))
         except ValueError as exc:
-            raise ValidationError(f"{where}.commodities[{pos}].rate: {exc}") from exc
+            raise ValidationError(f"{where}.commodities[{pos}].rate: {exc} at the largest of load_factors") from exc
     horizon = _field(data, "horizon", int, where)
     if horizon < 0:
         raise ValidationError(f"{where}.horizon: must be nonnegative")
-    seeds = tuple(int(s) for s in _field(data, "seeds", list, where))
+    seeds = tuple(_int(s, f"{where}.seeds[{pos}]") for pos, s in enumerate(_field(data, "seeds", list, where)))
     if not seeds:
         raise ValidationError(f"{where}.seeds: at least one seed required")
     dummy_scale = data.get("dummy_scale")
     if dummy_scale is not None:
-        dummy_scale = float(dummy_scale)
+        dummy_scale = _number(dummy_scale, f"{where}.dummy_scale")
         if not (math.isfinite(dummy_scale) and dummy_scale >= 0):
             raise ValidationError(f"{where}.dummy_scale: must be finite and nonnegative")
 

@@ -5,6 +5,13 @@ integers), the unique smallest min-cut via residual reachability,
 construction of a throughput-optimal orientation from an undirected
 max-flow, and the cut granularity constant used to bound link-reversal
 iteration counts.
+
+A ``FlowNetwork`` holds one network's integer arc structure (node index,
+twin arc pairs, heads and adjacency) apart from its capacities, and its
+``solve`` runs Dinic on any integer capacity vector over those arcs.
+``_solve`` builds one for a single arc list and solves it once; a caller
+that solves the same arcs many times with different capacities builds the
+network once and calls ``solve`` again.
 """
 from __future__ import annotations
 
@@ -42,66 +49,131 @@ class CutPartition:
     capacity: Rational
 
 
+class FlowNetwork:
+    """The integer arc structure of one max-flow network, kept apart from its
+    capacities so one network can be solved again with new ones.
+
+    ``arc`` maps ``(tail, head)`` to an arc id ``k`` whose twin ``k ^ 1``
+    runs the other way; ``head[k]`` is the index of arc ``k``'s head and
+    ``adj[i]`` lists the arcs leaving node ``i``.
+    """
+
+    __slots__ = ("nodes", "index", "arc", "head", "adj")
+
+    def __init__(self, nodes: Iterable):
+        self.nodes = list(nodes)
+        self.index = {n: i for i, n in enumerate(self.nodes)}
+        self.arc: dict = {}
+        self.head: list[int] = []
+        self.adj: list[list[int]] = [[] for _ in self.nodes]
+
+    def pair(self, u, v) -> int:
+        """The id of arc u -> v, adding the twin pair if it is missing."""
+        k = self.arc.get((u, v))
+        if k is None:
+            k = len(self.head)
+            self.arc[(u, v)] = k
+            self.arc[(v, u)] = k + 1
+            iu, iv = self.index[u], self.index[v]
+            self.head.append(iv)
+            self.head.append(iu)
+            self.adj[iu].append(k)
+            self.adj[iv].append(k + 1)
+        return k
+
+    def solve(self, res: list[int], s, t, scale: int) -> "MaxFlow":
+        """Dinic's blocking-flow max-flow on the integer capacities ``res``
+        (one per arc id, consumed as the residual); ``scale`` is the factor
+        they were multiplied by."""
+        if s == t:
+            raise ValueError("source and sink must differ")
+        cap = res[:]
+        adj, head = self.adj, self.head
+        si, ti = self.index[s], self.index[t]
+        total = 0
+        while True:
+            level = [-1] * len(adj)
+            level[si] = 0
+            queue = [si]
+            for u in queue:
+                below = level[u] + 1
+                for k in adj[u]:
+                    v = head[k]
+                    if res[k] and level[v] < 0:
+                        level[v] = below
+                        queue.append(v)
+                if level[ti] >= 0:
+                    break
+            else:
+                source_side = frozenset(self.nodes[i] for i in queue)
+                break
+            total += _blocking_flow(adj, head, res, level, si, ti)
+        value = total if scale == 1 else Fraction(total, scale)
+        return MaxFlow(value, source_side, self, cap, res, ti, scale)
+
+
 class MaxFlow:
     """One solved max-flow, kept on the kernel's scaled integer residual.
 
     ``value`` is the exact flow value and ``source_side`` the smallest min-cut
     source side: the nodes labelled by the last level-graph BFS, the one that
-    failed to reach the sink.  The maximal source side and the flow between
-    two nodes are derived on demand.
+    failed to reach the sink.  ``scale`` is the factor the capacities were
+    multiplied by.  The maximal source side and the flow between two nodes
+    are derived on demand.
     """
 
-    __slots__ = ("value", "source_side", "_nodes", "_arc", "_head", "_cap", "_res", "_adj", "_t", "_scale")
+    __slots__ = ("value", "source_side", "scale", "_net", "_cap", "_res", "_t")
 
-    def __init__(self, value, source_side, nodes, arc, head, cap, res, adj, t, scale):
+    def __init__(self, value, source_side, net, cap, res, t, scale):
         self.value: Rational = value
         self.source_side: frozenset = source_side
-        self._nodes, self._arc, self._head, self._cap = nodes, arc, head, cap
-        self._res, self._adj, self._t, self._scale = res, adj, t, scale
+        self.scale: int = scale
+        self._net, self._cap, self._res, self._t = net, cap, res, t
 
     def maximal_source_side(self) -> frozenset:
         """The largest min-cut source side: every node that cannot reach the
         sink in the residual graph, found by a reverse BFS from the sink."""
-        head, res = self._head, self._res
-        reaches = [False] * len(self._nodes)
+        net, res = self._net, self._res
+        head, adj = net.head, net.adj
+        reaches = [False] * len(adj)
         reaches[self._t] = True
         queue = [self._t]
         for v in queue:
-            for k in self._adj[v]:
+            for k in adj[v]:
                 u = head[k]
                 if not reaches[u] and res[k ^ 1]:
                     reaches[u] = True
                     queue.append(u)
-        return frozenset(n for n, r in zip(self._nodes, reaches) if not r)
+        return frozenset(n for n, r in zip(net.nodes, reaches) if not r)
 
-    def net_flow(self, u, v) -> Rational:
-        """Exact flow from u to v less any flow from v to u (0 if no arc joins
-        them); arcs between the same two nodes share one residual pair."""
-        k = self._arc.get((u, v))
+    def scaled_flow(self, u, v) -> int:
+        """Flow from u to v less any flow from v to u, times ``scale`` (0 if
+        no arc joins them); arcs between the same two nodes share one pair."""
+        k = self._net.arc.get((u, v))
         if k is None:
             return 0
-        used = self._cap[k] - self._res[k]
-        return used if self._scale == 1 else Fraction(used, self._scale)
+        return self._cap[k] - self._res[k]
+
+    def net_flow(self, u, v) -> Rational:
+        """Exact flow from u to v less any flow from v to u."""
+        used = self.scaled_flow(u, v)
+        return used if self.scale == 1 else Fraction(used, self.scale)
 
 
 def _solve(nodes: Iterable, arcs: Iterable[tuple[object, object, Rational]], s, t) -> MaxFlow:
-    """Dinic's blocking-flow max-flow on integer arrays.
+    """Max-flow of one arc list: build its ``FlowNetwork`` and solve it once.
 
     Capacities are scaled once by the least common multiple of their
     denominators.  Arcs between the same two nodes, either way round, merge
     into one twin pair ``k``/``k ^ 1``; arcs without positive capacity are
     dropped.
     """
-    if s == t:
-        raise ValueError("source and sink must differ")
-    nodes = list(nodes)
-    index = {n: i for i, n in enumerate(nodes)}
+    net = FlowNetwork(nodes)
+    index, arc, head, adj = net.index, net.arc, net.head, net.adj
     arcs = list(arcs)
     scale = math.lcm(*{c.denominator for _, _, c in arcs})
-    arc: dict = {}  # (tail, head) -> arc id
-    head: list[int] = []
     res: list[int] = []
-    adj: list[list[int]] = [[] for _ in nodes]
+    # FlowNetwork.pair inlined: a method call per arc is a tenth of er_batch.
     for u, v, c in arcs:
         if c <= 0:
             continue
@@ -121,29 +193,7 @@ def _solve(nodes: Iterable, arcs: Iterable[tuple[object, object, Rational]], s, 
             adj[iv].append(k + 1)
         else:
             res[k] += c
-    cap = res[:]
-
-    si, ti = index[s], index[t]
-    total = 0
-    while True:
-        level = [-1] * len(nodes)
-        level[si] = 0
-        queue = [si]
-        for u in queue:
-            below = level[u] + 1
-            for k in adj[u]:
-                v = head[k]
-                if res[k] and level[v] < 0:
-                    level[v] = below
-                    queue.append(v)
-            if level[ti] >= 0:
-                break
-        else:
-            source_side = frozenset(nodes[i] for i in queue)
-            break
-        total += _blocking_flow(adj, head, res, level, si, ti)
-    value = total if scale == 1 else Fraction(total, scale)
-    return MaxFlow(value, source_side, nodes, arc, head, cap, res, adj, ti, scale)
+    return net.solve(res, s, t, scale)
 
 
 def _blocking_flow(adj, head, res, level, s: int, t: int) -> int:

@@ -166,7 +166,7 @@ def orient_explicit(net: Network, directed_pairs: Iterable[tuple[int, int]]) -> 
     for tail, head in directed_pairs:
         key = edge_key(tail, head)
         if key not in net.capacity:
-            raise ValueError(f"directed pair ({tail},{head}) is not a network edge")
+            raise ValueError(f"directed pair ({tail},{head}) is not one of the network's edges")
         if key in heads:
             raise ValueError(f"edge {{{tail},{head}}} oriented twice")
         heads[key] = head

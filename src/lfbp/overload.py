@@ -8,15 +8,28 @@ algorithm on small instances.
 
 The destination never buffers, so its rate is pinned to zero and its outgoing
 links carry no fluid flow.
+
+The vector is found by peeling, densest set first.  Each density guess tau
+is one min-cut of an auxiliary network: a super-source feeds each node its
+supply, each node leaks tau plus its capacity into the destination to a
+super-sink, and the internal links are kept.  That network is built once
+per ``lex_min_overload`` call.  Each peel writes the supplies and the
+surviving links into one integer capacity vector, and each guess only
+rescales it and rewrites the leak arcs; peeled nodes stay in the network
+with no capacity and are cut out of the answer.  The cut value is exactly
+surplus(S) - tau*|S| for the maximal maximizing set S, so the next guess,
+S's mean surplus, is tau plus that gap over |S| (a Newton step on exact
+rationals).  The inducing flow is read off its max-flow in scaled integers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .graph import DagOrientation, InvariantViolation, Rational, as_rational, topological_order
-from .flow import FlowAllocation, _solve
+from .flow import FlowAllocation, FlowNetwork, _solve
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -65,58 +78,14 @@ def _fluid_arcs(dag: DagOrientation) -> list[tuple[int, int, Rational]]:
     return [(u, v, c) for u, v, c in dag.directed_edges() if u != dest]
 
 
-def _max_surplus_set(
-    active: set[int],
-    supply: Mapping[int, Rational],
-    arcs: list[tuple[int, int, Rational]],
-    absorb: Mapping[int, Rational],
-    tau: Rational,
-):
-    """Maximize supply(S) - cutcap(S) - tau*|S| over S within the active set.
-
-    Encoded as a min-cut: a super-source feeds each node its supply, each node
-    may leak tau (plus its absorption capacity) to a super-sink, and internal
-    arcs are kept.  Returns (max value, maximal maximizing set).
-    """
-    SRC, SINK = object(), object()
-    ordered = sorted(active)
-    aux_nodes = ordered + [SRC, SINK]
-    aux_arcs: list = []
-    total_supply: Rational = 0
-    for n in ordered:
-        sup = supply.get(n, 0)
-        if sup > 0:
-            aux_arcs.append((SRC, n, sup))
-            total_supply += sup
-        leak = absorb.get(n, 0) + tau
-        if leak > 0:
-            aux_arcs.append((n, SINK, leak))
-    aux_arcs.extend(arcs)
-    result = _solve(aux_nodes, aux_arcs, SRC, SINK)
-    return total_supply - result.value, result.maximal_source_side() - {SRC}
-
-
-def _surplus(
-    subset: set[int],
-    active: set[int],
-    supply: Mapping[int, Rational],
-    arcs: list[tuple[int, int, Rational]],
-    absorb: Mapping[int, Rational],
-) -> Rational:
-    total = sum(supply.get(n, 0) for n in subset)
-    total -= sum(absorb.get(n, 0) for n in subset)
-    for u, v, c in arcs:
-        if u in subset and v in active and v not in subset:
-            total -= c
-    return total
-
-
 def _lex_min_rates(dag: DagOrientation, rate: Rational) -> dict[int, Rational]:
     """Water-filling: repeatedly peel the maximal set of maximum mean surplus.
 
     Each peeled set is forced to a common growth rate (the mean surplus
     density); its outgoing links saturate, feeding the remaining nodes as
     extra supply, and levels strictly decrease until all surplus is zero.
+    The surplus of S is supply(S) - absorb(S) - cutcap(S); the module
+    docstring describes the auxiliary min-cut network and the Newton steps.
     """
     net = dag.net
     dest = net.dest
@@ -132,34 +101,72 @@ def _lex_min_rates(dag: DagOrientation, rate: Rational) -> dict[int, Rational]:
         else:
             arcs.append((u, v, c))
 
+    SRC, SINK = object(), object()
+    ordered = sorted(active)
+    aux = FlowNetwork(ordered + [SRC, SINK])
+    feed = {n: aux.pair(SRC, n) for n in ordered}
+    leak = {n: aux.pair(n, SINK) for n in ordered}
+    arcs = [(aux.pair(u, v), u, v, c) for u, v, c in arcs]
+    zero = [0] * len(aux.head)
+
     while active:
-        value, top = _max_surplus_set(active, supply, arcs, absorb, 0)
-        if value <= 0:
+        # Base capacities of this peel at the scale of its denominators.
+        base_scale = math.lcm(
+            *{supply[n].denominator for n in active},
+            *{absorb[n].denominator for n in active},
+            *{c.denominator for _, _, _, c in arcs},
+        )
+        base = zero[:]
+        for n in active:
+            base[feed[n]] = supply[n].numerator * (base_scale // supply[n].denominator)
+        for k, _, _, c in arcs:
+            base[k] += c.numerator * (base_scale // c.denominator)
+        leaks = [(leak[n], absorb[n].numerator * (base_scale // absorb[n].denominator)) for n in active]
+        total_supply = sum(supply[n] for n in active)
+
+        def max_surplus_set(tau):
+            """Max of surplus(S) - tau*|S| over S within the active set, and
+            the maximal S attaining it: total supply less the min-cut, and
+            the active part of the maximal min-cut source side."""
+            scale = math.lcm(base_scale, tau.denominator)
+            mult = scale // base_scale
+            res = base[:] if mult == 1 else [c * mult for c in base]
+            tau_scaled = tau.numerator * (scale // tau.denominator)
+            for k, a in leaks:
+                res[k] = a * mult + tau_scaled
+            result = aux.solve(res, SRC, SINK, scale)
+            return total_supply - result.value, result.maximal_source_side() & active
+
+        gap, top = max_surplus_set(0)
+        if gap <= 0:
             break
-        tau = Fraction(_surplus(top, active, supply, arcs, absorb)) / len(top)
+        # Newton steps: the gap is surplus(S) - tau*|S| for the returned S,
+        # so tau + gap/|S| is that set's mean surplus density.
+        tau: Rational = 0
         guard = len(active) + 2
-        while True:
+        while gap > 0 and top:
+            tau += Fraction(gap) / len(top)
             guard -= 1
             if guard < 0:
                 raise InvariantViolation("density search failed to converge")
-            gap, cand = _max_surplus_set(active, supply, arcs, absorb, tau)
-            if gap > 0 and cand:
-                tau = Fraction(_surplus(cand, active, supply, arcs, absorb)) / len(cand)
-                continue
-            top = cand
-            break
+            gap, top = max_surplus_set(tau)
         if not top or tau <= 0:
             raise InvariantViolation("positive surplus but empty peel set")
         for n in top:
             rates[n] = as_rational(tau)
         # Saturated outgoing links become supply for the rest; links into the
         # peeled set carry nothing and disappear with it.
-        for u, v, c in arcs:
+        for _, u, v, c in arcs:
             if u in top and v not in top:
                 supply[v] += c
-        arcs = [(u, v, c) for u, v, c in arcs if u not in top and v not in top]
+        arcs = [a for a in arcs if a[1] not in top and a[2] not in top]
         active -= top
     return rates
+
+
+def _unscale(used: int, scale: int) -> Rational:
+    """A flow times ``scale`` as the exact rational it stands for, an int when whole."""
+    return used // scale if used % scale == 0 else Fraction(used, scale)
 
 
 def _inducing_flow(dag: DagOrientation, rate: Rational, rates: Mapping[int, Rational]) -> FlowAllocation:
@@ -184,30 +191,29 @@ def _inducing_flow(dag: DagOrientation, rate: Rational, rates: Mapping[int, Rati
     result = _solve(list(net.nodes) + [SRC, SINK], aux, SRC, SINK)
     if result.value != needed:
         raise InvariantViolation("overload rates admit no inducing flow")
-    flow = {}
-    delivered: Rational = 0
-    for u, v, c in dag.directed_edges():
-        if u == dest:
-            flow[(u, v)] = 0
-            continue
-        used = result.net_flow(u, v)
-        flow[(u, v)] = as_rational(used)
+    # Flows stay multiplied by the kernel's scale until they are reported.
+    scale = result.scale
+    used: dict[tuple[int, int], int] = {}
+    delivered = 0
+    for u, v, _ in dag.directed_edges():
+        used[(u, v)] = 0 if u == dest else result.scaled_flow(u, v)
         if v == dest:
-            delivered += used
+            delivered += used[(u, v)]
     # The extracted flow must reproduce the rates exactly via conservation.
-    div: dict[int, Rational] = {n: 0 for n in net.nodes}
-    for (u, v), f in flow.items():
+    div: dict[int, int] = {n: 0 for n in net.nodes}
+    for (u, v), f in used.items():
         div[u] += f
         div[v] -= f
     for n in net.nodes:
         if n == dest:
             continue
-        induced = (rate if n == src else 0) - div[n]
-        if induced != rates[n]:
+        induced = (rate * scale if n == src else 0) - div[n]
+        if induced != rates[n] * scale:
             raise InvariantViolation(
-                f"inducing flow mismatch at node {n}: {induced} != {rates[n]}"
+                f"inducing flow mismatch at node {n}: {Fraction(induced) / scale} != {rates[n]}"
             )
-    return FlowAllocation(flow=flow, value=as_rational(delivered))
+    flow = {edge: _unscale(f, scale) for edge, f in used.items()}
+    return FlowAllocation(flow=flow, value=_unscale(delivered, scale))
 
 
 def lex_min_overload(dag: DagOrientation, rate: Rational) -> OverloadVector:

@@ -86,23 +86,13 @@ class MetricsReport:
     final_dags: tuple | None = None
 
     def to_row(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "policy": self.policy,
-            "rho": repr(self.rho),
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "arrivals": self.arrivals,
-            "delivered": self.delivered,
-            "delivered_net": self.delivered_net,
-            "avg_backlog": repr(self.avg_backlog),
-            "avg_backlog_net": repr(self.avg_backlog_net),
-            "final_backlog": self.final_backlog,
-            "reversal_events": self.reversal_events,
-            "edges_reversed": self.edges_reversed,
-            "topo_events": self.topo_events,
-            "live_fraction": repr(self.live_fraction),
-        }
+        """One summary CSV row: the ``SUMMARY_FIELDS`` attributes, floats as
+        their ``repr``."""
+        row = {}
+        for name in SUMMARY_FIELDS:
+            value = getattr(self, name)
+            row[name] = repr(value) if isinstance(value, float) else value
+        return row
 
 
 SUMMARY_FIELDS = [
@@ -466,26 +456,26 @@ def topology_step(state: SimState) -> SimState:
     return state
 
 
+def initial_orientation(net: Network, mode) -> DagOrientation:
+    """The starting orientation a scenario's ``initial_dag`` names: "by_id",
+    "optimal" or explicit (tail, head) pairs."""
+    from .graph import initial_dag, orient_explicit
+    from .flow import optimal_dag
+
+    if mode == "by_id":
+        return initial_dag(net)
+    if mode == "optimal":
+        return optimal_dag(net)
+    if isinstance(mode, (list, tuple)):
+        return orient_explicit(net, mode)
+    raise ValueError(f"unknown initial orientation mode {mode!r}")
+
+
 def build_initial_dags(config, policy: str) -> list[DagOrientation] | None:
     """Per-commodity starting orientations for the lfbp policy."""
     if policy != "lfbp":
         return None
-    from .graph import initial_dag, orient_explicit
-    from .flow import optimal_dag
-
-    net = config.network
-    mode = config.initial_dag
-    dags = []
-    for _ in config.commodities:
-        if mode == "by_id":
-            dags.append(initial_dag(net))
-        elif mode == "optimal":
-            dags.append(optimal_dag(net))
-        elif isinstance(mode, (list, tuple)):
-            dags.append(orient_explicit(net, mode))
-        else:
-            raise ValueError(f"unknown initial orientation mode {mode!r}")
-    return dags
+    return [initial_orientation(config.network, config.initial_dag) for _ in config.commodities]
 
 
 def run(

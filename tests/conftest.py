@@ -4,18 +4,24 @@ The oracles here deliberately avoid the production code paths: min cuts by
 exhaustive subset enumeration, max-flow by grid enumeration of feasible
 flows.  They are slow and only meant for small instances.  The slot engine's
 earlier per-link forwarding step and term-by-term Poisson draw are kept here
-as references for the compiled plans and the CDF table that replaced them.
+as references for the compiled plans and the CDF table that replaced them, and
+the earlier lexicographic overload solver, which built a fresh auxiliary
+network for every density guess, as the reference for the one built per call.
 """
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
+from typing import Mapping
 
 import pytest
 
-from lfbp import Network, orient_by_ranking
-from lfbp.flow import cut_capacity
+from lfbp import Network, OverloadVector, orient_by_ranking
+from lfbp.flow import FlowAllocation, _solve, cut_capacity
+from lfbp.graph import DagOrientation, InvariantViolation, Rational, as_rational
+from lfbp.overload import _fluid_arcs
 
 
 def random_network(rng: random.Random, n_min=3, n_max=6, cap_max=4, p=0.5, max_edges=None):
@@ -210,6 +216,159 @@ def reference_poisson_draw(rng: random.Random, mean: float) -> int:
         if k > 100_000:  # numerically unreachable for desk-scale means
             break
     return k
+
+
+def _max_surplus_set(
+    active: set[int],
+    supply: Mapping[int, Rational],
+    arcs: list[tuple[int, int, Rational]],
+    absorb: Mapping[int, Rational],
+    tau: Rational,
+):
+    """Maximize supply(S) - cutcap(S) - tau*|S| over S within the active set.
+
+    Encoded as a min-cut: a super-source feeds each node its supply, each node
+    may leak tau (plus its absorption capacity) to a super-sink, and internal
+    arcs are kept.  Returns (max value, maximal maximizing set).
+    """
+    SRC, SINK = object(), object()
+    ordered = sorted(active)
+    aux_nodes = ordered + [SRC, SINK]
+    aux_arcs: list = []
+    total_supply: Rational = 0
+    for n in ordered:
+        sup = supply.get(n, 0)
+        if sup > 0:
+            aux_arcs.append((SRC, n, sup))
+            total_supply += sup
+        leak = absorb.get(n, 0) + tau
+        if leak > 0:
+            aux_arcs.append((n, SINK, leak))
+    aux_arcs.extend(arcs)
+    result = _solve(aux_nodes, aux_arcs, SRC, SINK)
+    return total_supply - result.value, result.maximal_source_side() - {SRC}
+
+
+def _surplus(
+    subset: set[int],
+    active: set[int],
+    supply: Mapping[int, Rational],
+    arcs: list[tuple[int, int, Rational]],
+    absorb: Mapping[int, Rational],
+) -> Rational:
+    total = sum(supply.get(n, 0) for n in subset)
+    total -= sum(absorb.get(n, 0) for n in subset)
+    for u, v, c in arcs:
+        if u in subset and v in active and v not in subset:
+            total -= c
+    return total
+
+
+def _lex_min_rates(dag: DagOrientation, rate: Rational) -> dict[int, Rational]:
+    """Water-filling: repeatedly peel the maximal set of maximum mean surplus.
+
+    Each peeled set is forced to a common growth rate (the mean surplus
+    density); its outgoing links saturate, feeding the remaining nodes as
+    extra supply, and levels strictly decrease until all surplus is zero.
+    """
+    net = dag.net
+    dest = net.dest
+    rates: dict[int, Rational] = {n: 0 for n in net.nodes}
+    active = set(net.nodes) - {dest}
+    supply: dict[int, Rational] = {n: 0 for n in active}
+    supply[net.source] = rate
+    absorb: dict[int, Rational] = {n: 0 for n in active}
+    arcs = []
+    for u, v, c in _fluid_arcs(dag):
+        if v == dest:
+            absorb[u] += c
+        else:
+            arcs.append((u, v, c))
+
+    while active:
+        value, top = _max_surplus_set(active, supply, arcs, absorb, 0)
+        if value <= 0:
+            break
+        tau = Fraction(_surplus(top, active, supply, arcs, absorb)) / len(top)
+        guard = len(active) + 2
+        while True:
+            guard -= 1
+            if guard < 0:
+                raise InvariantViolation("density search failed to converge")
+            gap, cand = _max_surplus_set(active, supply, arcs, absorb, tau)
+            if gap > 0 and cand:
+                tau = Fraction(_surplus(cand, active, supply, arcs, absorb)) / len(cand)
+                continue
+            top = cand
+            break
+        if not top or tau <= 0:
+            raise InvariantViolation("positive surplus but empty peel set")
+        for n in top:
+            rates[n] = as_rational(tau)
+        # Saturated outgoing links become supply for the rest; links into the
+        # peeled set carry nothing and disappear with it.
+        for u, v, c in arcs:
+            if u in top and v not in top:
+                supply[v] += c
+        arcs = [(u, v, c) for u, v, c in arcs if u not in top and v not in top]
+        active -= top
+    return rates
+
+
+def _inducing_flow(dag: DagOrientation, rate: Rational, rates: Mapping[int, Rational]) -> FlowAllocation:
+    """Recover a feasible flow whose conservation residues equal the rates."""
+    net = dag.net
+    src, dest = net.source, net.dest
+    arcs = _fluid_arcs(dag)
+    SRC, SINK = object(), object()
+    aux = []
+    needed: Rational = 0
+    for n in net.nodes:
+        if n == dest:
+            continue
+        balance = (rate if n == src else 0) - rates[n]  # net amount n must push out
+        if balance > 0:
+            aux.append((SRC, n, balance))
+            needed += balance
+        elif balance < 0:
+            aux.append((n, SINK, -balance))
+    aux.append((dest, SINK, needed))
+    aux.extend(arcs)
+    result = _solve(list(net.nodes) + [SRC, SINK], aux, SRC, SINK)
+    if result.value != needed:
+        raise InvariantViolation("overload rates admit no inducing flow")
+    flow = {}
+    delivered: Rational = 0
+    for u, v, c in dag.directed_edges():
+        if u == dest:
+            flow[(u, v)] = 0
+            continue
+        used = result.net_flow(u, v)
+        flow[(u, v)] = as_rational(used)
+        if v == dest:
+            delivered += used
+    # The extracted flow must reproduce the rates exactly via conservation.
+    div: dict[int, Rational] = {n: 0 for n in net.nodes}
+    for (u, v), f in flow.items():
+        div[u] += f
+        div[v] -= f
+    for n in net.nodes:
+        if n == dest:
+            continue
+        induced = (rate if n == src else 0) - div[n]
+        if induced != rates[n]:
+            raise InvariantViolation(
+                f"inducing flow mismatch at node {n}: {induced} != {rates[n]}"
+            )
+    return FlowAllocation(flow=flow, value=as_rational(delivered))
+
+
+def reference_lex_min_overload(dag: DagOrientation, rate: Rational) -> OverloadVector:
+    """The earlier ``lex_min_overload``: one fresh max-flow network per
+    density guess, surplus recomputed over every arc."""
+    rate = as_rational(rate)
+    rates = _lex_min_rates(dag, rate)
+    return OverloadVector(rates=rates, inducing_flow=_inducing_flow(dag, rate, rates))
 
 
 @pytest.fixture

@@ -1,10 +1,17 @@
 """Scenario parsing/validation, CSV emission, CLI verbs, and exit codes."""
 from __future__ import annotations
 
+import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lfbp.cli as cli
 from lfbp import InvariantViolation, ValidationError, max_flow_undirected
@@ -174,6 +181,137 @@ class TestScenarioParsing:
             bundled_scenario("nope.scn")
 
 
+def field_paths(doc, path=()):
+    """Every key and list position of a scenario document, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+def field_name(path) -> str:
+    """The innermost named field on a path: ``rate`` for
+    ``commodities[0].rate``, ``edges`` for ``edges[3][2]``."""
+    return [key for key in path if isinstance(key, str)][-1]
+
+
+OUT_OF_RANGE_ID = 10**6
+
+
+def mutate(doc, path, kind, wrong):
+    """A copy of doc with the field at path made wrong in one way."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    old = parent[key]
+    if kind == "missing":
+        del parent[key]
+    elif kind == "wrong type":
+        parent[key] = wrong
+    elif kind == "nan":
+        parent[key] = float("nan")
+    elif kind == "negative":
+        parent[key] = -abs(old) - 1 if isinstance(old, (int, float)) and not isinstance(old, bool) else -1
+    else:  # out-of-range id
+        parent[key] = OUT_OF_RANGE_ID
+    return doc
+
+
+class TestSchemaFuzz:
+    """One field of a bundled scenario made wrong: the document either
+    round-trips or is rejected with a ValidationError that names the field."""
+
+    @given(
+        name=st.sampled_from(bundled_scenario_names()),
+        data=st.data(),
+        kind=st.sampled_from(["wrong type", "nan", "negative", "missing", "out-of-range id"]),
+        wrong=st.sampled_from(["x", None, [], {}, True, 1.5, [1, 2, 3], "1/0", float("inf")]),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_mutated_field_round_trips_or_is_named(self, name, data, kind, wrong):
+        doc = scenario_to_dict(bundled_scenario(name))
+        paths = list(field_paths(doc))
+        if kind == "missing":
+            paths = [p for p in paths if isinstance(p[-1], str)]
+        path = data.draw(st.sampled_from(paths))
+        mutated = mutate(doc, path, kind, wrong)
+        try:
+            config = scenario_from_dict(mutated)
+        except ValidationError as exc:
+            assert field_name(path) in str(exc), (path, kind, str(exc))
+            return
+        again = scenario_from_dict(scenario_to_dict(config))
+        assert again == config, (path, kind)
+        assert scenario_to_dict(again) == scenario_to_dict(config)
+
+    def test_every_field_is_reachable(self):
+        names = set()
+        for name in bundled_scenario_names():
+            names |= {field_name(p) for p in field_paths(scenario_to_dict(bundled_scenario(name)))}
+        assert {"nodes", "edges", "rate", "dummy_packets", "initial_dag", "thresholds", "delta",
+                "rescale_every", "fail_prob", "dummy_scale", "load_factors", "seeds"} <= names
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            (("edges", 0, 2), float("inf"), r"edges\[0\]\.capacity"),
+            (("edges", 0, 2), "1/0", r"edges\[0\]\.capacity"),
+            (("nodes", 0), "x", r"nodes\[0\]: expected an integer"),
+            (("commodities", 0), "x", r"commodities\[0\]: expected an object"),
+            (("commodities", 0, "dummy_packets"), "x", r"dummy_packets: expected"),
+            (("commodities", 0, "dummy_packets"), -1, r"dummy_packets: must be nonnegative"),
+            (("commodities", 0, "source"), OUT_OF_RANGE_ID, r"commodities\[0\]\.source: .* not one of the nodes"),
+            (("lfbp",), "x", r"lfbp: expected an object"),
+            (("lfbp", "periods", 0), float("inf"), r"periods\[0\]: expected an integer"),
+            (("lfbp", "thresholds", 0), "x", r"thresholds\[0\]"),
+            (("lfbp", "rescale_every"), -1, r"rescale_every: must be nonnegative"),
+            (("topology",), 5, r"topology: expected an object"),
+            (("load_factors", 0), "x", r"load_factors\[0\]"),
+            (("seeds", 0), "x", r"seeds\[0\]: expected an integer"),
+            (("dummy_scale",), "x", r"dummy_scale"),
+        ],
+    )
+    def test_holes_the_fuzz_found(self, field, value, message):
+        doc = scenario_to_dict(bundled_scenario("grid4x4.scn"))
+        doc["lfbp"]["delta"] = None
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        with pytest.raises(ValidationError, match=message):
+            scenario_from_dict(doc)
+
+
+class TestLfbpDelta:
+    """A delta below the one the initial orientation carries fails the run
+    at a later reversal, so validation rejects it."""
+
+    @pytest.mark.parametrize(("name", "carried"), [("sixnode_fixed.scn", 7), ("grid4x4.scn", 17)])
+    def test_below_initial_delta_rejected(self, name, carried):
+        for delta in (1, 0, -3, "1/1000", carried - 1, "33/2"):
+            doc = scenario_to_dict(bundled_scenario(name))
+            doc["lfbp"]["delta"] = delta
+            if Fraction(delta) >= carried:
+                continue
+            with pytest.raises(ValidationError, match=rf"lfbp\.delta: .* below {carried}"):
+                scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(("name", "carried"), [("sixnode_fixed.scn", 7), ("grid4x4.scn", 17)])
+    def test_initial_delta_and_above_accepted(self, name, carried):
+        for delta in (carried, 100, 10**6):
+            doc = scenario_to_dict(bundled_scenario(name))
+            doc["lfbp"]["delta"] = delta
+            assert scenario_from_dict(doc).lfbp_params.delta == delta
+
+    def test_delta_on_by_id_orientation(self):
+        # by_id on nodes 0..2 carries span 2 plus one
+        with pytest.raises(ValidationError, match=r"lfbp\.delta: 2 is below 3"):
+            scenario_from_dict(minimal_doc(lfbp={"thresholds": [10], "periods": [20], "delta": 2}))
+        assert scenario_from_dict(minimal_doc(lfbp={"delta": 3})).lfbp_params.delta == 3
+
+
 class TestSweep:
     def test_summary_schema_and_pairing(self, tmp_path):
         config = scenario_from_dict(minimal_doc(load_factors=[0.5, 1.0], seeds=[1, 2]))
@@ -250,6 +388,20 @@ class TestMainVerbs:
     def test_validate_ok(self, capsys):
         assert cli.main(["validate", "--scenario", "sixnode_fixed.scn"]) == 0
         assert "ok: sixnode-fixed" in capsys.readouterr().out
+
+    def test_python_dash_m_lfbp(self):
+        # The package runs as a module without importing cli twice.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "lfbp", "validate", "--scenario", "sixnode_fixed.scn"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "ok: sixnode-fixed" in done.stdout
+        assert "RuntimeWarning" not in done.stderr
 
     def test_validate_bad_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

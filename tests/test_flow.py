@@ -1,6 +1,7 @@
 """Max-flow, min-cut, optimal orientation, and the cut granularity bound."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from lfbp import (
     orient_explicit,
     smallest_min_cut,
 )
-from lfbp.flow import _solve
+from lfbp.flow import FlowNetwork, _solve
 
 from conftest import (
     brute_force_max_flow,
@@ -183,6 +184,42 @@ class TestKernel:
             assert result.maximal_source_side() == maximal
             unreachable += result.value == 0
         assert unreachable >= 30
+
+
+class TestFlowNetworkResolve:
+    """One arc structure solved again with new capacities gives what a fresh
+    ``_solve`` of the same arcs gives."""
+
+    @staticmethod
+    def scaled(network, arcs):
+        scale = math.lcm(*{Fraction(c).denominator for _, _, c in arcs})
+        res = [0] * len(network.head)
+        for u, v, c in arcs:
+            res[network.pair(u, v)] += int(c * scale)
+        return res, scale
+
+    def test_two_capacity_vectors_in_a_row(self, rng):
+        for _ in range(200):
+            nodes, arcs, s, t = random_arcs(rng)
+            network = FlowNetwork(nodes)
+            for u, v, _ in arcs:
+                network.pair(u, v)
+            redrawn = [(u, v, rng.choice((0, 1, 3, Fraction(5, 2), Fraction(rng.randint(1, 9), 4)))) for u, v, _ in arcs]
+            for capacities in (arcs, redrawn, arcs):
+                res, scale = self.scaled(network, capacities)
+                got = network.solve(res, s, t, scale)
+                want = _solve(nodes, capacities, s, t)
+                assert got.value == want.value
+                assert got.source_side == want.source_side
+                assert got.maximal_source_side() == want.maximal_source_side()
+
+    def test_pair_returns_the_twin_for_the_reverse_arc(self):
+        network = FlowNetwork(["a", "b", "c"])
+        k = network.pair("a", "b")
+        assert network.pair("a", "b") == k
+        assert network.pair("b", "a") == k ^ 1
+        assert network.pair("b", "c") == k + 2
+        assert len(network.head) == 4
 
 
 class TestMaxFlowUndirected:

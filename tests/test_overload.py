@@ -22,7 +22,7 @@ from lfbp import (
     smallest_min_cut,
 )
 
-from conftest import random_network, random_orientation
+from conftest import random_network, random_orientation, reference_lex_min_overload
 
 
 def chain(c1, c2):
@@ -221,6 +221,61 @@ class TestLexMinOverload:
         assert ov.rates == {0: 2, 1: 1, 2: 0}
         assert ov.inducing_flow.flow[(2, 1)] == 0
         assert ov.inducing_flow.value == 2
+
+
+def typed(mapping):
+    return {key: (type(value), value) for key, value in mapping.items()}
+
+
+def random_capacity_dag(rng, n, fractional):
+    """A random orientation of a random network on n nodes; capacities are
+    integers in [0, 9] or fractions with denominators up to 6."""
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.35:
+                if fractional:
+                    cap = Fraction(rng.randint(0, 12), rng.randint(1, 6))
+                else:
+                    cap = rng.randint(0, 9)
+                edges.append((i, j, cap))
+    return random_orientation(rng, Network.build(range(n), edges, 0, n - 1))
+
+
+class TestAgainstReference:
+    """The per-call auxiliary network and the Newton steps against the earlier
+    solver, which built a fresh network for every density guess."""
+
+    def test_equal_to_reference_solver(self):
+        rng = random.Random(0x5EED)
+        peels = fractional_levels = 0
+        for case in range(240):
+            dag = random_capacity_dag(rng, rng.randint(4, 30), fractional=case % 2 == 1)
+            fk = max_flow(dag).value
+            for rate in (fk * Fraction(rng.randint(0, 9), 10), fk, fk + Fraction(rng.randint(1, 40), rng.randint(1, 4))):
+                got = lex_min_overload(dag, rate)
+                want = reference_lex_min_overload(dag, rate)
+                assert typed(got.rates) == typed(want.rates), (case, rate)
+                assert typed(got.inducing_flow.flow) == typed(want.inducing_flow.flow), (case, rate)
+                got_value, want_value = got.inducing_flow.value, want.inducing_flow.value
+                assert (type(got_value), got_value) == (type(want_value), want_value), (case, rate)
+                levels = {q for q in got.rates.values() if q > 0}
+                peels += len(levels) > 1
+                fractional_levels += any(type(q) is Fraction for q in levels)
+        # The instances must exercise several peels and non-integral densities.
+        assert peels >= 60
+        assert fractional_levels >= 120
+
+    def test_peeled_nodes_stay_out_of_later_peels(self):
+        # 0 -> 1 -> 2: {0} peels first, at rate - 2, then node 1 takes the
+        # saturated link's 2 as supply and peels at 2 - 1 = 1.  The peeled
+        # node 0 stays in the auxiliary network with no capacity and must not
+        # rejoin the second peel.
+        dag = chain(2, 1)
+        for rate, top in ((5, 3), (Fraction(17, 3), Fraction(11, 3))):
+            got = lex_min_overload(dag, rate)
+            assert typed(got.rates) == typed({0: top, 1: 1, 2: 0})
+            assert typed(got.rates) == typed(reference_lex_min_overload(dag, rate).rates)
 
 
 class TestBruteForce:

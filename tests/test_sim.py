@@ -26,7 +26,7 @@ from lfbp import (
     topology_step,
 )
 from lfbp.cli import ScenarioConfig, bundled_scenario, bundled_scenario_names, sweep
-from lfbp.sim import MAX_POISSON_MEAN, poisson_cdf
+from lfbp.sim import MAX_POISSON_MEAN, SUMMARY_FIELDS, poisson_cdf
 
 from conftest import random_orientation, reference_bp_step, reference_poisson_draw
 
@@ -376,6 +376,15 @@ class TestRun:
         a = run(config, "lfbp", seed=4)
         b = run(config, "lfbp", seed=4)
         assert a.to_row() == b.to_row()
+
+    def test_summary_row_follows_summary_fields(self):
+        config = make_config(grid_network(3, 3, 3), [CommoditySpec(0, 1, 9, 2.0)], horizon=300)
+        report = run(config, "lfbp", rho=0.5, seed=2)
+        row = report.to_row()
+        assert list(row) == SUMMARY_FIELDS
+        for name in ("rho", "avg_backlog", "avg_backlog_net", "live_fraction"):
+            assert row[name] == repr(getattr(report, name))
+        assert row["arrivals"] == report.arrivals and type(row["arrivals"]) is int
 
     def test_policies_share_arrival_paths(self):
         net = grid_network(3, 3, 3)
