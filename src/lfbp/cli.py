@@ -501,13 +501,20 @@ def er_batch(
 
 
 def _load_arg_scenario(value: str) -> ScenarioConfig:
+    """A scenario the CLI can simulate: the schema's checks, and integer
+    capacities, which the slot engine needs (the analysis modules do not)."""
     path = Path(value)
     if path.exists():
-        return load_scenario(path)
-    try:
-        return bundled_scenario(value)
-    except ValidationError:
-        raise ValidationError(f"scenario not found (no file or bundled name): {value}")
+        config, where = load_scenario(path), path.name
+    else:
+        try:
+            config, where = bundled_scenario(value), value
+        except ValidationError:
+            raise ValidationError(f"scenario not found (no file or bundled name): {value}")
+    for pos, cap in enumerate(config.network.capacity.values()):
+        if type(cap) is not int:
+            raise ValidationError(f"{where}.edges[{pos}].capacity: the simulator requires an integer, got {cap}")
+    return config
 
 
 def main(argv=None) -> int:

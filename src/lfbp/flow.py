@@ -146,17 +146,17 @@ class MaxFlow:
                     queue.append(u)
         return frozenset(n for n, r in zip(net.nodes, reaches) if not r)
 
-    def scaled_flow(self, u, v) -> int:
-        """Flow from u to v less any flow from v to u, times ``scale`` (0 if
-        no arc joins them); arcs between the same two nodes share one pair."""
-        k = self._net.arc.get((u, v))
-        if k is None:
-            return 0
+    def arc_flow(self, k: int) -> int:
+        """Flow on arc ``k`` less any flow on its twin, times ``scale``."""
         return self._cap[k] - self._res[k]
 
     def net_flow(self, u, v) -> Rational:
-        """Exact flow from u to v less any flow from v to u."""
-        used = self.scaled_flow(u, v)
+        """Exact flow from u to v less any flow from v to u (0 if no arc
+        joins them); arcs between the same two nodes share one pair."""
+        k = self._net.arc.get((u, v))
+        if k is None:
+            return 0
+        used = self.arc_flow(k)
         return used if self.scale == 1 else Fraction(used, self.scale)
 
 
@@ -387,8 +387,7 @@ def delta_bound(net: Network, method: str = "auto") -> Fraction:
     if method == "auto":
         method = "exhaustive" if len(caps) <= MAX_EXHAUSTIVE_EDGES else "analytic"
     if method == "analytic":
-        denom = math.lcm(*(Fraction(c).denominator for c in caps))
-        return Fraction(1, denom)
+        return Fraction(1, math.lcm(*(c.denominator for c in caps)))
     if method != "exhaustive":
         raise ValueError(f"unknown method {method!r}")
     if len(caps) > MAX_EXHAUSTIVE_EDGES:

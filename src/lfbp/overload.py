@@ -9,27 +9,35 @@ algorithm on small instances.
 The destination never buffers, so its rate is pinned to zero and its outgoing
 links carry no fluid flow.
 
-The vector is found by peeling, densest set first.  Each density guess tau
-is one min-cut of an auxiliary network: a super-source feeds each node its
-supply, each node leaks tau plus its capacity into the destination to a
-super-sink, and the internal links are kept.  That network is built once
-per ``lex_min_overload`` call.  Each peel writes the supplies and the
-surviving links into one integer capacity vector, and each guess only
-rescales it and rewrites the leak arcs; peeled nodes stay in the network
-with no capacity and are cut out of the answer.  The cut value is exactly
-surplus(S) - tau*|S| for the maximal maximizing set S, so the next guess,
-S's mean surplus, is tau plus that gap over |S| (a Newton step on exact
-rationals).  The inducing flow is read off its max-flow in scaled integers.
+The vector comes from one parametric min-cut.  With surplus(S) the supply of
+a node set S less the capacity of its links into the destination and into
+the other nodes, the levels of the vector are the breakpoints of
+g(tau) = max over S of surplus(S) - tau*|S|, whose maximal maximizers M(tau)
+are nested and shrink as tau rises.  A super-source feeds each node its
+supply and each node leaks tau plus its capacity into the destination to a
+super-sink, so the min-cut is the total supply less g(tau).  One solve at
+tau = 0 gives M(0); then for each pair A = M(lo) > B = M(hi) a solve where
+the lines of A and B cross, tau = (surplus(A) - surplus(B)) / (|A| - |B|),
+with B contracted into the super-source and all outside A into the
+super-sink, either confirms A - B as one level at rate tau or splits the
+pair at its maximal side C, whose surplus is read off the cut value.  That
+is at most 2*d + 1 solves for d distinct rates, on one network per call.
+
+The inducing flow is read off the same solves: links inside a level take the
+flow of the solve that confirmed it (both of its cuts are tight there),
+links between levels are full downwards and idle upwards, and rate-0 nodes
+take theirs from the tau = 0 solve, spreading its leak over their links into
+the destination.  Conservation must reproduce the rates exactly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graph import DagOrientation, InvariantViolation, Rational, as_rational, topological_order
-from .flow import FlowAllocation, FlowNetwork, _solve
+from .flow import FlowAllocation, FlowNetwork
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -78,151 +86,136 @@ def _fluid_arcs(dag: DagOrientation) -> list[tuple[int, int, Rational]]:
     return [(u, v, c) for u, v, c in dag.directed_edges() if u != dest]
 
 
-def _lex_min_rates(dag: DagOrientation, rate: Rational) -> dict[int, Rational]:
-    """Water-filling: repeatedly peel the maximal set of maximum mean surplus.
-
-    Each peeled set is forced to a common growth rate (the mean surplus
-    density); its outgoing links saturate, feeding the remaining nodes as
-    extra supply, and levels strictly decrease until all surplus is zero.
-    The surplus of S is supply(S) - absorb(S) - cutcap(S); the module
-    docstring describes the auxiliary min-cut network and the Newton steps.
-    """
+def lex_min_overload(dag: DagOrientation, rate: Rational) -> OverloadVector:
+    """The unique lexicographically smallest feasible overload vector, found
+    by the breakpoint search of the module docstring."""
+    rate = as_rational(rate)
+    if rate < 0:
+        raise ValueError("arrival rate must be nonnegative")
     net = dag.net
-    dest = net.dest
-    rates: dict[int, Rational] = {n: 0 for n in net.nodes}
-    active = set(net.nodes) - {dest}
-    supply: dict[int, Rational] = {n: 0 for n in active}
-    supply[net.source] = rate
-    absorb: dict[int, Rational] = {n: 0 for n in active}
-    arcs = []
-    for u, v, c in _fluid_arcs(dag):
+    src, dest = net.source, net.dest
+    inner = sorted(n for n in net.nodes if n != dest)
+    # The supply and every capacity as integers at one common scale, base.
+    base = math.lcm(rate.denominator, *{c.denominator for c in net.capacity.values()})
+    supply = rate.numerator * (base // rate.denominator)
+    SRC, SINK = object(), object()
+    aux = FlowNetwork(inner + [SRC, SINK])
+    feed = {n: aux.pair(SRC, n) for n in inner}
+    leak = {n: aux.pair(n, SINK) for n in inner}
+    absorb = dict.fromkeys(inner, 0)
+    out = {n: [] for n in inner}  # (arc id, head, capacity) of links between inner nodes
+    links = []  # (tail, head, capacity, arc id or None) per live link, 0 out of dest
+    for u, v, c in dag.directed_edges():
+        c = 0 if u == dest else c.numerator * (base // c.denominator)
+        k = None
         if v == dest:
             absorb[u] += c
-        else:
-            arcs.append((u, v, c))
-
-    SRC, SINK = object(), object()
-    ordered = sorted(active)
-    aux = FlowNetwork(ordered + [SRC, SINK])
-    feed = {n: aux.pair(SRC, n) for n in ordered}
-    leak = {n: aux.pair(n, SINK) for n in ordered}
-    arcs = [(aux.pair(u, v), u, v, c) for u, v, c in arcs]
+        elif u != dest:
+            k = aux.pair(u, v)
+            out[u].append((k, v, c))
+        links.append((u, v, c, k))
     zero = [0] * len(aux.head)
 
-    while active:
-        # Base capacities of this peel at the scale of its denominators.
-        base_scale = math.lcm(
-            *{supply[n].denominator for n in active},
-            *{absorb[n].denominator for n in active},
-            *{c.denominator for _, _, _, c in arcs},
-        )
-        base = zero[:]
-        for n in active:
-            base[feed[n]] = supply[n].numerator * (base_scale // supply[n].denominator)
-        for k, _, _, c in arcs:
-            base[k] += c.numerator * (base_scale // c.denominator)
-        leaks = [(leak[n], absorb[n].numerator * (base_scale // absorb[n].denominator)) for n in active]
-        total_supply = sum(supply[n] for n in active)
+    def solve(tau, group, above):
+        """Max of surplus(above | T) - surplus(above) - tau*|T| over T within
+        ``group``, with ``above`` held on the source side and every other
+        node on the sink side; returns the max-flow, the maximal such T and
+        its gain surplus(above | T) - surplus(above)."""
+        scale = math.lcm(base, tau.denominator)
+        mult = scale // base
+        fed = dict.fromkeys(group, 0)
+        if src in group:
+            fed[src] = supply
+        drained = {n: absorb[n] for n in group}
+        res = zero[:]
+        for u in above:
+            for k, v, c in out[u]:
+                if v in group:
+                    fed[v] += c
+        for u in group:
+            for k, v, c in out[u]:
+                if v in group:
+                    res[k] = c * mult
+                elif v not in above:
+                    drained[u] += c
+        t = tau.numerator * (scale // tau.denominator)
+        for n in group:
+            res[feed[n]] = fed[n] * mult
+            res[leak[n]] = drained[n] * mult + t
+        result = aux.solve(res, SRC, SINK, scale)
+        side = result.maximal_source_side() & group
+        return result, side, Fraction(sum(fed.values()), base) - result.value + tau * len(side)
 
-        def max_surplus_set(tau):
-            """Max of surplus(S) - tau*|S| over S within the active set, and
-            the maximal S attaining it: total supply less the min-cut, and
-            the active part of the maximal min-cut source side."""
-            scale = math.lcm(base_scale, tau.denominator)
-            mult = scale // base_scale
-            res = base[:] if mult == 1 else [c * mult for c in base]
-            tau_scaled = tau.numerator * (scale // tau.denominator)
-            for k, a in leaks:
-                res[k] = a * mult + tau_scaled
-            result = aux.solve(res, SRC, SINK, scale)
-            return total_supply - result.value, result.maximal_source_side() & active
+    rates: dict[int, Rational] = dict.fromkeys(net.nodes, 0)
+    levels = []  # (rate, nodes, confirming solve) of each positive level
+    flat, top, gain = solve(0, frozenset(inner), frozenset())
+    stack = [(top, gain, frozenset(), 0)] if gain > 0 else []
+    while stack:  # every split leaves two strictly smaller pairs
+        a, surplus_a, b, surplus_b = stack.pop()
+        tau = Fraction(surplus_a - surplus_b) / (len(a) - len(b))
+        if tau == 0:
+            continue  # the part of M(0) that stays at rate 0
+        group = a - b
+        result, side, gain = solve(tau, group, b)
+        if side == group:
+            levels.append((tau, group, result))
+            continue
+        if not side:
+            raise InvariantViolation(f"no breakpoint between {len(b)} and {len(a)} nodes")
+        c = b | side
+        stack.append((a, surplus_a, c, surplus_b + gain))
+        stack.append((c, surplus_b + gain, b, surplus_b))
 
-        gap, top = max_surplus_set(0)
-        if gap <= 0:
-            break
-        # Newton steps: the gap is surplus(S) - tau*|S| for the returned S,
-        # so tau + gap/|S| is that set's mean surplus density.
-        tau: Rational = 0
-        guard = len(active) + 2
-        while gap > 0 and top:
-            tau += Fraction(gap) / len(top)
-            guard -= 1
-            if guard < 0:
-                raise InvariantViolation("density search failed to converge")
-            gap, top = max_surplus_set(tau)
-        if not top or tau <= 0:
-            raise InvariantViolation("positive surplus but empty peel set")
-        for n in top:
+    # Each node's links take their flow from the solve that settled its
+    # level: the confirming solve of a positive level, else the tau = 0 one.
+    levels.sort(key=lambda level: level[0])
+    rank = dict.fromkeys(inner, 0)
+    solved = dict.fromkeys(inner, flat)
+    for i, (tau, group, result) in enumerate(levels, 1):
+        for n in group:
             rates[n] = as_rational(tau)
-        # Saturated outgoing links become supply for the rest; links into the
-        # peeled set carry nothing and disappear with it.
-        for _, u, v, c in arcs:
-            if u in top and v not in top:
-                supply[v] += c
-        arcs = [a for a in arcs if a[1] not in top and a[2] not in top]
-        active -= top
-    return rates
+            rank[n] = i
+            solved[n] = result
+    scale = math.lcm(base, *(tau.denominator for tau, _, _ in levels))
+    up = scale // base
+    # A rate-0 node spreads its tau = 0 leak flow over its links into the
+    # destination; links between levels are full downwards, idle upwards.
+    spare = {n: flat.arc_flow(leak[n]) * up for n in inner if not rank[n]}
+    used = []
+    delivered = 0
+    for u, v, c, k in links:
+        f = c * up
+        if k is None:
+            if u in spare:
+                f = min(f, spare[u])
+                spare[u] -= f
+            delivered += f
+        elif rank[u] < rank[v]:
+            f = 0
+        elif rank[u] == rank[v]:
+            f = solved[u].arc_flow(k) * (scale // solved[u].scale)
+        used.append(f)
+    # The flow must deliver the rest of the rate and reproduce every rate
+    # exactly via conservation, checked in scaled integers.
+    if delivered != (rate - sum(rates.values())) * scale:
+        raise InvariantViolation("overload rates admit no inducing flow")
+    div = dict.fromkeys(net.nodes, 0)
+    div[src] = -supply * up
+    for (u, v, _, _), f in zip(links, used):
+        div[u] += f
+        div[v] -= f
+    for n in inner:
+        if -div[n] != rates[n] * scale:
+            raise InvariantViolation(
+                f"inducing flow mismatch at node {n}: {Fraction(-div[n], scale)} != {rates[n]}"
+            )
+    flow = {(u, v): _unscale(f, scale) for (u, v, _, _), f in zip(links, used)}
+    return OverloadVector(rates=rates, inducing_flow=FlowAllocation(flow=flow, value=_unscale(delivered, scale)))
 
 
 def _unscale(used: int, scale: int) -> Rational:
     """A flow times ``scale`` as the exact rational it stands for, an int when whole."""
     return used // scale if used % scale == 0 else Fraction(used, scale)
-
-
-def _inducing_flow(dag: DagOrientation, rate: Rational, rates: Mapping[int, Rational]) -> FlowAllocation:
-    """Recover a feasible flow whose conservation residues equal the rates."""
-    net = dag.net
-    src, dest = net.source, net.dest
-    arcs = _fluid_arcs(dag)
-    SRC, SINK = object(), object()
-    aux = []
-    needed: Rational = 0
-    for n in net.nodes:
-        if n == dest:
-            continue
-        balance = (rate if n == src else 0) - rates[n]  # net amount n must push out
-        if balance > 0:
-            aux.append((SRC, n, balance))
-            needed += balance
-        elif balance < 0:
-            aux.append((n, SINK, -balance))
-    aux.append((dest, SINK, needed))
-    aux.extend(arcs)
-    result = _solve(list(net.nodes) + [SRC, SINK], aux, SRC, SINK)
-    if result.value != needed:
-        raise InvariantViolation("overload rates admit no inducing flow")
-    # Flows stay multiplied by the kernel's scale until they are reported.
-    scale = result.scale
-    used: dict[tuple[int, int], int] = {}
-    delivered = 0
-    for u, v, _ in dag.directed_edges():
-        used[(u, v)] = 0 if u == dest else result.scaled_flow(u, v)
-        if v == dest:
-            delivered += used[(u, v)]
-    # The extracted flow must reproduce the rates exactly via conservation.
-    div: dict[int, int] = {n: 0 for n in net.nodes}
-    for (u, v), f in used.items():
-        div[u] += f
-        div[v] -= f
-    for n in net.nodes:
-        if n == dest:
-            continue
-        induced = (rate * scale if n == src else 0) - div[n]
-        if induced != rates[n] * scale:
-            raise InvariantViolation(
-                f"inducing flow mismatch at node {n}: {Fraction(induced) / scale} != {rates[n]}"
-            )
-    flow = {edge: _unscale(f, scale) for edge, f in used.items()}
-    return FlowAllocation(flow=flow, value=_unscale(delivered, scale))
-
-
-def lex_min_overload(dag: DagOrientation, rate: Rational) -> OverloadVector:
-    """The unique lexicographically smallest feasible overload vector."""
-    rate = as_rational(rate)
-    if rate < 0:
-        raise ValueError("arrival rate must be nonnegative")
-    rates = _lex_min_rates(dag, rate)
-    return OverloadVector(rates=rates, inducing_flow=_inducing_flow(dag, rate, rates))
 
 
 def overloaded_set(dag: DagOrientation, rate: Rational):

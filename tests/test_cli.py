@@ -409,6 +409,20 @@ class TestMainVerbs:
         assert cli.main(["validate", "--scenario", str(bad)]) == 1
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["run", "sweep", "validate"])
+    def test_fractional_capacity_exits_one_naming_edge(self, verb, tmp_path, capsys):
+        # The schema keeps fractions for the analysis modules; the CLI only
+        # simulates, and the slot engine needs integer capacities.
+        doc = scenario_to_dict(bundled_scenario("sixnode_fixed.scn"))
+        doc["edges"][3][2] = "31/2"
+        path = tmp_path / "frac.scn"
+        path.write_text(json.dumps(doc))
+        args = {"run": ["--horizon", "100"], "sweep": ["--horizon", "100", "--out", str(tmp_path / "s.csv")]}
+        assert cli.main([verb, "--scenario", str(path), *args.get(verb, [])]) == 1
+        err = capsys.readouterr().err
+        assert "validation error: frac.scn.edges[3].capacity:" in err
+        assert "31/2" in err
+
     def test_run_writes_summary(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code = cli.main(

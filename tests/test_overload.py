@@ -21,6 +21,7 @@ from lfbp import (
     overloaded_set,
     smallest_min_cut,
 )
+from lfbp.flow import FlowNetwork
 
 from conftest import random_network, random_orientation, reference_lex_min_overload
 
@@ -242,9 +243,32 @@ def random_capacity_dag(rng, n, fractional):
     return random_orientation(rng, Network.build(range(n), edges, 0, n - 1))
 
 
+def check_inducing_flow(dag, rate, ov):
+    """The flow is within capacity, delivers what does not queue, and its
+    conservation residues are exactly the rates."""
+    net = dag.net
+    flow = ov.inducing_flow.flow
+    assert set(flow) == {(u, v) for u, v, _ in dag.directed_edges()}
+    residue = {n: (rate if n == net.source else 0) for n in net.nodes}
+    for u, v, cap in dag.directed_edges():
+        f = flow[(u, v)]
+        assert 0 <= f <= cap, (u, v)
+        assert u != net.dest or f == 0, (u, v)
+        residue[u] -= f
+        residue[v] += f
+    for n in net.nodes:
+        if n != net.dest:
+            assert residue[n] == ov.rates[n], n
+    delivered = sum(flow[(u, v)] for u, v, _ in dag.directed_edges() if v == net.dest)
+    assert ov.inducing_flow.value == delivered == rate - ov.total()
+    check_edge_properties(dag, ov)
+
+
 class TestAgainstReference:
-    """The per-call auxiliary network and the Newton steps against the earlier
-    solver, which built a fresh network for every density guess."""
+    """The breakpoint search against the earlier solver, which peeled one
+    level at a time with a fresh max-flow network per density guess.  The
+    rates are unique and pinned with their types; the inducing flow is not
+    unique, so it is checked for validity."""
 
     def test_equal_to_reference_solver(self):
         rng = random.Random(0x5EED)
@@ -256,7 +280,7 @@ class TestAgainstReference:
                 got = lex_min_overload(dag, rate)
                 want = reference_lex_min_overload(dag, rate)
                 assert typed(got.rates) == typed(want.rates), (case, rate)
-                assert typed(got.inducing_flow.flow) == typed(want.inducing_flow.flow), (case, rate)
+                check_inducing_flow(dag, rate, got)
                 got_value, want_value = got.inducing_flow.value, want.inducing_flow.value
                 assert (type(got_value), got_value) == (type(want_value), want_value), (case, rate)
                 levels = {q for q in got.rates.values() if q > 0}
@@ -265,6 +289,30 @@ class TestAgainstReference:
         # The instances must exercise several peels and non-integral densities.
         assert peels >= 60
         assert fractional_levels >= 120
+
+    def test_at_most_two_solves_per_rate_value_and_one_more(self, monkeypatch):
+        # One solve at tau = 0, then one per pair of nested cut sides: d
+        # distinct rate values (0 included) take at most 2*d + 1 solves.
+        calls = []
+        solve = FlowNetwork.solve
+
+        def counting(self, *args):
+            calls.append(None)
+            return solve(self, *args)
+
+        monkeypatch.setattr(FlowNetwork, "solve", counting)
+        rng = random.Random(0x50DE)
+        multi_level = 0
+        for case in range(200):
+            dag = random_capacity_dag(rng, rng.randint(4, 20), fractional=case % 2 == 1)
+            fk = max_flow(dag).value
+            for rate in (fk, fk + Fraction(rng.randint(1, 40), rng.randint(1, 4))):
+                calls.clear()
+                rates = lex_min_overload(dag, rate).rates
+                d = len(set(rates.values()))
+                assert len(calls) <= 2 * d + 1, (case, rate, d, len(calls))
+                multi_level += d > 2
+        assert multi_level >= 50
 
     def test_peeled_nodes_stay_out_of_later_peels(self):
         # 0 -> 1 -> 2: {0} peels first, at rate - 2, then node 1 takes the
