@@ -8,10 +8,12 @@ iteration counts.
 
 A ``FlowNetwork`` holds one network's integer arc structure (node index,
 twin arc pairs, heads and adjacency) apart from its capacities, and its
-``solve`` runs Dinic on any integer capacity vector over those arcs.
-``_solve`` builds one for a single arc list and solves it once; a caller
-that solves the same arcs many times with different capacities builds the
-network once and calls ``solve`` again.
+``solve`` runs Dinic on any integer capacity vector over those arcs.  The
+max-flows of a ``Network`` and of its orientations all use one layout, one
+twin pair ``2e``/``2e + 1`` per positive-capacity edge, filled both ways
+round or toward each live link's head.  ``ReversalFlow`` keeps one such flow
+warm across link reversals: turning around links that carry no flow keeps
+it feasible, so each later min-cut continues Dinic from the last residual.
 """
 from __future__ import annotations
 
@@ -22,9 +24,11 @@ from typing import Iterable
 
 from .graph import (
     DagOrientation,
+    Edge,
     InvariantViolation,
     Network,
     Rational,
+    edge_key,
     topological_order,
 )
 
@@ -53,9 +57,10 @@ class FlowNetwork:
     """The integer arc structure of one max-flow network, kept apart from its
     capacities so one network can be solved again with new ones.
 
-    ``arc`` maps ``(tail, head)`` to an arc id ``k`` whose twin ``k ^ 1``
-    runs the other way; ``head[k]`` is the index of arc ``k``'s head and
-    ``adj[i]`` lists the arcs leaving node ``i``.
+    Arc ``k``'s twin ``k ^ 1`` runs the other way; ``head[k]`` is the index
+    of arc ``k``'s head and ``adj[i]`` lists the arcs leaving node ``i``.
+    ``arc`` maps ``(tail, head)`` to its arc id for the pairs ``pair`` added;
+    the edge-indexed networks of ``_edge_flow`` leave it empty.
     """
 
     __slots__ = ("nodes", "index", "arc", "head", "adj")
@@ -87,10 +92,31 @@ class FlowNetwork:
         they were multiplied by."""
         if s == t:
             raise ValueError("source and sink must differ")
-        cap = res[:]
-        adj, head = self.adj, self.head
-        si, ti = self.index[s], self.index[t]
-        total = 0
+        return MaxFlow(self, res, self.index[s], self.index[t], scale)
+
+
+class MaxFlow:
+    """One max-flow, kept on the kernel's scaled integer residual.
+
+    ``value`` is the exact flow value and ``source_side`` the smallest min-cut
+    source side: the nodes labelled by the last level-graph BFS, the one that
+    failed to reach the sink.  ``scale`` is the factor the capacities were
+    multiplied by.  The maximal source side and the flow on an arc are
+    derived on demand.
+    """
+
+    __slots__ = ("value", "source_side", "scale", "_net", "_cap", "_res", "_s", "_t", "_total")
+
+    def __init__(self, net, res, s, t, scale):
+        self.scale: int = scale
+        self._net, self._cap, self._res, self._s, self._t = net, res[:], res, s, t
+        self._total = 0
+        self.augment()
+
+    def augment(self) -> None:
+        """Push flow along shortest residual paths until the sink is cut off,
+        then set ``value`` and ``source_side``."""
+        adj, head, res, si, ti = self._net.adj, self._net.head, self._res, self._s, self._t
         while True:
             level = [-1] * len(adj)
             level[si] = 0
@@ -105,30 +131,12 @@ class FlowNetwork:
                 if level[ti] >= 0:
                     break
             else:
-                source_side = frozenset(self.nodes[i] for i in queue)
+                nodes = self._net.nodes
+                self.source_side: frozenset = frozenset(nodes[i] for i in queue)
                 break
-            total += _blocking_flow(adj, head, res, level, si, ti)
-        value = total if scale == 1 else Fraction(total, scale)
-        return MaxFlow(value, source_side, self, cap, res, ti, scale)
-
-
-class MaxFlow:
-    """One solved max-flow, kept on the kernel's scaled integer residual.
-
-    ``value`` is the exact flow value and ``source_side`` the smallest min-cut
-    source side: the nodes labelled by the last level-graph BFS, the one that
-    failed to reach the sink.  ``scale`` is the factor the capacities were
-    multiplied by.  The maximal source side and the flow between two nodes
-    are derived on demand.
-    """
-
-    __slots__ = ("value", "source_side", "scale", "_net", "_cap", "_res", "_t")
-
-    def __init__(self, value, source_side, net, cap, res, t, scale):
-        self.value: Rational = value
-        self.source_side: frozenset = source_side
-        self.scale: int = scale
-        self._net, self._cap, self._res, self._t = net, cap, res, t
+            self._total += _blocking_flow(adj, head, res, level, si, ti)
+        total, scale = self._total, self.scale
+        self.value: Rational = total if scale == 1 else Fraction(total, scale)
 
     def maximal_source_side(self) -> frozenset:
         """The largest min-cut source side: every node that cannot reach the
@@ -150,50 +158,86 @@ class MaxFlow:
         """Flow on arc ``k`` less any flow on its twin, times ``scale``."""
         return self._cap[k] - self._res[k]
 
-    def net_flow(self, u, v) -> Rational:
-        """Exact flow from u to v less any flow from v to u (0 if no arc
-        joins them); arcs between the same two nodes share one pair."""
-        k = self._net.arc.get((u, v))
-        if k is None:
-            return 0
-        used = self.arc_flow(k)
-        return used if self.scale == 1 else Fraction(used, self.scale)
 
+def _edge_flow(net: Network, src, dst, heads=None) -> tuple[MaxFlow, list[Edge]]:
+    """Max-flow over ``net``'s edges: one twin pair ``2e``/``2e + 1`` per
+    positive-capacity edge ``e``, in ``net.capacity`` order, where arc ``2e``
+    runs from the edge's first endpoint to its second.
 
-def _solve(nodes: Iterable, arcs: Iterable[tuple[object, object, Rational]], s, t) -> MaxFlow:
-    """Max-flow of one arc list: build its ``FlowNetwork`` and solve it once.
-
-    Capacities are scaled once by the least common multiple of their
-    denominators.  Arcs between the same two nodes, either way round, merge
-    into one twin pair ``k``/``k ^ 1``; arcs without positive capacity are
-    dropped.
+    Every edge is usable both ways round or, given an orientation's
+    ``heads``, only toward its head while live.  Capacities are scaled by the
+    LCM of the usable edges' denominators.  Returns the flow and the edges.
     """
-    net = FlowNetwork(nodes)
-    index, arc, head, adj = net.index, net.arc, net.head, net.adj
-    arcs = list(arcs)
-    scale = math.lcm(*{c.denominator for _, _, c in arcs})
+    capacity = net.capacity
+    scale = math.lcm(*{capacity[e].denominator for e in (capacity if heads is None else heads)})
+    fn = FlowNetwork(net.nodes)
+    index, head, adj = fn.index, fn.head, fn.adj
+    edges: list[Edge] = []
     res: list[int] = []
-    # FlowNetwork.pair inlined: a method call per arc is a tenth of er_batch.
-    for u, v, c in arcs:
+    for edge, c in capacity.items():
         if c <= 0:
             continue
+        i, j = index[edge[0]], index[edge[1]]
+        adj[i].append(len(head))
+        head.append(j)
+        adj[j].append(len(head))
+        head.append(i)
+        edges.append(edge)
         if scale != 1 or type(c) is not int:
             c = c.numerator * (scale // c.denominator)
-        k = arc.get((u, v))
-        if k is None:
-            k = len(head)
-            arc[(u, v)] = k
-            arc[(v, u)] = k + 1
-            iu, iv = index[u], index[v]
-            head.append(iv)
-            head.append(iu)
-            res.append(c)
-            res.append(0)
-            adj[iu].append(k)
-            adj[iv].append(k + 1)
+        if heads is None:
+            res += (c, c)
+        elif edge in heads:
+            res += (c, 0) if heads[edge] == edge[1] else (0, c)
         else:
-            res[k] += c
-    return net.solve(res, s, t, scale)
+            res += (0, 0)  # a dead link
+    return fn.solve(res, src, dst, scale), edges
+
+
+class ReversalFlow:
+    """The smallest min-cut of an orientation, and of each orientation that
+    link reversals reach from it, from one max-flow kept warm.
+
+    The first ``cut`` is ``smallest_min_cut``'s solve.  At a min-cut no flow
+    runs from the sink side into the source side, so flipping the links that
+    enter the source side leaves a feasible flow of the same value; Dinic
+    continues from that residual, and its last BFS again labels the smallest
+    min-cut source side.
+    """
+
+    __slots__ = ("_nodes", "_flow", "_pair")
+
+    def __init__(self, dag: DagOrientation, src: int | None = None, dst: int | None = None):
+        src = dag.net.source if src is None else src
+        dst = dag.net.dest if dst is None else dst
+        self._nodes = frozenset(dag.net.nodes)
+        self._flow, edges = _edge_flow(dag.net, src, dst, dag.heads)
+        self._pair = {edge: 2 * e for e, edge in enumerate(edges)}
+
+    def cut(self) -> CutPartition:
+        """The smallest min-cut of the current orientation."""
+        side = self._flow.source_side
+        return CutPartition(source_side=side, sink_side=self._nodes - side, capacity=self._flow.value)
+
+    def reverse(self, flips: Iterable[tuple[int, int]]) -> None:
+        """Turn the flipped ``(tail, head)`` links around and continue the
+        max-flow on the new orientation.  A flipped link that carries flow
+        raises ``InvariantViolation``: only links entering the last cut's
+        source side may be flipped."""
+        flow = self._flow
+        res, cap = flow._res, flow._cap
+        for tail, head in flips:
+            edge = edge_key(tail, head)
+            k = self._pair.get(edge)
+            if k is None:  # a zero-capacity link has no pair
+                continue
+            if tail != edge[0]:
+                k += 1
+            if res[k ^ 1]:
+                raise InvariantViolation(f"flipped link ({tail},{head}) carries flow {res[k ^ 1]}/{flow.scale}")
+            res[k], res[k ^ 1] = 0, res[k]
+            cap[k], cap[k ^ 1] = 0, cap[k]
+        flow.augment()
 
 
 def _blocking_flow(adj, head, res, level, s: int, t: int) -> int:
@@ -242,25 +286,22 @@ def max_flow(dag: DagOrientation, src: int | None = None, dst: int | None = None
     dst = dag.net.dest if dst is None else dst
     if src == dst:
         raise ValueError("source and destination must differ")
-    arcs = list(dag.directed_edges())
-    result = _solve(dag.net.nodes, arcs, src, dst)
-    flow = {(tail, head): result.net_flow(tail, head) for tail, head, _ in arcs}
+    result, edges = _edge_flow(dag.net, src, dst, dag.heads)
+    flow = {(tail, head): 0 for tail, head, _ in dag.directed_edges()}
+    for e, (i, j) in enumerate(edges):
+        if (i, j) in dag.heads:
+            used = result.arc_flow(2 * e)
+            if dag.heads[(i, j)] == i:
+                i, j, used = j, i, -used
+            flow[(i, j)] = used if result.scale == 1 else Fraction(used, result.scale)
     return FlowAllocation(flow=flow, value=result.value)
-
-
-def _undirected_arcs(net: Network) -> list[tuple[int, int, Rational]]:
-    arcs = []
-    for (i, j), cap in net.capacity.items():
-        arcs.append((i, j, cap))
-        arcs.append((j, i, cap))
-    return arcs
 
 
 def max_flow_undirected(net: Network, src: int | None = None, dst: int | None = None) -> Rational:
     """Max-flow when every undirected edge is usable in either direction."""
     src = net.source if src is None else src
     dst = net.dest if dst is None else dst
-    return _solve(net.nodes, _undirected_arcs(net), src, dst).value
+    return _edge_flow(net, src, dst)[0].value
 
 
 def smallest_min_cut(dag: DagOrientation, src: int | None = None, dst: int | None = None) -> CutPartition:
@@ -269,26 +310,7 @@ def smallest_min_cut(dag: DagOrientation, src: int | None = None, dst: int | Non
     Computed as the residual-reachable set after a max-flow; that set is
     contained in every min-cut source side, hence minimal and unique.
     """
-    src = dag.net.source if src is None else src
-    dst = dag.net.dest if dst is None else dst
-    result = _solve(dag.net.nodes, dag.directed_edges(), src, dst)
-    return CutPartition(
-        source_side=result.source_side,
-        sink_side=frozenset(dag.net.nodes) - result.source_side,
-        capacity=result.value,
-    )
-
-
-def cut_capacity(dag: DagOrientation, side_a: Iterable[int], side_b: Iterable[int]) -> Rational:
-    """Total capacity of live directed edges going from side_a into side_b."""
-    side_a, side_b = set(side_a), set(side_b)
-    if side_a & side_b:
-        raise ValueError(f"cut sides overlap on {sorted(side_a & side_b)}")
-    total: Rational = 0
-    for tail, head, cap in dag.directed_edges():
-        if tail in side_a and head in side_b:
-            total += cap
-    return total
+    return ReversalFlow(dag, src, dst).cut()
 
 
 def _trim_cycles(support: dict[int, dict[int, Rational]]) -> None:
@@ -338,11 +360,12 @@ def optimal_dag(net: Network) -> DagOrientation:
     cycles, orient flow-carrying edges along the flow, and orient idle edges
     consistently with a deterministic topological order of the flow support.
     """
-    s, d = net.source, net.dest
-    result = _solve(net.nodes, _undirected_arcs(net), s, d)
+    result, edges = _edge_flow(net, net.source, net.dest)
     support: dict[int, dict[int, Rational]] = {}
-    for i, j in net.capacity:
-        net_flow = result.net_flow(i, j)
+    for e, (i, j) in enumerate(edges):
+        net_flow = result.arc_flow(2 * e)
+        if result.scale != 1:
+            net_flow = Fraction(net_flow, result.scale)
         if net_flow > 0:
             support.setdefault(i, {})[j] = net_flow
         elif net_flow < 0:

@@ -4,11 +4,11 @@ One step reverses every live link that goes from a non-overloaded node into
 the overloaded set (the smallest min-cut source side); iterating yields a
 sequence of strictly improving orientations that terminates at one supporting
 the offered rate, or at the network's own max-flow when the rate is
-infeasible.
+infeasible.  ``converge`` solves one max-flow per call and keeps it warm
+across its steps (``flow.ReversalFlow``): the flipped links carry no flow.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -24,7 +24,7 @@ from .graph import (
     maybe_rescale,
     update_states_after_reversal,
 )
-from .flow import CutPartition, delta_bound, max_flow_undirected, smallest_min_cut
+from .flow import CutPartition, ReversalFlow, delta_bound, max_flow_undirected, smallest_min_cut
 from .overload import OverloadVector, lex_min_overload
 
 
@@ -50,27 +50,6 @@ class ReversalTrace:
     def iterations(self) -> int:
         """Number of steps that actually reversed links."""
         return sum(1 for e in self.entries if e.reversed_edges)
-
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        for e in self.entries:
-            rows.append(
-                {
-                    "k": e.version,
-                    "max_flow": str(e.max_flow_value),
-                    "overloaded_size": len(e.overloaded) if e.overloaded else 0,
-                    "edges_reversed": len(e.reversed_edges),
-                    "reversed": ";".join(f"{u}->{v}" for u, v in e.reversed_edges),
-                }
-            )
-        return rows
-
-    def write_csv(self, path) -> None:
-        rows = self.csv_rows()
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else ["k"])
-            writer.writeheader()
-            writer.writerows(rows)
 
 
 def reverse_toward(dag: DagOrientation, overloaded: Iterable[int], rescale_every: int = DEFAULT_RESCALE_EVERY):
@@ -114,7 +93,11 @@ def reversal_step(
     directed cut values coincide, so nothing can improve and flipping dead
     wires would only churn the orientation without progress.
     """
-    cut = smallest_min_cut(dag)
+    return _step(dag, rate, smallest_min_cut(dag), rescale_every)
+
+
+def _step(dag: DagOrientation, rate: Rational, cut: CutPartition, rescale_every: int):
+    """``reversal_step`` against ``cut``, the smallest min-cut of ``dag``."""
     if as_rational(rate) <= cut.capacity:
         return dag, (), None
     if not _has_usable_entering(dag, cut.source_side):
@@ -166,23 +149,18 @@ def converge(
         max_iters = default_max_iters(dag0)
     entries: list[TraceEntry] = []
     dag = dag0
+    flow = ReversalFlow(dag0)
     for _ in range(max_iters + 1):
-        cut = smallest_min_cut(dag)
+        cut = flow.cut()
         overload = lex_min_overload(dag, rate) if record_overload else None
-        if as_rational(rate) <= cut.capacity:
-            entries.append(TraceEntry(dag.version, dag, cut.capacity, None, (), overload))
+        new_dag, flips, over = _step(dag, rate, cut, rescale_every)
+        overloaded = None if over is None else over.source_side
+        entries.append(TraceEntry(dag.version, dag, cut.capacity, overloaded, flips, overload))
+        if not flips:
+            # The rate is supported, or nothing useful is left to reverse: the
+            # orientation meets the network max-flow and the rest is infeasible.
             return ReversalTrace(entries)
-        if not _has_usable_entering(dag, cut.source_side):
-            # Nothing useful to reverse: the orientation already meets the
-            # network max-flow and the excess rate is simply infeasible.
-            entries.append(
-                TraceEntry(dag.version, dag, cut.capacity, cut.source_side, (), overload)
-            )
-            return ReversalTrace(entries)
-        new_dag, flips = reverse_toward(dag, cut.source_side, rescale_every)
-        entries.append(
-            TraceEntry(dag.version, dag, cut.capacity, cut.source_side, flips, overload)
-        )
+        flow.reverse(flips)
         dag = new_dag
     raise InvariantViolation(
         f"link reversal did not converge within {max_iters} iterations"

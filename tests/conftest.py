@@ -7,21 +7,163 @@ earlier per-link forwarding step and term-by-term Poisson draw are kept here
 as references for the compiled plans and the CDF table that replaced them, and
 the earlier lexicographic overload solver, which built a fresh auxiliary
 network for every density guess, as the reference for the one built per call.
+The arc-list max-flow ``_solve`` serves the kernel tests and these references,
+and the earlier ``converge``, which solved every step's min-cut cold, is the
+reference for the one kept warm across steps.
 """
 from __future__ import annotations
 
+import csv
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import pytest
 
 from lfbp import Network, OverloadVector, orient_by_ranking
-from lfbp.flow import FlowAllocation, _solve, cut_capacity
-from lfbp.graph import DagOrientation, InvariantViolation, Rational, as_rational
-from lfbp.overload import _fluid_arcs
+from lfbp.flow import CutPartition, FlowAllocation, FlowNetwork, MaxFlow
+from lfbp.graph import DEFAULT_RESCALE_EVERY, DagOrientation, InvariantViolation, Rational, as_rational
+from lfbp.overload import _fluid_arcs, lex_min_overload
+from lfbp.reversal import ReversalTrace, TraceEntry, _has_usable_entering, default_max_iters, reverse_toward
+
+
+def _solve(nodes: Iterable, arcs: Iterable[tuple[object, object, Rational]], s, t) -> MaxFlow:
+    """Max-flow of one arc list: build its ``FlowNetwork`` and solve it once.
+
+    Capacities are scaled once by the least common multiple of their
+    denominators.  Arcs between the same two nodes, either way round, merge
+    into one twin pair ``k``/``k ^ 1``; arcs without positive capacity are
+    dropped.
+    """
+    net = FlowNetwork(nodes)
+    index, arc, head, adj = net.index, net.arc, net.head, net.adj
+    arcs = list(arcs)
+    scale = math.lcm(*{c.denominator for _, _, c in arcs})
+    res: list[int] = []
+    # FlowNetwork.pair inlined: a method call per arc is a tenth of er_batch.
+    for u, v, c in arcs:
+        if c <= 0:
+            continue
+        if scale != 1 or type(c) is not int:
+            c = c.numerator * (scale // c.denominator)
+        k = arc.get((u, v))
+        if k is None:
+            k = len(head)
+            arc[(u, v)] = k
+            arc[(v, u)] = k + 1
+            iu, iv = index[u], index[v]
+            head.append(iv)
+            head.append(iu)
+            res.append(c)
+            res.append(0)
+            adj[iu].append(k)
+            adj[iv].append(k + 1)
+        else:
+            res[k] += c
+    return net.solve(res, s, t, scale)
+
+
+def net_flow(result: MaxFlow, u, v) -> Rational:
+    """Exact flow from u to v less any flow from v to u (0 if no arc joins
+    them) in a ``_solve`` result; arcs between the same two nodes share one
+    pair."""
+    k = result._net.arc.get((u, v))
+    if k is None:
+        return 0
+    used = result.arc_flow(k)
+    return used if result.scale == 1 else Fraction(used, result.scale)
+
+
+def reference_smallest_min_cut(dag: DagOrientation, src: int | None = None, dst: int | None = None) -> CutPartition:
+    """The min-cut whose source side has the fewest nodes (unique).
+
+    Computed as the residual-reachable set after a max-flow; that set is
+    contained in every min-cut source side, hence minimal and unique.
+    """
+    src = dag.net.source if src is None else src
+    dst = dag.net.dest if dst is None else dst
+    result = _solve(dag.net.nodes, dag.directed_edges(), src, dst)
+    return CutPartition(
+        source_side=result.source_side,
+        sink_side=frozenset(dag.net.nodes) - result.source_side,
+        capacity=result.value,
+    )
+
+
+def reference_converge(
+    dag0: DagOrientation,
+    rate: Rational,
+    max_iters: int | None = None,
+    record_overload: bool = True,
+    rescale_every: int = DEFAULT_RESCALE_EVERY,
+) -> ReversalTrace:
+    """The earlier ``converge``: a cold max-flow on a fresh arc list for each
+    step's smallest min-cut.  Iterate reversal steps until the orientation
+    supports the rate or no link qualifies.  The trace keeps one entry per
+    visited orientation."""
+    if max_iters is None:
+        max_iters = default_max_iters(dag0)
+    entries: list[TraceEntry] = []
+    dag = dag0
+    for _ in range(max_iters + 1):
+        cut = reference_smallest_min_cut(dag)
+        overload = lex_min_overload(dag, rate) if record_overload else None
+        if as_rational(rate) <= cut.capacity:
+            entries.append(TraceEntry(dag.version, dag, cut.capacity, None, (), overload))
+            return ReversalTrace(entries)
+        if not _has_usable_entering(dag, cut.source_side):
+            # Nothing useful to reverse: the orientation already meets the
+            # network max-flow and the excess rate is simply infeasible.
+            entries.append(
+                TraceEntry(dag.version, dag, cut.capacity, cut.source_side, (), overload)
+            )
+            return ReversalTrace(entries)
+        new_dag, flips = reverse_toward(dag, cut.source_side, rescale_every)
+        entries.append(
+            TraceEntry(dag.version, dag, cut.capacity, cut.source_side, flips, overload)
+        )
+        dag = new_dag
+    raise InvariantViolation(
+        f"link reversal did not converge within {max_iters} iterations"
+    )
+
+
+def cut_capacity(dag: DagOrientation, side_a: Iterable[int], side_b: Iterable[int]) -> Rational:
+    """Total capacity of live directed edges going from side_a into side_b."""
+    side_a, side_b = set(side_a), set(side_b)
+    if side_a & side_b:
+        raise ValueError(f"cut sides overlap on {sorted(side_a & side_b)}")
+    total: Rational = 0
+    for tail, head, cap in dag.directed_edges():
+        if tail in side_a and head in side_b:
+            total += cap
+    return total
+
+
+def csv_rows(trace: ReversalTrace) -> list[dict]:
+    """One row per trace entry, as ``ReversalTrace.csv_rows`` wrote them."""
+    rows = []
+    for e in trace.entries:
+        rows.append(
+            {
+                "k": e.version,
+                "max_flow": str(e.max_flow_value),
+                "overloaded_size": len(e.overloaded) if e.overloaded else 0,
+                "edges_reversed": len(e.reversed_edges),
+                "reversed": ";".join(f"{u}->{v}" for u, v in e.reversed_edges),
+            }
+        )
+    return rows
+
+
+def write_csv(trace: ReversalTrace, path) -> None:
+    rows = csv_rows(trace)
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else ["k"])
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def random_network(rng: random.Random, n_min=3, n_max=6, cap_max=4, p=0.5, max_edges=None):
@@ -343,7 +485,7 @@ def _inducing_flow(dag: DagOrientation, rate: Rational, rates: Mapping[int, Rati
         if u == dest:
             flow[(u, v)] = 0
             continue
-        used = result.net_flow(u, v)
+        used = net_flow(result, u, v)
         flow[(u, v)] = as_rational(used)
         if v == dest:
             delivered += used

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -350,7 +351,23 @@ class TestSweep:
         assert len(lines) >= 2  # the overloaded pair must have been flagged
 
 
+# sha256 of the CSV that ``er_batch`` writes for (samples, n range, seed), with
+# the default p and capacity range.  A change that moves a row must update
+# these digests and say why.
+ER_BATCH_SHA256 = {
+    (40, (10, 50), 0): "90e834e4401addbbbe4714913997f69a8c6d6380939d421559c72130bdf8e92f",
+    (16, (40, 80), 3): "98b209089e771cb561d558a47600d5a7fb2284b4354eedf32f73b5120bab3cb3",
+}
+
+
 class TestErBatch:
+    @pytest.mark.parametrize("samples,n_range,seed", sorted(ER_BATCH_SHA256))
+    def test_csv_digest(self, samples, n_range, seed, tmp_path):
+        out = tmp_path / "er.csv"
+        er_batch(samples, n_range, seed=seed, out_path=out)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == ER_BATCH_SHA256[(samples, n_range, seed)]
+
     def test_small_batch_statistics(self, tmp_path):
         out = tmp_path / "er.csv"
         stats = er_batch(25, (6, 12), 0.5, (1, 5), seed=17, out_path=out)

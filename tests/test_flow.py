@@ -9,7 +9,6 @@ import pytest
 from lfbp import (
     DagOrientation,
     Network,
-    cut_capacity,
     delta_bound,
     initial_dag,
     max_flow,
@@ -18,11 +17,14 @@ from lfbp import (
     orient_explicit,
     smallest_min_cut,
 )
-from lfbp.flow import FlowNetwork, _solve
+from lfbp.flow import FlowNetwork
 
 from conftest import (
+    _solve,
     brute_force_max_flow,
+    cut_capacity,
     exhaustive_smallest_min_cut,
+    net_flow,
     random_network,
     random_orientation,
 )
@@ -125,14 +127,14 @@ class TestKernel:
     def test_antiparallel_arcs_share_a_pair(self):
         result = _solve([0, 1, 2], [(0, 1, 2), (1, 0, 5), (1, 2, 3)], 0, 2)
         assert result.value == 2
-        assert result.net_flow(0, 1) == 2
-        assert result.net_flow(1, 0) == -2
-        assert result.net_flow(0, 2) == 0
+        assert net_flow(result, 0, 1) == 2
+        assert net_flow(result, 1, 0) == -2
+        assert net_flow(result, 0, 2) == 0
 
     def test_fraction_capacities_stay_exact(self):
         result = _solve([0, 1, 2], [(0, 1, Fraction(1, 3)), (0, 2, Fraction(1, 2)), (1, 2, 1)], 0, 2)
         assert result.value == Fraction(5, 6)
-        assert result.net_flow(1, 2) == Fraction(1, 3)
+        assert net_flow(result, 1, 2) == Fraction(1, 3)
 
     def test_unreachable_sink(self):
         result = _solve([0, 1, 2, 3], [(0, 1, 1), (2, 1, 1), (2, 3, 0)], 0, 3)
@@ -150,8 +152,8 @@ class TestKernel:
                 for v in nodes:
                     if u == v:
                         continue
-                    f = result.net_flow(u, v)
-                    assert f == -result.net_flow(v, u)
+                    f = net_flow(result, u, v)
+                    assert f == -net_flow(result, v, u)
                     assert -caps.get((v, u), 0) <= f <= caps.get((u, v), 0)
                     excess[u] += f
             for n in nodes:

@@ -5,10 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lfbp import (
     InvariantViolation,
     Network,
+    apply_topology_event,
     check_state_consistency,
     converge,
     initial_dag,
@@ -17,14 +20,15 @@ from lfbp import (
     lex_min_overload,
     max_flow,
     max_flow_undirected,
+    orient_by_ranking,
     orient_explicit,
     reversal_step,
     smallest_min_cut,
 )
-from lfbp.flow import delta_bound
+from lfbp.flow import ReversalFlow, delta_bound
 from lfbp.reversal import default_max_iters, reverse_toward
 
-from conftest import random_network, random_orientation
+from conftest import random_network, random_orientation, reference_converge, write_csv
 
 
 def side_edge_instance():
@@ -258,6 +262,91 @@ class TestConverge:
             assert default_max_iters(dag, fmax) == default_max_iters(dag)
 
 
+CAPACITY = st.one_of(
+    st.just(0),
+    st.integers(1, 6),
+    st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4),
+)
+
+
+@st.composite
+def reversal_cases(draw):
+    """An orientation with zero, whole and fractional capacities, one dead
+    link in about 30% of cases, and a rate around the network's max-flow."""
+    n = draw(st.integers(3, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=16, unique=True))
+    net = Network.build(range(n), [(i, j, draw(CAPACITY)) for i, j in edges], 0, n - 1)
+    dag = orient_by_ranking(net, dict(enumerate(draw(st.permutations(range(n))))))
+    if draw(st.integers(0, 9)) < 3:
+        dag = apply_topology_event(dag, "remove", draw(st.sampled_from(sorted(net.capacity))))
+    fmax = max_flow_undirected(net)
+    rate = draw(st.sampled_from([0, Fraction(7, 2), fmax / Fraction(2), fmax, fmax + Fraction(1, 3), 3 * fmax + 5]))
+    return dag, rate, draw(st.booleans())
+
+
+def fields(run):
+    """Every field of every trace entry ``run`` returns, with its type, or
+    the error it raises."""
+    try:
+        entries = run()
+    except InvariantViolation as exc:
+        return repr(exc)
+    return [{name: (type(v), v) for name, v in vars(e).items()} for e in entries]
+
+
+def dead_fraction_case():
+    # Whole live capacities next to a fractional dead link: the live links
+    # alone set the scale, so every cut value stays an int.
+    net = Network.build(range(4), [(0, 1, 2), (1, 3, 3), (0, 2, Fraction(1, 2)), (2, 3, 1), (1, 2, 1)], 0, 3)
+    dag = orient_by_ranking(net, {2: 0, 1: 1, 0: 2, 3: 3})
+    return apply_topology_event(dag, "remove", (0, 2)), 3, False
+
+
+def zero_capacity_flip_case():
+    # The links 3 -> 1 and 4 -> 1 enter the first cut's source side {0, 1};
+    # the zero-capacity one is flipped with it but has no arc pair.
+    net = Network.build(range(5), [(0, 1, 3), (1, 3, 2), (1, 4, 0), (3, 4, 2), (0, 2, 1), (2, 4, 1)], 0, 4)
+    return orient_explicit(net, [(0, 1), (3, 1), (4, 1), (3, 4), (0, 2), (2, 4)]), 3, True
+
+
+class TestWarmConverge:
+    """``converge`` keeps one max-flow warm across its steps; every trace
+    entry, types included, equals the earlier cold-solving ``converge``."""
+
+    @given(reversal_cases())
+    @example(dead_fraction_case())
+    @example(zero_capacity_flip_case())
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_cold_reference(self, case):
+        dag, rate, record = case
+        got = fields(lambda: converge(dag, rate, record_overload=record).entries)
+        want = fields(lambda: reference_converge(dag, rate, record_overload=record).entries)
+        assert got == want
+
+    def test_examples_exercise_their_edge_cases(self):
+        dag, rate, record = dead_fraction_case()
+        trace = converge(dag, rate, record_overload=record)
+        assert trace.iterations >= 1
+        assert all(type(e.max_flow_value) is int for e in trace.entries)
+        dag, rate, record = zero_capacity_flip_case()
+        trace = converge(dag, rate, record_overload=record)
+        assert (4, 1) in trace.entries[0].reversed_edges
+        assert dag.net.capacity[(1, 4)] == 0
+
+    def test_flipping_a_link_that_carries_flow_raises(self):
+        # 0 -> 1 -> 2 carries one unit; the smallest min-cut side is {0}, so
+        # reversing toward {1} flips 0 -> 1 while it carries that unit.
+        net = Network.build(range(3), [(0, 1, 1), (1, 2, 1)], 0, 2)
+        dag = orient_explicit(net, [(0, 1), (1, 2)])
+        flow = ReversalFlow(dag)
+        assert flow.cut().source_side == frozenset({0})
+        _, flips = reverse_toward(dag, {1})
+        assert flips == ((0, 1),)
+        with pytest.raises(InvariantViolation, match="carries flow"):
+            flow.reverse(flips)
+
+
 class TestTrace:
     def test_versions_strictly_increase(self, rng):
         dag = line_with_wrong_links(6)
@@ -275,7 +364,7 @@ class TestTrace:
     def test_csv_export(self, tmp_path):
         trace = converge(line_with_wrong_links(4), 1)
         path = tmp_path / "trace.csv"
-        trace.write_csv(path)
+        write_csv(trace, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,max_flow,overloaded_size,edges_reversed,reversed"
         assert len(lines) == len(trace.entries) + 1
