@@ -389,8 +389,10 @@ def sweep(
         for policy in policies
         for seed in config.seeds
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool starts all its workers at once, so never more than the cells.
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_cell, cells))
     else:
         reports = [_run_cell(cell) for cell in cells]
@@ -517,6 +519,28 @@ def _load_arg_scenario(value: str) -> ScenarioConfig:
     return config
 
 
+# The least value each numeric flag accepts; a flag the verb lacks is skipped.
+_ARG_MINIMUMS = (("horizon", 1), ("trace_bucket", 0), ("jobs", 1), ("samples", 1), ("n_min", 2), ("cap_min", 1))
+
+
+def _check_args(args) -> None:
+    """Reject a nonsensical number on the command line, naming its flag."""
+
+    def reject(name, rule, value):
+        raise ValidationError(f"--{name.replace('_', '-')}: must be {rule}, got {value}")
+
+    for name, low in _ARG_MINIMUMS:
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            reject(name, f"at least {low}", value)
+    for low, high in (("n_min", "n_max"), ("cap_min", "cap_max")):
+        if hasattr(args, high) and getattr(args, high) < getattr(args, low):
+            reject(high, f"at least --{low.replace('_', '-')} ({getattr(args, low)})", getattr(args, high))
+    p = getattr(args, "p", None)
+    if p is not None and not 0 < p <= 1:
+        reject("p", "a finite number in (0, 1]", p)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lfbp",
@@ -556,6 +580,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         if args.command == "run":
             config = _load_arg_scenario(args.scenario)
             if args.rho is not None:

@@ -207,12 +207,6 @@ def topological_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) ->
     return order if len(order) == len(nodes) else None
 
 
-def is_acyclic(dag: DagOrientation) -> bool:
-    """True iff the live directed graph admits a topological ordering."""
-    pairs = [dag.direction(e) for e in dag.heads]
-    return topological_order(dag.net.nodes, pairs) is not None
-
-
 def check_state_consistency(dag: DagOrientation) -> None:
     """Raise unless every live directed edge goes from lower to higher state."""
     states = dag.states

@@ -2,9 +2,7 @@
 
 Given an orientation and an arrival rate, every feasible flow induces a
 vector of per-node queue growth rates.  This module computes the unique
-lexicographically minimal such vector (sorted-descending comparison), the
-overloaded node set, and a grid-search oracle used to validate the production
-algorithm on small instances.
+lexicographically minimal such vector (sorted-descending comparison).
 
 The destination never buffers, so its rate is pinned to zero and its outgoing
 links carry no fluid flow.
@@ -34,12 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .graph import DagOrientation, InvariantViolation, Rational, as_rational, topological_order
+from .graph import DagOrientation, InvariantViolation, Rational, as_rational
 from .flow import FlowAllocation, FlowNetwork
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 
 @dataclass(frozen=True)
@@ -58,32 +53,6 @@ class OverloadVector:
 
     def total(self) -> Rational:
         return sum(self.rates.values())
-
-
-def lex_key(values: Iterable[Rational]) -> tuple:
-    return tuple(sorted(values, reverse=True))
-
-
-def lex_compare(u: Sequence[Rational], v: Sequence[Rational]) -> int:
-    """Compare two vectors by their sorted-descending component sequences.
-
-    Returns -1 (less), 0 (equal) or 1 (greater).
-    """
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    ku, kv = lex_key(u), lex_key(v)
-    if ku < kv:
-        return LESS
-    if ku > kv:
-        return GREATER
-    return EQUAL
-
-
-def _fluid_arcs(dag: DagOrientation) -> list[tuple[int, int, Rational]]:
-    """Live directed edges carrying fluid flow: everything except links out of
-    the destination (it absorbs and never forwards)."""
-    dest = dag.net.dest
-    return [(u, v, c) for u, v, c in dag.directed_edges() if u != dest]
 
 
 def lex_min_overload(dag: DagOrientation, rate: Rational) -> OverloadVector:
@@ -216,139 +185,3 @@ def lex_min_overload(dag: DagOrientation, rate: Rational) -> OverloadVector:
 def _unscale(used: int, scale: int) -> Rational:
     """A flow times ``scale`` as the exact rational it stands for, an int when whole."""
     return used // scale if used % scale == 0 else Fraction(used, scale)
-
-
-def overloaded_set(dag: DagOrientation, rate: Rational):
-    """The smallest min-cut when the rate exceeds the orientation's max-flow,
-    else None.  Its source side is exactly the set of overloaded nodes."""
-    from .flow import smallest_min_cut
-
-    cut = smallest_min_cut(dag)
-    if as_rational(rate) <= cut.capacity:
-        return None
-    return cut
-
-
-def brute_force_lex_min(
-    dag: DagOrientation,
-    rate: Rational,
-    grid: Rational = 1,
-    max_work: int = 5_000_000,
-) -> OverloadVector:
-    """Grid-search oracle: enumerate every flow allocation whose edge values
-    are multiples of ``grid`` and keep the lexicographically smallest induced
-    overload vector.
-
-    Only valid on small instances; raises when the instance or the implied
-    enumeration is too large, or when grid does not divide all capacities and
-    the arrival rate.  Completeness caveat: the result is the minimum over the
-    grid, which matches the true optimum only when the grid is fine enough.
-    """
-    net = dag.net
-    if len(net.nodes) > 6:
-        raise ValueError("instance too large: oracle limited to 6 nodes")
-    grid = Fraction(grid)
-    if grid <= 0:
-        raise ValueError("grid step must be positive")
-
-    def units(x) -> int:
-        q = Fraction(x) / grid
-        if q.denominator != 1:
-            raise ValueError(f"{x} is not a multiple of grid step {grid}")
-        return int(q)
-
-    rate_u = units(rate)
-    dest = net.dest
-    arcs = _fluid_arcs(dag)
-    pairs = [(u, v) for u, v, _ in arcs]
-    order = topological_order(net.nodes, pairs)
-    if order is None:
-        raise ValueError("orientation is not acyclic")
-    out_by_node: dict[int, list[tuple[int, int]]] = {n: [] for n in net.nodes}
-    for u, v, c in arcs:
-        out_by_node[u].append((v, units(c)))
-    for n in out_by_node:
-        out_by_node[n].sort()
-
-    # Upfront work estimate: per-node split counts with throughflow <= rate.
-    est = 1
-    for n in order:
-        if n == dest:
-            continue
-        est *= _split_count([c for _, c in out_by_node[n]], rate_u)
-        if est > max_work:
-            raise ValueError("instance too large: grid enumeration exceeds budget")
-
-    node_seq = [n for n in order if n != dest]
-    n_count = len(node_seq)
-    best_key: tuple | None = None
-    best_rates: dict[int, int] = {}
-    best_flow: dict[tuple[int, int], int] = {}
-    inflow = {n: 0 for n in net.nodes}
-    q_units: dict[int, int] = {}
-    flow_units: dict[tuple[int, int], int] = {}
-
-    def descend(idx: int) -> None:
-        nonlocal best_key, best_rates, best_flow
-        if idx == n_count:
-            key = tuple(sorted(((q * grid) for q in q_units.values()), reverse=True))
-            key = key + (Fraction(0),)  # destination contributes a zero
-            if best_key is None or key < best_key:
-                best_key = key
-                best_rates = dict(q_units)
-                best_flow = dict(flow_units)
-            return
-        node = node_seq[idx]
-        avail = inflow[node] + (rate_u if node == net.source else 0)
-        outs = out_by_node[node]
-        bound = None
-        if best_key is not None:
-            bound = best_key[0]
-
-        def assign(e_idx: int, budget: int) -> None:
-            if e_idx == len(outs):
-                q = budget
-                if bound is not None and q * grid > bound:
-                    return
-                q_units[node] = q
-                descend(idx + 1)
-                del q_units[node]
-                return
-            head, cap_u = outs[e_idx]
-            top = cap_u if cap_u < budget else budget
-            for f in range(top, -1, -1):
-                inflow[head] += f
-                flow_units[(node, head)] = f
-                assign(e_idx + 1, budget - f)
-                inflow[head] -= f
-            del flow_units[(node, head)]
-
-        assign(0, avail)
-
-    descend(0)
-    if best_key is None:
-        raise InvariantViolation("oracle found no feasible allocation")
-    rates = {n: as_rational(q * grid) for n, q in best_rates.items()}
-    rates[dest] = 0
-    flow = {}
-    delivered: Rational = 0
-    for u, v, c in dag.directed_edges():
-        used = best_flow.get((u, v), 0) * grid
-        flow[(u, v)] = as_rational(used)
-        if v == dest and u != dest:
-            delivered += used
-    return OverloadVector(rates=rates, inducing_flow=FlowAllocation(flow=flow, value=as_rational(delivered)))
-
-
-def _split_count(caps: list[int], budget: int) -> int:
-    """Number of ways to pick per-edge sends within caps summing to <= budget."""
-    counts = {0: 1}
-    for cap in caps:
-        nxt: dict[int, int] = {}
-        for total, ways in counts.items():
-            for f in range(0, cap + 1):
-                if total + f > budget:
-                    break
-                nxt[total + f] = nxt.get(total + f, 0) + ways
-        counts = nxt
-    return sum(counts.values())

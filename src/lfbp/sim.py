@@ -1,10 +1,12 @@
 """Slot-driven stochastic simulation: arrivals, backpressure forwarding,
 random link failures, and per-run metrics.
 
-The engine is synchronous and works in two phases per slot: every
-transmission is decided from the start-of-slot queue values (after that
-slot's arrivals), then all the moves are applied.  The updates are sums, so
-the order in which they are applied cannot change the result.  Queues hold
+The engine is synchronous: every transmission of a slot is decided from the
+start-of-slot queue values (after that slot's arrivals).  With one commodity
+the moves are collected and applied afterwards; with several, the contest
+and each tail's budget read a snapshot of the queues and every send is
+applied as soon as it is decided.  The updates are sums, so the order in
+which they are applied cannot change the result.  Queues hold
 integer packets, so capacities must be integers here; the analytical modules
 accept general rationals.
 
@@ -14,8 +16,10 @@ orientation maintained by threshold-driven link reversals.
 
 The links a slot reads change only when the orientation or the live mask
 does, so ``SimState.rebuild_plans`` compiles them into a forwarding plan at
-those moments, not every slot.  Poisson arrivals come from a CDF table built
-once per commodity.
+those moments, not every slot.  With several commodities a link offers one
+option per commodity; under ``bp`` the contest computes its differential
+once and takes whichever direction it favours.  Poisson arrivals come from a
+CDF table built once per commodity.
 """
 from __future__ import annotations
 
@@ -269,43 +273,47 @@ class SimState:
         """Compile the forwarding plan ``bp_step`` reads.
 
         Run at init and whenever the orientation or the live mask changes.
-        Each live link offers one arc ``(y, u, v)`` per commodity and
-        direction it may carry: under ``bp`` both directions of every
-        commodity, ``a -> b`` first; under ``lfbp`` each commodity's DAG
-        direction.  With one commodity the arcs are grouped by tail as
-        ``(u, ((v, cap, node id of v), ...))``; with several, each link keeps
-        its options ``(queues[y], u, v, y, node id of v)`` in that order,
-        commodity ascending, as ``(cap, options)``.  A zero-capacity link
-        never sends, so it is left out.
+        Each live link offers one arc ``(y, a, b)`` per commodity it may
+        carry: under ``bp`` every commodity, oriented as the link is listed,
+        and the link may send either way (``two_way``); under ``lfbp`` each
+        commodity's DAG direction only.  With one commodity the arcs are
+        grouped by tail as ``(u, ((v, cap, node id of v), ...))``, a two-way
+        link under both endpoints; with several, each link keeps its options
+        ``(queues[y], a, b, y)``, commodity ascending, as ``(cap, options)``.
+        A zero-capacity link never sends, so it is left out.
         """
         idx, node_of = self.idx, self.node_of
+        two_way = self.policy == "bp"
         links = []
         for e_idx in self.live_order:
+            cap = self.cap_int[e_idx]
+            if not cap:
+                continue
             edge = self.edge_list[e_idx]
             ia, ib = idx[edge[0]], idx[edge[1]]
-            arcs = []
-            if self.policy == "bp":
-                for y in range(len(self.commodities)):
-                    arcs.append((y, ia, ib))
-                    arcs.append((y, ib, ia))
+            if two_way:
+                arcs = [(y, ia, ib) for y in range(len(self.commodities))]
             else:
+                arcs = []
                 for y, dag in enumerate(self.dags):
                     head = dag.heads.get(edge)
                     if head is not None:
                         arcs.append((y, ia, ib) if head == edge[1] else (y, ib, ia))
-            cap = self.cap_int[e_idx]
-            if cap and arcs:
+            if arcs:
                 links.append((cap, arcs))
+        self.two_way = two_way
         if len(self.commodities) == 1:
             by_tail: dict[int, list] = {}
             for cap, arcs in links:
                 for _y, u, v in arcs:
                     by_tail.setdefault(u, []).append((v, cap, node_of[v]))
+                    if two_way:
+                        by_tail.setdefault(v, []).append((u, cap, node_of[u]))
             self.plans = [(u, tuple(by_tail[u])) for u in sorted(by_tail)]
         else:
             queues = self.queues
             self.plans = [
-                (cap, tuple((queues[y], u, v, y, node_of[v]) for y, u, v in arcs))
+                (cap, tuple((queues[y], a, b, y) for y, a, b in arcs))
                 for cap, arcs in links
             ]
 
@@ -329,22 +337,25 @@ def arrivals_step(state: SimState) -> SimState:
 
 
 def bp_step(state: SimState) -> SimState:
-    """One backpressure transmission round, in two phases.
+    """One backpressure transmission round.
 
-    Decide: per live link, the commodity (and direction) with the largest
-    positive queue differential wins the slot, the first option in plan
-    order on a tie.  Each tail then serves its winning links in descending
-    differential order (ties to the lower neighbour ID, then the lower
-    commodity) without overdrawing its start-of-slot backlog of that
-    commodity.  Every send is decided from the queues as they stood before
-    the step.  Apply: all the moves are made afterwards; a packet sent to its
-    destination is delivered.
+    Per live link, the commodity (and direction) with the largest positive
+    queue differential wins the slot, the lower commodity on a tie.  Each
+    tail then serves its winning links in descending differential order
+    (ties to the lower neighbour ID, then the lower commodity) without
+    overdrawing its start-of-slot backlog of that commodity.  Every send is
+    decided from the queues as they stood before the step; a packet sent to
+    its destination is delivered.
 
     With one commodity there is no contest on a link, and a tail whose
     winning capacities sum to at most its backlog sends every capacity in
-    full, so only a contended tail sorts its winners.  With several, one
-    sort over all winners, keyed by tail first, puts each tail's winners in
-    serving order.
+    full, so only a contended tail sorts its winners.  With several, a
+    commodity's option on a link yields ``d = q[a] - q[b]``: ``a -> b``
+    wins when ``d`` beats the best so far, and on a two-way (``bp``) link
+    ``b -> a`` when ``-d`` does.  At most one of the two is positive, so a
+    strict comparison in commodity order keeps the lower commodity on a
+    tie.  One sort over all winners, keyed by tail first, puts each tail's
+    winners in serving order.
     """
     if len(state.commodities) == 1:
         return _step_one(state)
@@ -389,41 +400,36 @@ def _step_one(state: SimState) -> SimState:
 
 
 def _step_many(state: SimState) -> SimState:
+    two_way, node_of = state.two_way, state.node_of
     wins = []
     for cap, options in state.plans:
         best_d = 0
-        best = None
-        for option in options:
-            q, u, v, _y, _vid = option
-            d = q[u] - q[v]
+        for q, a, b, y in options:
+            d = q[a] - q[b]
             if d > best_d:
-                best_d = d
-                best = option
-        if best is not None:
-            _q, u, v, y, vid = best
-            wins.append((u, -best_d, vid, y, v, cap))
+                best_d, u, v, best_y = d, a, b, y
+            elif two_way and -d > best_d:
+                best_d, u, v, best_y = -d, b, a, y
+        if best_d:
+            wins.append((u, -best_d, node_of[v], best_y, v, cap))
     # One sort groups the winners by tail, each tail's in serving order.
     wins.sort()
     queues = state.queues
-    moves = []
-    avail: dict[tuple[int, int], int] = {}
+    avail = [q[:] for q in queues]
+    dst_idx, delivered = state.dst_idx, state.delivered
     for u, _negd, _vid, y, v, cap in wins:
-        a = avail.get((u, y))
-        if a is None:
-            a = queues[y][u]
+        left = avail[y]
+        a = left[u]
         send = cap if cap < a else a
         if send > 0:
-            moves.append((y, u, v, send))
-        avail[u, y] = a - send
-    dst_idx, delivered = state.dst_idx, state.delivered
-    for y, u, v, send in moves:
-        queue = queues[y]
-        queue[u] -= send
-        if v == dst_idx[y]:
-            delivered[y] += send
-            state.backlog_now -= send
-        else:
-            queue[v] += send
+            left[u] = a - send
+            queue = queues[y]
+            queue[u] -= send
+            if v == dst_idx[y]:
+                delivered[y] += send
+                state.backlog_now -= send
+            else:
+                queue[v] += send
     return state
 
 

@@ -25,8 +25,10 @@ import pytest
 from lfbp import Network, OverloadVector, orient_by_ranking
 from lfbp.flow import CutPartition, FlowAllocation, FlowNetwork, MaxFlow
 from lfbp.graph import DEFAULT_RESCALE_EVERY, DagOrientation, InvariantViolation, Rational, as_rational
-from lfbp.overload import _fluid_arcs, lex_min_overload
+from lfbp.overload import lex_min_overload
 from lfbp.reversal import ReversalTrace, TraceEntry, _has_usable_entering, default_max_iters, reverse_toward
+
+from oracles import _fluid_arcs
 
 
 def _solve(nodes: Iterable, arcs: Iterable[tuple[object, object, Rational]], s, t) -> MaxFlow:

@@ -16,17 +16,13 @@ from math import lcm
 
 from lfbp import (
     Network,
-    brute_force_lex_min,
     converge,
     initial_dag,
-    is_acyclic,
-    lex_compare,
     lex_min_overload,
     max_flow,
     max_flow_undirected,
     orient_by_ranking,
     orient_explicit,
-    overloaded_set,
     reversal_step,
     run,
     smallest_min_cut,
@@ -37,6 +33,7 @@ from lfbp.protocol import mark_step
 from lfbp.sim import SimState, arrivals_step, bp_step
 
 from conftest import exhaustive_smallest_min_cut, random_network, random_orientation
+from oracles import brute_force_lex_min, is_acyclic, lex_compare, overloaded_set
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:

@@ -332,6 +332,31 @@ class TestSweep:
         sweep(config, ("bp", "lfbp"), b, jobs=1, horizon=300)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pool_never_larger_than_cell_count(self, tmp_path, monkeypatch):
+        # A recorder in place of the pool: it starts no process and maps in
+        # this one.
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        config = scenario_from_dict(minimal_doc(load_factors=[0.5, 1.0, 1.5], seeds=[1, 2, 3]))
+        reports = sweep(config, ("bp", "lfbp"), tmp_path / "a.csv", jobs=10_000, horizon=20)
+        assert len(reports) == 18 and sizes == [18]
+        sweep(config, ("bp",), tmp_path / "b.csv", jobs=4, horizon=20)
+        assert sizes == [18, 4]
+
     def test_trace_rows_written(self, tmp_path):
         config = scenario_from_dict(minimal_doc())
         out = tmp_path / "s.csv"
@@ -460,6 +485,41 @@ class TestMainVerbs:
         assert code == 1
         assert "validation error: --rho" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--scenario", "sixnode_fixed.scn", "--horizon", "-5"], "--horizon"),
+            (["run", "--scenario", "sixnode_fixed.scn", "--horizon", "0"], "--horizon"),
+            (["run", "--scenario", "sixnode_fixed.scn", "--horizon", "10", "--trace-bucket", "-3"], "--trace-bucket"),
+            (["sweep", "--scenario", "sixnode_fixed.scn", "--out", "x.csv", "--horizon", "-1"], "--horizon"),
+            (["sweep", "--scenario", "sixnode_fixed.scn", "--out", "x.csv", "--jobs", "0"], "--jobs"),
+            (["sweep", "--scenario", "sixnode_fixed.scn", "--out", "x.csv", "--trace-bucket", "-1"], "--trace-bucket"),
+            (["er-batch", "--samples", "0"], "--samples"),
+            (["er-batch", "--n-min", "30", "--n-max", "5"], "--n-max"),
+            (["er-batch", "--n-min", "1", "--n-max", "5"], "--n-min"),
+            (["er-batch", "--cap-min", "5", "--cap-max", "1"], "--cap-max"),
+            (["er-batch", "--cap-min", "0"], "--cap-min"),
+            (["er-batch", "--p", "0"], "--p"),
+            (["er-batch", "--p", "1.5"], "--p"),
+            (["er-batch", "--p", "nan"], "--p"),
+            (["er-batch", "--p", "inf"], "--p"),
+        ],
+    )
+    def test_nonsensical_number_exits_one_naming_flag(self, argv, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"validation error: {flag}: must be ")
+        assert captured.out == "" and not (tmp_path / "x.csv").exists()
+
+    def test_smallest_accepted_numbers_run(self, tmp_path, capsys):
+        assert cli.main(["run", "--scenario", "sixnode_fixed.scn", "--horizon", "1", "--trace-bucket", "0"]) == 0
+        assert cli.main(["er-batch", "--samples", "1", "--n-min", "2", "--n-max", "2", "--cap-min", "1",
+                         "--cap-max", "1", "--p", "1"]) == 0
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--scenario", "sixnode_fixed.scn", "--out", str(out), "--horizon", "1",
+                         "--jobs", "1"]) == 0
 
     def test_run_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -16,7 +16,6 @@ from lfbp import (
     check_state_consistency,
     grid_network,
     initial_dag,
-    is_acyclic,
     orient_by_ranking,
     orient_explicit,
     rescale_states,
@@ -25,6 +24,7 @@ from lfbp import (
 from lfbp.reversal import converge
 
 from conftest import random_network, random_orientation
+from oracles import is_acyclic
 
 
 def triangle():

@@ -11,19 +11,16 @@ from hypothesis import strategies as st
 
 from lfbp import (
     Network,
-    brute_force_lex_min,
     initial_dag,
-    lex_compare,
-    lex_key,
     lex_min_overload,
     max_flow,
     max_flow_undirected,
-    overloaded_set,
     smallest_min_cut,
 )
 from lfbp.flow import FlowNetwork
 
 from conftest import random_network, random_orientation, reference_lex_min_overload
+from oracles import brute_force_lex_min, lex_compare, lex_key, overloaded_set
 
 
 def chain(c1, c2):

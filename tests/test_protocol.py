@@ -14,7 +14,6 @@ from lfbp import (
     bp_step,
     epoch_reversal,
     initial_dag,
-    is_acyclic,
     lfbp_run,
     mark_step,
     max_flow,
@@ -28,6 +27,7 @@ from lfbp.cli import bundled_scenario
 from lfbp.reversal import reverse_toward
 
 from test_sim import make_config
+from oracles import is_acyclic
 
 
 def sixnode_net():

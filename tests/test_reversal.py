@@ -15,8 +15,6 @@ from lfbp import (
     check_state_consistency,
     converge,
     initial_dag,
-    is_acyclic,
-    lex_compare,
     lex_min_overload,
     max_flow,
     max_flow_undirected,
@@ -29,6 +27,7 @@ from lfbp.flow import ReversalFlow, delta_bound
 from lfbp.reversal import default_max_iters, reverse_toward
 
 from conftest import random_network, random_orientation, reference_converge, write_csv
+from oracles import is_acyclic, lex_compare
 
 
 def side_edge_instance():

@@ -12,14 +12,17 @@ from hypothesis import strategies as st
 
 from lfbp import (
     CommoditySpec,
+    LfbpParams,
     Network,
     SimState,
     TopologyProcess,
     apply_topology_event,
     arrivals_step,
     bp_step,
+    epoch_reversal,
     grid_network,
     initial_dag,
+    mark_step,
     orient_explicit,
     poisson_draw,
     run,
@@ -29,6 +32,7 @@ from lfbp.cli import ScenarioConfig, bundled_scenario, bundled_scenario_names, s
 from lfbp.sim import MAX_POISSON_MEAN, SUMMARY_FIELDS, poisson_cdf
 
 from conftest import random_orientation, reference_bp_step, reference_poisson_draw
+from oracles import is_acyclic
 
 
 def tiny_state(edges, directions, queues, *, ncom=1, commodities=None, policy="lfbp"):
@@ -194,6 +198,28 @@ class TestBpStep:
         assert state.delivered == [0, 5]
         assert state.queues[0][0] == 3
 
+    @pytest.mark.parametrize(
+        "ends, start",
+        [
+            (((0, 1), (1, 0)), ({0: 3}, {1: 3})),
+            (((0, 1), (0, 1)), ({0: 3}, {0: 3})),
+            (((1, 0), (0, 1)), ({1: 3}, {0: 3})),
+        ],
+        ids=["opposite-directions", "same-direction", "reverse-ties-forward"],
+    )
+    def test_two_commodity_tie_goes_to_commodity_0(self, ends, start):
+        # Equal differentials on the one link (0, 1): commodity 0 wins,
+        # whichever direction either commodity wants.
+        specs = [CommoditySpec(y, src, dst, 0.0) for y, (src, dst) in enumerate(ends)]
+        state = SimState(Network.build([0, 1], [(0, 1, 5)], 0, 1), specs, "bp", 1.0, 0)
+        for queue, per_node in zip(state.queues, start):
+            for node, amount in per_node.items():
+                queue[node] = amount
+        state.backlog_now = 6
+        bp_step(state)
+        assert state.delivered == [3, 0]
+        assert sum(state.queues[1]) == 3 and state.backlog_now == 3
+
     def test_bidirected_bp_policy_uses_both_directions(self):
         net = Network.build([0, 1, 2], [(0, 1, 2), (1, 2, 2)], 0, 2)
         specs = [CommoditySpec(0, 0, 2, 0.0)]
@@ -265,6 +291,42 @@ class TestBpStepAgainstReference:
         assert (contended > 100) if qmax == 2 else (contended < 50)
 
 
+class TestLockstepWithChurn:
+    @pytest.mark.parametrize("policy", ["bp", "lfbp"])
+    def test_several_commodities_match_reference_every_slot(self, policy):
+        # Three commodities on a grid whose links fail and recover: every
+        # slot runs arrivals, marking, reversals and topology identically on
+        # two states, one stepped by ``bp_step`` and one by the reference.
+        net = grid_network(4, 4, 6)
+        commodities = [CommoditySpec(0, 1, 16, 3.6), CommoditySpec(1, 4, 13, 3.5), CommoditySpec(2, 5, 8, 4.9)]
+        dags = [initial_dag(net) for _ in commodities] if policy == "lfbp" else None
+        params = LfbpParams(thresholds=(50,))
+        states = [
+            SimState(net, commodities, policy, 1.0, 3, topology=TopologyProcess(0.05, 0.3), initial_dags=dags)
+            for _ in range(2)
+        ]
+        for state in states:
+            state.epoch_left = params.period(0)
+        for t in range(2_000):
+            for state, step in zip(states, (bp_step, reference_bp_step)):
+                arrivals_step(state)
+                step(state)
+                if policy == "lfbp":
+                    mark_step(state, params)
+                    state.epoch_left -= 1
+                    if state.epoch_left <= 0:
+                        epoch_reversal(state, params)
+                topology_step(state)
+                state.t = t + 1
+            state, reference = states
+            assert state.queues == reference.queues, f"slot {t + 1}"
+            assert state.delivered == reference.delivered
+            assert state.backlog_now == reference.backlog_now
+        assert state.topo_events >= 20
+        if policy == "lfbp":
+            assert state.reversal_events >= 1
+
+
 class TestTopology:
     def test_zero_probabilities_keep_topology(self):
         net = grid_network(3, 3, 2)
@@ -306,8 +368,6 @@ class TestTopology:
         assert abs(report.live_fraction - 10 / 11) < 0.02
 
     def test_events_preserve_per_commodity_acyclicity(self):
-        from lfbp import is_acyclic
-
         net = grid_network(3, 3, 2)
         config = make_config(
             net,
