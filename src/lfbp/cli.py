@@ -48,6 +48,7 @@ from .graph import (
     DEFAULT_RESCALE_EVERY,
     InvariantViolation,
     Network,
+    SamplingError,
     as_rational,
     erdos_renyi_network,
     orient_by_ranking,
@@ -617,14 +618,17 @@ def main(argv=None) -> int:
             )
             print(f"wrote {len(reports)} summary rows to {args.out}")
         elif args.command == "er-batch":
-            stats = er_batch(
-                args.samples,
-                (args.n_min, args.n_max),
-                args.p,
-                (args.cap_min, args.cap_max),
-                seed=args.seed,
-                out_path=args.out,
-            )
+            try:
+                stats = er_batch(
+                    args.samples,
+                    (args.n_min, args.n_max),
+                    args.p,
+                    (args.cap_min, args.cap_max),
+                    seed=args.seed,
+                    out_path=args.out,
+                )
+            except SamplingError as exc:  # whether p is too small depends on n
+                raise ValidationError(f"--p: too small, {exc}") from exc
             print(
                 f"samples={stats['samples']} mean_iterations={stats['mean_iterations']:.3f} "
                 f"max_iterations={stats['max_iterations']}"

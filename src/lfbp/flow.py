@@ -8,12 +8,13 @@ iteration counts.
 
 A ``FlowNetwork`` holds one network's integer arc structure (node index,
 twin arc pairs, heads and adjacency) apart from its capacities, and its
-``solve`` runs Dinic on any integer capacity vector over those arcs.  The
-max-flows of a ``Network`` and of its orientations all use one layout, one
-twin pair ``2e``/``2e + 1`` per positive-capacity edge, filled both ways
-round or toward each live link's head.  ``ReversalFlow`` keeps one such flow
-warm across link reversals: turning around links that carry no flow keeps
-it feasible, so each later min-cut continues Dinic from the last residual.
+``solve`` runs Dinic on any integer capacity vector over those arcs.  A
+``Network`` builds one layout on its first max-flow and keeps it: one twin
+pair ``2e``/``2e + 1`` per positive-capacity edge, which its max-flows and
+those of its orientations fill both ways round or toward each live link's
+head.  ``ReversalFlow`` keeps one such flow warm across link reversals:
+turning around links that carry no flow keeps it feasible, so each later
+min-cut continues Dinic from the last residual.
 """
 from __future__ import annotations
 
@@ -59,32 +60,15 @@ class FlowNetwork:
 
     Arc ``k``'s twin ``k ^ 1`` runs the other way; ``head[k]`` is the index
     of arc ``k``'s head and ``adj[i]`` lists the arcs leaving node ``i``.
-    ``arc`` maps ``(tail, head)`` to its arc id for the pairs ``pair`` added;
-    the edge-indexed networks of ``_edge_flow`` leave it empty.
     """
 
-    __slots__ = ("nodes", "index", "arc", "head", "adj")
+    __slots__ = ("nodes", "index", "head", "adj")
 
     def __init__(self, nodes: Iterable):
         self.nodes = list(nodes)
         self.index = {n: i for i, n in enumerate(self.nodes)}
-        self.arc: dict = {}
         self.head: list[int] = []
         self.adj: list[list[int]] = [[] for _ in self.nodes]
-
-    def pair(self, u, v) -> int:
-        """The id of arc u -> v, adding the twin pair if it is missing."""
-        k = self.arc.get((u, v))
-        if k is None:
-            k = len(self.head)
-            self.arc[(u, v)] = k
-            self.arc[(v, u)] = k + 1
-            iu, iv = self.index[u], self.index[v]
-            self.head.append(iv)
-            self.head.append(iu)
-            self.adj[iu].append(k)
-            self.adj[iv].append(k + 1)
-        return k
 
     def solve(self, res: list[int], s, t, scale: int) -> "MaxFlow":
         """Dinic's blocking-flow max-flow on the integer capacities ``res``
@@ -134,6 +118,10 @@ class MaxFlow:
                 nodes = self._net.nodes
                 self.source_side: frozenset = frozenset(nodes[i] for i in queue)
                 break
+            top = level[ti]  # the BFS stopped there: the sink's peers are dead ends
+            while level[queue[-1]] == top:
+                level[queue.pop()] = -1
+            level[ti] = top
             self._total += _blocking_flow(adj, head, res, level, si, ti)
         total, scale = self._total, self.scale
         self.value: Rational = total if scale == 1 else Fraction(total, scale)
@@ -159,38 +147,45 @@ class MaxFlow:
         return self._cap[k] - self._res[k]
 
 
-def _edge_flow(net: Network, src, dst, heads=None) -> tuple[MaxFlow, list[Edge]]:
-    """Max-flow over ``net``'s edges: one twin pair ``2e``/``2e + 1`` per
-    positive-capacity edge ``e``, in ``net.capacity`` order, where arc ``2e``
-    runs from the edge's first endpoint to its second.
+def _edge_layout(net: Network) -> tuple[FlowNetwork, list[Edge], list[Rational], bool]:
+    """``net``'s arcs, one twin pair ``2e``/``2e + 1`` per positive-capacity
+    edge ``e`` in ``net.capacity`` order, arc ``2e`` from the edge's first
+    endpoint to its second: the ``FlowNetwork``, the edges, their capacities
+    and whether all are ``int``.  Kept in ``net.__dict__``, outside the
+    fields that ``==``, ``repr`` and ``dataclasses.replace`` use."""
+    layout = net.__dict__.get("_edge_layout")
+    if layout is None:
+        fn = FlowNetwork(net.nodes)
+        index, head, adj = fn.index, fn.head, fn.adj
+        edges = [edge for edge, c in net.capacity.items() if c > 0]
+        caps = [net.capacity[edge] for edge in edges]
+        for e, (i, j) in enumerate(edges):
+            i, j = index[i], index[j]
+            head += (j, i)
+            adj[i].append(2 * e)
+            adj[j].append(2 * e + 1)
+        layout = fn, edges, caps, all(type(c) is int for c in caps)
+        net.__dict__["_edge_layout"] = layout
+    return layout
 
-    Every edge is usable both ways round or, given an orientation's
-    ``heads``, only toward its head while live.  Capacities are scaled by the
-    LCM of the usable edges' denominators.  Returns the flow and the edges.
-    """
-    capacity = net.capacity
-    scale = math.lcm(*{capacity[e].denominator for e in (capacity if heads is None else heads)})
-    fn = FlowNetwork(net.nodes)
-    index, head, adj = fn.index, fn.head, fn.adj
-    edges: list[Edge] = []
-    res: list[int] = []
-    for edge, c in capacity.items():
-        if c <= 0:
-            continue
-        i, j = index[edge[0]], index[edge[1]]
-        adj[i].append(len(head))
-        head.append(j)
-        adj[j].append(len(head))
-        head.append(i)
-        edges.append(edge)
-        if scale != 1 or type(c) is not int:
-            c = c.numerator * (scale // c.denominator)
-        if heads is None:
-            res += (c, c)
-        elif edge in heads:
-            res += (c, 0) if heads[edge] == edge[1] else (0, c)
-        else:
-            res += (0, 0)  # a dead link
+
+def _edge_flow(net: Network, src, dst, heads=None) -> tuple[MaxFlow, list[Edge]]:
+    """Max-flow over the arcs of ``_edge_layout``, each edge usable both ways
+    round or, given an orientation's ``heads``, only toward its head while
+    live, with capacities scaled by the LCM of the usable edges' denominators."""
+    fn, edges, caps, whole = _edge_layout(net)
+    scale = 1
+    if not whole:
+        capacity = net.capacity
+        scale = math.lcm(*{capacity[e].denominator for e in (capacity if heads is None else heads)})
+        caps = [c.numerator * (scale // c.denominator) for c in caps]
+    if heads is None:
+        res = [x for c in caps for x in (c, c)]
+    else:
+        res = []
+        for edge, c in zip(edges, caps):
+            head = heads.get(edge)  # None for a dead link
+            res += (c if head == edge[1] else 0, c if head == edge[0] else 0)
     return fn.solve(res, src, dst, scale), edges
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -22,6 +21,10 @@ DEFAULT_RESCALE_EVERY = 32
 
 class InvariantViolation(RuntimeError):
     """An internal consistency guarantee was broken; indicates a bug."""
+
+
+class SamplingError(RuntimeError):
+    """A random-graph sampler found no graph meeting its condition."""
 
 
 def edge_key(i: int, j: int) -> Edge:
@@ -70,10 +73,11 @@ class Network:
                 raise ValueError(f"self-loop on node {i}")
             if i not in node_set or j not in node_set:
                 raise ValueError(f"edge {{{i},{j}}} references unknown node")
-            key = edge_key(i, j)
+            key = (i, j) if i < j else (j, i)
             if key in capacity:
                 raise ValueError(f"duplicate edge {{{i},{j}}}")
-            cap = as_rational(cap)
+            if type(cap) is not int:
+                cap = as_rational(cap)
             if cap < 0:
                 raise ValueError(f"negative capacity {cap} on edge {{{i},{j}}}")
             capacity[key] = cap
@@ -82,13 +86,6 @@ class Network:
     @property
     def edges(self) -> list[Edge]:
         return sorted(self.capacity)
-
-    def neighbors(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for i, j in self.capacity:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -307,31 +304,36 @@ def erdos_renyi_network(
     max_tries: int = 1000,
 ) -> Network:
     """Sample an ER graph with uniform integer capacities; resample until the
-    source (node 0) and destination (node n-1) are connected."""
+    source (node 0) and destination (node n-1) are connected.  Capacities are
+    drawn inline as CPython's ``rng.randint(cap_low, cap_high)`` draws them,
+    leaving the same stream and ``rng`` state."""
     if n < 2:
         raise ValueError("need at least two nodes")
+    if cap_low > cap_high:
+        raise ValueError(f"empty capacity range [{cap_low}, {cap_high}]")
+    draw, getrandbits = rng.random, rng.getrandbits
+    width = cap_high - cap_low + 1
+    bits = width.bit_length()
     for _ in range(max_tries):
         edges = []
+        adj: list[list[int]] = [[] for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                if rng.random() < p:
-                    edges.append((i, j, rng.randint(cap_low, cap_high)))
+                if draw() < p:
+                    r = getrandbits(bits)
+                    while r >= width:
+                        r = getrandbits(bits)
+                    edges.append((i, j, cap_low + r))
+                    adj[i].append(j)
+                    adj[j].append(i)
         net = Network.build(range(n), edges, 0, n - 1)
-        if not require_connected or _connects(net, 0, n - 1):
+        seen = [True] + [False] * (n - 1)  # reached from the source
+        queue = [0]
+        for u in queue:
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    queue.append(v)
+        if not require_connected or seen[n - 1]:
             return net
-    raise RuntimeError(f"no s-d connected sample after {max_tries} tries")
-
-
-def _connects(net: Network, s: int, d: int) -> bool:
-    adj = net.neighbors()
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == d:
-            return True
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return False
+    raise SamplingError(f"no s-d connected sample of n={n} at p={p} after {max_tries} tries")

@@ -69,8 +69,19 @@ def lex_min_overload(dag: DagOrientation, rate: Rational) -> OverloadVector:
     supply = rate.numerator * (base // rate.denominator)
     SRC, SINK = object(), object()
     aux = FlowNetwork(inner + [SRC, SINK])
-    feed = {n: aux.pair(SRC, n) for n in inner}
-    leak = {n: aux.pair(n, SINK) for n in inner}
+    index, head, adj = aux.index, aux.head, aux.adj
+    m = len(inner)
+    # Arc 2i feeds inner node i from the super-source (index m), arc 2(m + i)
+    # leaks it into the super-sink (m + 1); the links between inner nodes follow.
+    for i in range(m):
+        head += (i, m)
+        adj[i] += (2 * i + 1, 2 * (m + i))
+    for i in range(m):
+        head += (m + 1, i)
+    adj[m] += range(0, 2 * m, 2)
+    adj[m + 1] += range(2 * m + 1, 4 * m, 2)
+    feed = {n: 2 * i for i, n in enumerate(inner)}
+    leak = {n: k + 2 * m for n, k in feed.items()}
     absorb = dict.fromkeys(inner, 0)
     out = {n: [] for n in inner}  # (arc id, head, capacity) of links between inner nodes
     links = []  # (tail, head, capacity, arc id or None) per live link, 0 out of dest
@@ -80,7 +91,11 @@ def lex_min_overload(dag: DagOrientation, rate: Rational) -> OverloadVector:
         if v == dest:
             absorb[u] += c
         elif u != dest:
-            k = aux.pair(u, v)
+            k = len(head)
+            iu, iv = index[u], index[v]
+            head += (iv, iu)
+            adj[iu].append(k)
+            adj[iv].append(k + 1)
             out[u].append((k, v, c))
         links.append((u, v, c, k))
     zero = [0] * len(aux.head)

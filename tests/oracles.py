@@ -4,15 +4,20 @@
 vector on small instances, ``lex_key``/``lex_compare`` order vectors by
 their sorted-descending components, ``overloaded_set`` is the smallest
 min-cut when a rate exceeds an orientation's max-flow, and ``is_acyclic``
-checks an orientation by topological sort.
+checks an orientation by topological sort.  ``erdos_renyi_network`` is the
+random-graph sampler as it was while it drew each capacity with
+``rng.randint``, the reference for the sampler that draws the same stream
+inline.
 """
 from __future__ import annotations
 
+import random
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from lfbp.flow import FlowAllocation, smallest_min_cut
-from lfbp.graph import DagOrientation, InvariantViolation, Rational, as_rational, topological_order
+from lfbp.graph import DagOrientation, InvariantViolation, Network, Rational, as_rational, topological_order
 from lfbp.overload import OverloadVector
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -182,3 +187,47 @@ def is_acyclic(dag: DagOrientation) -> bool:
     """True iff the live directed graph admits a topological ordering."""
     pairs = [dag.direction(e) for e in dag.heads]
     return topological_order(dag.net.nodes, pairs) is not None
+
+
+def erdos_renyi_network(
+    n: int,
+    p: float,
+    rng: random.Random,
+    cap_low: int = 1,
+    cap_high: int = 10,
+    require_connected: bool = True,
+    max_tries: int = 1000,
+) -> Network:
+    """Sample an ER graph with uniform integer capacities; resample until the
+    source (node 0) and destination (node n-1) are connected."""
+    if n < 2:
+        raise ValueError("need at least two nodes")
+    for _ in range(max_tries):
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    edges.append((i, j, rng.randint(cap_low, cap_high)))
+        net = Network.build(range(n), edges, 0, n - 1)
+        if not require_connected or _connects(net, 0, n - 1):
+            return net
+    raise RuntimeError(f"no s-d connected sample after {max_tries} tries")
+
+
+def _connects(net: Network, s: int, d: int) -> bool:
+    # Network.neighbors, which only this check called, inlined.
+    adj: dict[int, list[int]] = {n: [] for n in net.nodes}
+    for i, j in net.capacity:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {s}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        if u == d:
+            return True
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return False

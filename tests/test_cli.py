@@ -536,6 +536,15 @@ class TestMainVerbs:
         assert out.exists()
         assert "mean_iterations" in capsys.readouterr().out
 
+    def test_p_too_small_for_the_graph_size_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["er-batch", "--p", "0.0001", "--n-min", "30", "--n-max", "30", "--samples", "1"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error: --p: ")
+        assert "n=30" in captured.err and "1000 tries" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_sweep_verb(self, tmp_path):
         src = tmp_path / "mini.scn"
         src.write_text(json.dumps(minimal_doc()))

@@ -2,14 +2,20 @@
 from __future__ import annotations
 
 import math
+import pickle
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfbp import (
     DagOrientation,
     Network,
     delta_bound,
+    erdos_renyi_network,
     initial_dag,
     max_flow,
     max_flow_undirected,
@@ -17,9 +23,13 @@ from lfbp import (
     orient_explicit,
     smallest_min_cut,
 )
-from lfbp.flow import FlowNetwork
+
+from lfbp.flow import MaxFlow, _edge_layout
 
 from conftest import (
+    PairedFlowNetwork,
+    ReferenceMaxFlow,
+    _arc_network,
     _solve,
     brute_force_max_flow,
     cut_capacity,
@@ -203,7 +213,7 @@ class TestFlowNetworkResolve:
     def test_two_capacity_vectors_in_a_row(self, rng):
         for _ in range(200):
             nodes, arcs, s, t = random_arcs(rng)
-            network = FlowNetwork(nodes)
+            network = PairedFlowNetwork(nodes)
             for u, v, _ in arcs:
                 network.pair(u, v)
             redrawn = [(u, v, rng.choice((0, 1, 3, Fraction(5, 2), Fraction(rng.randint(1, 9), 4)))) for u, v, _ in arcs]
@@ -216,12 +226,93 @@ class TestFlowNetworkResolve:
                 assert got.maximal_source_side() == want.maximal_source_side()
 
     def test_pair_returns_the_twin_for_the_reverse_arc(self):
-        network = FlowNetwork(["a", "b", "c"])
+        network = PairedFlowNetwork(["a", "b", "c"])
         k = network.pair("a", "b")
         assert network.pair("a", "b") == k
         assert network.pair("b", "a") == k ^ 1
         assert network.pair("b", "c") == k + 2
         assert len(network.head) == 4
+
+
+class TestPrunedKernel:
+    """Dropping the other nodes at the sink's level before each blocking flow
+    leaves the same augmenting paths: the residual, the value and both
+    min-cut sides equal those of the kernel without the pruning."""
+
+    @staticmethod
+    def both(net, res, scale, s, t):
+        si, ti = net.index[s], net.index[t]
+        return MaxFlow(net, res[:], si, ti, scale), ReferenceMaxFlow(net, res[:], si, ti, scale)
+
+    def assert_same(self, got, want):
+        assert got._res == want._res
+        assert (type(got.value), got.value) == (type(want.value), want.value)
+        assert got.source_side == want.source_side
+        assert got.maximal_source_side() == want.maximal_source_side()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_residual_on_arc_lists(self, data):
+        n = data.draw(st.integers(2, 10))
+        capacity = st.one_of(
+            st.just(0), st.integers(1, 9), st.fractions(min_value=0, max_value=9, max_denominator=6)
+        )
+        arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), capacity).filter(lambda a: a[0] != a[1])
+        arcs = data.draw(st.lists(arc, max_size=4 * n))
+        s, t = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        self.assert_same(*self.both(*_arc_network(range(n), arcs), s, t))
+
+    def test_same_residual_on_er_graphs(self):
+        rng = random.Random(0xD1C)
+        for _ in range(12):
+            net = erdos_renyi_network(rng.randint(20, 60), rng.choice((0.1, 0.3, 0.5)), rng)
+            arcs = [(i, j, c) for (i, j), c in net.capacity.items()]
+            arcs += [(j, i, c) for i, j, c in arcs]
+            self.assert_same(*self.both(*_arc_network(sorted(net.nodes), arcs), net.source, net.dest))
+
+
+class TestEdgeLayout:
+    """Each ``Network`` builds its edge-indexed arcs once, on its first
+    max-flow, and keeps them outside its dataclass fields."""
+
+    def test_built_once_and_shared_by_orientations(self):
+        net = sixnode()
+        max_flow_undirected(net)
+        layout = _edge_layout(net)
+        smallest_min_cut(initial_dag(net))
+        max_flow(initial_dag(net))
+        optimal_dag(net)
+        assert _edge_layout(net) is layout
+
+    def test_replaced_and_equal_networks_get_their_own(self):
+        net = sixnode()
+        assert max_flow_undirected(net) == 15
+        halved = replace(net, capacity={e: Fraction(c, 2) for e, c in net.capacity.items()})
+        assert "_edge_layout" not in vars(halved)
+        assert max_flow_undirected(halved) == Fraction(15, 2)
+        assert smallest_min_cut(initial_dag(halved)).capacity == smallest_min_cut(initial_dag(net)).capacity / 2
+        twin = sixnode()
+        assert twin == net and max_flow_undirected(twin) == 15
+        layouts = [_edge_layout(x) for x in (net, halved, twin)]
+        assert len({id(layout[0]) for layout in layouts}) == 3
+
+    def test_repr_and_equality_ignore_the_layout(self):
+        net, fresh = sixnode(), sixnode()
+        before = repr(net)
+        max_flow(initial_dag(net))
+        assert "_edge_layout" in vars(net)
+        assert repr(net) == before == repr(fresh)
+        assert net == fresh and fresh == net
+
+    def test_pickle_round_trip_gives_equal_flows(self):
+        net = sixnode()
+        dag = initial_dag(net)
+        want = max_flow(dag)
+        copy = pickle.loads(pickle.dumps(net))
+        assert copy == net
+        assert max_flow_undirected(copy) == max_flow_undirected(net)
+        assert max_flow(initial_dag(copy)) == want
+        assert smallest_min_cut(initial_dag(copy)) == smallest_min_cut(dag)
 
 
 class TestMaxFlowUndirected:

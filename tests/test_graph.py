@@ -14,6 +14,7 @@ from lfbp import (
     Network,
     apply_topology_event,
     check_state_consistency,
+    erdos_renyi_network,
     grid_network,
     initial_dag,
     orient_by_ranking,
@@ -23,6 +24,7 @@ from lfbp import (
 )
 from lfbp.reversal import converge
 
+import oracles
 from conftest import random_network, random_orientation
 from oracles import is_acyclic
 
@@ -239,3 +241,41 @@ def test_ranking_orientation_is_acyclic(n, seed):
     dag = orient_by_ranking(net, {node: ranking[i] for i, node in enumerate(sorted(net.nodes))})
     assert is_acyclic(dag)
     check_state_consistency(dag)
+
+
+class TestErdosRenyiStream:
+    """The sampler draws each capacity inline as ``rng.randint`` would: the
+    same networks, edges in the same order, and the same generator state
+    afterwards as the sampler that called ``randint``."""
+
+    @staticmethod
+    def sample(sampler, n, p, rng, **kwargs):
+        try:
+            net = sampler(n, p, rng, **kwargs)
+        except RuntimeError:  # no connected sample within max_tries
+            return None
+        return list(net.capacity.items()), net
+
+    @given(
+        n=st.integers(2, 30),
+        p=st.floats(0, 1, exclude_min=True),
+        cap_low=st.integers(0, 6),
+        width=st.sampled_from([1, 8, 9, 16]),
+        connected=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_networks_and_state_as_randint(self, n, p, cap_low, width, connected, seed):
+        kwargs = dict(cap_low=cap_low, cap_high=cap_low + width - 1, require_connected=connected, max_tries=20)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        got = self.sample(erdos_renyi_network, n, p, ours, **kwargs)
+        want = self.sample(oracles.erdos_renyi_network, n, p, theirs, **kwargs)
+        assert got == want
+        assert ours.getstate() == theirs.getstate()
+
+    def test_empty_capacity_range_rejected_up_front(self):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="empty capacity range"):
+            erdos_renyi_network(5, 0.5, rng, cap_low=4, cap_high=3)
+        assert rng.getstate() == state

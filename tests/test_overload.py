@@ -1,6 +1,7 @@
 """Lexicographic overload vectors: production algorithm vs the grid oracle."""
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from lfbp import (
     Network,
+    erdos_renyi_network,
     initial_dag,
     lex_min_overload,
     max_flow,
@@ -286,6 +288,27 @@ class TestAgainstReference:
         # The instances must exercise several peels and non-integral densities.
         assert peels >= 60
         assert fractional_levels >= 120
+
+    def test_er_graphs_equal_reference_and_pinned_flows(self):
+        # The rates against the reference solver, and the rates and inducing
+        # flows (types included) against a digest of what lex_min_overload
+        # returned before its auxiliary network was built in bulk.
+        digest = hashlib.sha256()
+        rng = random.Random(0xE12)
+        for case in range(8):
+            net = erdos_renyi_network(rng.randint(20, 60), rng.choice((0.15, 0.3, 0.5)), rng)
+            dag = random_orientation(rng, net)
+            fk = max_flow(dag).value
+            for rate in (fk, max_flow_undirected(net), fk + Fraction(rng.randint(1, 40), rng.randint(1, 4))):
+                got = lex_min_overload(dag, rate)
+                want = reference_lex_min_overload(dag, rate)
+                assert typed(got.rates) == typed(want.rates), (case, rate)
+                got_value, want_value = got.inducing_flow.value, want.inducing_flow.value
+                assert (type(got_value), got_value) == (type(want_value), want_value), (case, rate)
+                check_inducing_flow(dag, rate, got)
+                digest.update(repr([(e, type(f).__name__, f) for e, f in got.inducing_flow.flow.items()]).encode())
+                digest.update(repr(sorted((n, type(q).__name__, q) for n, q in got.rates.items())).encode())
+        assert digest.hexdigest() == "8eec490e7fe4f647a0e52c3679df1a67b4d5bf47a4f82497ea2f321c1d7aaa87"
 
     def test_at_most_two_solves_per_rate_value_and_one_more(self, monkeypatch):
         # One solve at tau = 0, then one per pair of nested cut sides: d
