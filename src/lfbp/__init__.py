@@ -1,95 +1,15 @@
-"""Loop-free backpressure routing over dynamically re-oriented DAGs."""
+"""Loop-free backpressure routing over dynamically re-oriented DAGs.
 
-from .graph import (
-    DagOrientation,
-    InvariantViolation,
-    Network,
-    apply_topology_event,
-    as_rational,
-    check_state_consistency,
-    erdos_renyi_network,
-    grid_network,
-    initial_dag,
-    orient_by_ranking,
-    orient_explicit,
-    rescale_states,
-    topological_order,
-    update_states_after_reversal,
-)
-from .flow import (
-    CutPartition,
-    FlowAllocation,
-    delta_bound,
-    max_flow,
-    max_flow_undirected,
-    optimal_dag,
-    smallest_min_cut,
-)
-from .overload import OverloadVector, lex_min_overload
-from .reversal import ReversalTrace, TraceEntry, converge, reversal_step, reverse_toward
-from .sim import CommoditySpec, MetricsReport, SimState, TopologyProcess, arrivals_step, bp_step, poisson_draw, run, topology_step
-from .protocol import LfbpParams, epoch_reversal, lfbp_run, mark_step
-from .cli import (
-    ScenarioConfig,
-    ValidationError,
-    bundled_scenario,
-    bundled_scenario_names,
-    er_batch,
-    load_scenario,
-    sweep,
-    write_scenario,
-)
+The package root re-exports the quick-start names; everything else lives in
+the submodules (``graph``, ``flow``, ``overload``, ``reversal``, ``sim``,
+``protocol``, ``cli``).
+"""
 
-__all__ = [
-    "CommoditySpec",
-    "CutPartition",
-    "DagOrientation",
-    "FlowAllocation",
-    "InvariantViolation",
-    "LfbpParams",
-    "MetricsReport",
-    "Network",
-    "OverloadVector",
-    "ReversalTrace",
-    "ScenarioConfig",
-    "SimState",
-    "TopologyProcess",
-    "TraceEntry",
-    "ValidationError",
-    "apply_topology_event",
-    "arrivals_step",
-    "as_rational",
-    "bp_step",
-    "bundled_scenario",
-    "bundled_scenario_names",
-    "check_state_consistency",
-    "converge",
-    "delta_bound",
-    "epoch_reversal",
-    "er_batch",
-    "erdos_renyi_network",
-    "grid_network",
-    "initial_dag",
-    "lex_min_overload",
-    "lfbp_run",
-    "load_scenario",
-    "mark_step",
-    "max_flow",
-    "max_flow_undirected",
-    "optimal_dag",
-    "orient_by_ranking",
-    "orient_explicit",
-    "poisson_draw",
-    "rescale_states",
-    "reversal_step",
-    "reverse_toward",
-    "run",
-    "smallest_min_cut",
-    "sweep",
-    "topological_order",
-    "topology_step",
-    "update_states_after_reversal",
-    "write_scenario",
-]
+from .graph import Network, initial_dag
+from .flow import max_flow, smallest_min_cut
+from .overload import lex_min_overload
+from .reversal import converge
+
+__all__ = ["Network", "converge", "initial_dag", "lex_min_overload", "max_flow", "smallest_min_cut"]
 
 __version__ = "0.1.0"

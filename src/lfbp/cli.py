@@ -11,8 +11,7 @@ Scenario files are versioned JSON documents (conventionally ``.scn``):
       "commodities": [{"id": 0, "source": 0, "dest": 2,
                        "rate": 15.0, "dummy_packets": 0}],
       "initial_dag": "by_id" | "optimal" | [[tail, head], ...],
-      "lfbp": {"thresholds": [60], "periods": [150, 50],
-               "delta": null, "rescale_every": 32},
+      "lfbp": {"thresholds": [60], "periods": [150, 50]},
       "topology": {"fail_prob": 1e-4, "recover_prob": 1e-3} | null,
       "dummy_scale": null | 500,
       "load_factors": [0.5],
@@ -45,7 +44,6 @@ from importlib import resources
 from pathlib import Path
 
 from .graph import (
-    DEFAULT_RESCALE_EVERY,
     InvariantViolation,
     Network,
     SamplingError,
@@ -63,7 +61,6 @@ from .sim import (
     MetricsReport,
     TopologyProcess,
     check_load,
-    initial_orientation,
     run,
 )
 
@@ -221,26 +218,17 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         lwhere = f"{where}.lfbp"
         thresholds = _field(raw, "thresholds", list, lwhere, [60])
         periods = _field(raw, "periods", list, lwhere, [50])
-        delta = raw.get("delta")
-        if delta is not None:
-            delta = _rational(delta, f"{lwhere}.delta")
-            # A smaller delta lets a state drop of 2^k * delta fall short of
-            # the span it must clear, and the run fails at a later reversal.
-            carried = initial_orientation(network, initial).delta
-            if delta < carried:
-                raise ValidationError(
-                    f"{lwhere}.delta: {delta} is below {carried}, the delta the initial orientation "
-                    "carries (its state span plus one)"
-                )
-        rescale_every = _field(raw, "rescale_every", int, lwhere, DEFAULT_RESCALE_EVERY)
-        if rescale_every < 0:
+        if raw.get("delta") is not None:
+            raise ValidationError(
+                f"{lwhere}.delta: no longer used (orientations are a node order); remove it or set it to null"
+            )
+        # Accepted for older files and ignored: orientations need no rescaling.
+        if _field(raw, "rescale_every", int, lwhere, 0) < 0:
             raise ValidationError(f"{lwhere}.rescale_every: must be nonnegative")
         try:
             lfbp_params = LfbpParams(
                 thresholds=tuple(_rational(t, f"{lwhere}.thresholds[{pos}]") for pos, t in enumerate(thresholds)),
                 periods=tuple(_int(p, f"{lwhere}.periods[{pos}]") for pos, p in enumerate(periods)),
-                delta=delta,
-                rescale_every=rescale_every,
             )
         except ValueError as exc:
             raise ValidationError(f"{lwhere}: {exc}") from exc
@@ -322,10 +310,6 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         else {
             "thresholds": [cap_repr(t) for t in config.lfbp_params.thresholds],
             "periods": list(config.lfbp_params.periods),
-            "delta": cap_repr(config.lfbp_params.delta)
-            if config.lfbp_params.delta is not None
-            else None,
-            "rescale_every": config.lfbp_params.rescale_every,
         },
         "topology": None
         if config.topology is None

@@ -381,14 +381,7 @@ def optimal_dag(net: Network) -> DagOrientation:
             heads[(i, j)] = i
         else:
             heads[(i, j)] = j if position[i] < position[j] else i
-    return DagOrientation(
-        net=net,
-        heads=heads,
-        states={n: position[n] for n in net.nodes},
-        version=0,
-        step=0,
-        delta=len(order) + 1,
-    )
+    return DagOrientation(net=net, heads=heads, states=position)
 
 
 def delta_bound(net: Network, method: str = "auto") -> Fraction:

@@ -2,8 +2,8 @@
 
 A ``Network`` is the ground-truth undirected topology.  A ``DagOrientation``
 assigns a direction to every currently-live link so that the directed graph
-is acyclic; per-node topological states keep newly appearing links orientable
-without global recomputation.
+is acyclic; a node order (each node's rank) keeps newly appearing links
+orientable without global recomputation.
 """
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from typing import Iterable, Iterator, Mapping
 
 Rational = int | Fraction
 Edge = tuple[int, int]  # canonical: (lo, hi)
-
-DEFAULT_RESCALE_EVERY = 32
 
 
 class InvariantViolation(RuntimeError):
@@ -93,19 +91,15 @@ class DagOrientation:
     """A direction assignment over the live links of a Network.
 
     ``heads`` maps each live undirected edge to the endpoint it points at;
-    dead edges are simply absent.  ``states`` give the per-node topological
-    state: every live directed edge goes from lower state to higher state.
-    ``step`` counts reversals since the last state rescale and feeds the
-    exponent of the state-update rule; ``version`` is a monotone sequence
-    number for traces.
+    dead edges are simply absent.  ``states`` is a node order: each node's
+    rank, 0..n-1, and every live directed edge goes from lower rank to
+    higher rank.  ``version`` is a monotone sequence number for traces.
     """
 
     net: Network
     heads: dict[Edge, int]
-    states: dict[int, Rational]
+    states: dict[int, int]
     version: int = 0
-    step: int = 0
-    delta: Rational = 1
 
     @property
     def live(self) -> frozenset[Edge]:
@@ -131,25 +125,20 @@ class DagOrientation:
         return frozenset((e[0], e[1]) if h == e[1] else (e[1], e[0]) for e, h in self.heads.items())
 
 
-def _span(values) -> Rational:
-    vals = list(values)
-    return max(vals) - min(vals) if vals else 0
-
-
 def orient_by_ranking(net: Network, ranking: Mapping[int, Rational]) -> DagOrientation:
     """Orient every edge from lower-ranked to higher-ranked endpoint.
 
-    Ranks double as the initial topological states, so they must be distinct.
+    The ranking values must be distinct; the orientation keeps each node's
+    position in their order as its rank.
     """
-    ranks = {n: ranking[n] for n in net.nodes}
-    if len(set(ranks.values())) != len(ranks):
+    order = sorted(net.nodes, key=ranking.__getitem__)
+    if len({ranking[n] for n in order}) != len(order):
         raise ValueError("ranking values must be distinct")
+    states = {n: pos for pos, n in enumerate(order)}
     heads = {}
     for i, j in net.capacity:
-        heads[(i, j)] = j if ranks[i] < ranks[j] else i
-    return DagOrientation(
-        net=net, heads=heads, states=ranks, version=0, step=0, delta=_span(ranks.values()) + 1
-    )
+        heads[(i, j)] = j if states[i] < states[j] else i
+    return DagOrientation(net=net, heads=heads, states=states)
 
 
 def initial_dag(net: Network) -> DagOrientation:
@@ -173,10 +162,7 @@ def orient_explicit(net: Network, directed_pairs: Iterable[tuple[int, int]]) -> 
     order = topological_order(net.nodes, _directed_pairs(heads))
     if order is None:
         raise ValueError("explicit orientation contains a directed cycle")
-    states = {n: pos for pos, n in enumerate(order)}
-    return DagOrientation(
-        net=net, heads=heads, states=states, version=0, step=0, delta=len(order) + 1
-    )
+    return DagOrientation(net=net, heads=heads, states={n: pos for pos, n in enumerate(order)})
 
 
 def _directed_pairs(heads: Mapping[Edge, int]) -> list[tuple[int, int]]:
@@ -204,21 +190,8 @@ def topological_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) ->
     return order if len(order) == len(nodes) else None
 
 
-def check_state_consistency(dag: DagOrientation) -> None:
-    """Raise unless every live directed edge goes from lower to higher state."""
-    states = dag.states
-    if len(set(states.values())) != len(states):
-        raise InvariantViolation("topological states are not pairwise distinct")
-    for tail, head, _ in dag.directed_edges():
-        if not states[tail] < states[head]:
-            raise InvariantViolation(
-                f"edge ({tail},{head}) violates state order: "
-                f"x[{tail}]={states[tail]} >= x[{head}]={states[head]}"
-            )
-
-
 def apply_topology_event(dag: DagOrientation, action: str, edge: tuple[int, int]) -> DagOrientation:
-    """Remove a live edge, or add a dead one oriented by topological state."""
+    """Remove a live edge, or add a dead one oriented from lower to higher rank."""
     key = edge_key(*edge)
     if key not in dag.net.capacity:
         raise ValueError(f"edge {{{edge[0]},{edge[1]}}} is not part of the network")
@@ -235,41 +208,6 @@ def apply_topology_event(dag: DagOrientation, action: str, edge: tuple[int, int]
     else:
         raise ValueError(f"unknown topology action {action!r}")
     return replace(dag, heads=heads)
-
-
-def update_states_after_reversal(
-    dag: DagOrientation, overloaded: Iterable[int], k: int, delta: Rational
-) -> DagOrientation:
-    """Drop overloaded nodes' states by 2^k * delta; leave the rest unchanged."""
-    overloaded = set(overloaded)
-    if not overloaded:
-        return dag
-    drop = (2 ** k) * delta
-    states = {n: (x - drop if n in overloaded else x) for n, x in dag.states.items()}
-    return replace(dag, states=states, step=k)
-
-
-def rescale_states(dag: DagOrientation, divisor: Rational) -> DagOrientation:
-    """Shrink all states by a positive divisor, preserving their order.
-
-    Resets the reversal counter and picks a fresh delta exceeding the largest
-    rescaled state difference, so the update rule can start doubling anew.
-    """
-    if divisor <= 0:
-        raise ValueError(f"divisor must be positive, got {divisor}")
-    states = {n: Fraction(x) / divisor for n, x in dag.states.items()}
-    states = {n: as_rational(x) for n, x in states.items()}
-    return replace(dag, states=states, step=0, delta=_span(states.values()) + 1)
-
-
-def maybe_rescale(dag: DagOrientation, rescale_every: int = DEFAULT_RESCALE_EVERY) -> DagOrientation:
-    """Rescale automatically once enough reversals have accumulated."""
-    if rescale_every and dag.step >= rescale_every:
-        span = _span(dag.states.values())
-        n = max(len(dag.net.nodes), 1)
-        divisor = Fraction(span, n) if span > n else 1
-        return rescale_states(dag, divisor)
-    return dag
 
 
 def grid_network(

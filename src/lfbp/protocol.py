@@ -5,9 +5,9 @@ overloaded for the rest of the epoch.  When the epoch timer expires, each
 commodity's marked nodes split into components connected over live links,
 and the links entering a component from an unmarked node are reversed only
 when that component holds the commodity's source or no link of the
-commodity's DAG leaves it (a dead end).  The topological states are updated
-and all marks clear.  Only local queue information drives the decisions; the
-engine executes nodes synchronously.
+commodity's DAG leaves it (a dead end).  The reversed-toward nodes move below
+all others in the DAG's node order, and all marks clear.  Only local queue
+information drives the decisions; the engine executes nodes synchronously.
 
 Why the gate holds a reversal back: for a node set X holding neither source
 nor destination, reversing every link into X leaves no link entering X, so no
@@ -25,20 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DEFAULT_RESCALE_EVERY, Rational
 from .reversal import reverse_toward
 from . import sim
 
 
 @dataclass(frozen=True)
 class LfbpParams:
-    """Detection thresholds R_k, epoch lengths T_k (last value repeats), the
-    state-update constant, and the automatic rescale cadence."""
+    """Detection thresholds R_k and epoch lengths T_k (last value repeats)."""
 
     thresholds: tuple = (60,)
     periods: tuple[int, ...] = (50,)
-    delta: Rational | None = None
-    rescale_every: int = DEFAULT_RESCALE_EVERY
+    delta = None  # a class attribute, not a field: bench/workloads.py's traced replay reads it
 
     def __post_init__(self):
         if not self.thresholds or not self.periods:
@@ -113,7 +110,7 @@ def epoch_reversal(state: sim.SimState, params: LfbpParams) -> sim.SimState:
         if marked:
             commodity = state.commodities[y]
             toward = _reversible_marks(dag, marked, commodity.source)
-            new_dag, flips = reverse_toward(dag, toward, params.rescale_every)
+            new_dag, flips = reverse_toward(dag, toward)
             state.reversal_log.append(
                 (state.t, commodity.id, len(flips), tuple(sorted(marked)))
             )

@@ -14,16 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from .graph import (
-    DEFAULT_RESCALE_EVERY,
-    DagOrientation,
-    InvariantViolation,
-    Rational,
-    as_rational,
-    check_state_consistency,
-    maybe_rescale,
-    update_states_after_reversal,
-)
+from .graph import DagOrientation, InvariantViolation, Rational, as_rational
 from .flow import CutPartition, ReversalFlow, delta_bound, max_flow_undirected, smallest_min_cut
 from .overload import OverloadVector, lex_min_overload
 
@@ -52,13 +43,16 @@ class ReversalTrace:
         return sum(1 for e in self.entries if e.reversed_edges)
 
 
-def reverse_toward(dag: DagOrientation, overloaded: Iterable[int], rescale_every: int = DEFAULT_RESCALE_EVERY):
-    """Reverse all live links entering ``overloaded`` from outside, then update
-    the topological states.  Returns (new dag, reversed (tail, head) pairs).
+def reverse_toward(dag: DagOrientation, overloaded: Iterable[int]):
+    """Reverse all live links entering ``overloaded`` from outside, then move
+    the overloaded nodes below all others in the node order, each side
+    keeping its own order.  Returns (new dag, reversed (tail, head) pairs).
 
     Acyclicity survives for any node set: afterwards every boundary link
     leaves the set, so no cycle can cross it, and both sides are unchanged
-    inside.
+    inside.  The new order stays consistent with every link by construction:
+    a flipped link now runs from the set (low) to outside (high), and the
+    links within either side keep their order.
     """
     overloaded = set(overloaded)
     flips = []
@@ -70,17 +64,13 @@ def reverse_toward(dag: DagOrientation, overloaded: Iterable[int], rescale_every
             flips.append((tail, head))
     if not flips:
         return dag, ()
-    k = dag.step + 1
-    out = replace(dag, heads=heads, version=dag.version + 1)
-    out = update_states_after_reversal(out, overloaded, k, out.delta)
-    out = maybe_rescale(out, rescale_every)
-    check_state_consistency(out)
-    return out, tuple(sorted(flips))
+    order = sorted(dag.states, key=dag.states.__getitem__)
+    order = [n for n in order if n in overloaded] + [n for n in order if n not in overloaded]
+    states = {n: pos for pos, n in enumerate(order)}
+    return replace(dag, heads=heads, states=states, version=dag.version + 1), tuple(sorted(flips))
 
 
-def reversal_step(
-    dag: DagOrientation, rate: Rational, rescale_every: int = DEFAULT_RESCALE_EVERY
-):
+def reversal_step(dag: DagOrientation, rate: Rational):
     """One link-reversal iteration against the smallest min-cut.
 
     Returns (dag', reversed edges, cut).  When the rate is already supported
@@ -93,16 +83,16 @@ def reversal_step(
     directed cut values coincide, so nothing can improve and flipping dead
     wires would only churn the orientation without progress.
     """
-    return _step(dag, rate, smallest_min_cut(dag), rescale_every)
+    return _step(dag, rate, smallest_min_cut(dag))
 
 
-def _step(dag: DagOrientation, rate: Rational, cut: CutPartition, rescale_every: int):
+def _step(dag: DagOrientation, rate: Rational, cut: CutPartition):
     """``reversal_step`` against ``cut``, the smallest min-cut of ``dag``."""
     if as_rational(rate) <= cut.capacity:
         return dag, (), None
     if not _has_usable_entering(dag, cut.source_side):
         return dag, (), cut
-    new_dag, flips = reverse_toward(dag, cut.source_side, rescale_every)
+    new_dag, flips = reverse_toward(dag, cut.source_side)
     return new_dag, flips, cut
 
 
@@ -141,7 +131,6 @@ def converge(
     rate: Rational,
     max_iters: int | None = None,
     record_overload: bool = True,
-    rescale_every: int = DEFAULT_RESCALE_EVERY,
 ) -> ReversalTrace:
     """Iterate reversal steps until the orientation supports the rate or no
     link qualifies.  The trace keeps one entry per visited orientation."""
@@ -153,7 +142,7 @@ def converge(
     for _ in range(max_iters + 1):
         cut = flow.cut()
         overload = lex_min_overload(dag, rate) if record_overload else None
-        new_dag, flips, over = _step(dag, rate, cut, rescale_every)
+        new_dag, flips, over = _step(dag, rate, cut)
         overloaded = None if over is None else over.source_side
         entries.append(TraceEntry(dag.version, dag, cut.capacity, overloaded, flips, overload))
         if not flips:

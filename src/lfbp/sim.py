@@ -528,10 +528,6 @@ def run(
         record_arrivals=record_arrivals,
     )
     if policy == "lfbp":
-        if params.delta is not None:
-            from dataclasses import replace as _replace
-
-            state.dags = [_replace(d, delta=params.delta) for d in state.dags]
         state.epoch_left = params.period(0)
 
     buckets = []

@@ -10,23 +10,26 @@ network for every density guess, as the reference for the one built per call.
 The arc-list max-flow ``_solve`` serves the kernel tests and these references,
 and the earlier ``converge``, which solved every step's min-cut cold, is the
 reference for the one kept warm across steps.  ``ReferenceMaxFlow`` is the
-Dinic kernel before it pruned the dead ends at the sink's level.
+Dinic kernel before it pruned the dead ends at the sink's level.  The
+paper's numeric state rule (drop the reversed-toward nodes by 2^k * delta,
+rescale now and then) is kept on ``PaperStates`` as the reference for the
+node order that replaced it.
 """
 from __future__ import annotations
 
 import csv
 import math
 import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
 import pytest
 
-from lfbp import Network, OverloadVector, orient_by_ranking
 from lfbp.flow import CutPartition, FlowAllocation, FlowNetwork, MaxFlow
-from lfbp.graph import DEFAULT_RESCALE_EVERY, DagOrientation, InvariantViolation, Rational, as_rational
-from lfbp.overload import lex_min_overload
+from lfbp.graph import DagOrientation, InvariantViolation, Network, Rational, as_rational, orient_by_ranking
+from lfbp.overload import OverloadVector, lex_min_overload
 from lfbp.reversal import ReversalTrace, TraceEntry, _has_usable_entering, default_max_iters, reverse_toward
 
 from oracles import _fluid_arcs
@@ -206,7 +209,6 @@ def reference_converge(
     rate: Rational,
     max_iters: int | None = None,
     record_overload: bool = True,
-    rescale_every: int = DEFAULT_RESCALE_EVERY,
 ) -> ReversalTrace:
     """The earlier ``converge``: a cold max-flow on a fresh arc list for each
     step's smallest min-cut.  Iterate reversal steps until the orientation
@@ -229,7 +231,7 @@ def reference_converge(
                 TraceEntry(dag.version, dag, cut.capacity, cut.source_side, (), overload)
             )
             return ReversalTrace(entries)
-        new_dag, flips = reverse_toward(dag, cut.source_side, rescale_every)
+        new_dag, flips = reverse_toward(dag, cut.source_side)
         entries.append(
             TraceEntry(dag.version, dag, cut.capacity, cut.source_side, flips, overload)
         )
@@ -273,6 +275,74 @@ def write_csv(trace: ReversalTrace, path) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else ["k"])
         writer.writeheader()
         writer.writerows(rows)
+
+
+DEFAULT_RESCALE_EVERY = 32
+
+
+@dataclass(frozen=True)
+class PaperStates:
+    """Per-node topological states under the paper's update rule: ``step``
+    counts reversals since the last rescale and feeds the exponent of the
+    drop 2^k * delta."""
+
+    net: Network
+    states: dict[int, Rational]
+    step: int = 0
+    delta: Rational = 1
+
+
+def paper_states(net: Network, ranking: Mapping[int, Rational], delta: Rational | None = None) -> PaperStates:
+    """The states an orientation by ``ranking`` started from: the ranking
+    values themselves, with delta their span plus one unless given."""
+    states = {n: ranking[n] for n in net.nodes}
+    return PaperStates(net, states, 0, _span(states.values()) + 1 if delta is None else delta)
+
+
+def paper_reverse_toward(paper: PaperStates, overloaded, rescale_every: int = DEFAULT_RESCALE_EVERY) -> PaperStates:
+    """The states after a reversal toward ``overloaded`` that flipped a link."""
+    paper = update_states_after_reversal(paper, overloaded, paper.step + 1, paper.delta)
+    return maybe_rescale(paper, rescale_every)
+
+
+def _span(values) -> Rational:
+    vals = list(values)
+    return max(vals) - min(vals) if vals else 0
+
+
+def update_states_after_reversal(
+    dag: PaperStates, overloaded: Iterable[int], k: int, delta: Rational
+) -> PaperStates:
+    """Drop overloaded nodes' states by 2^k * delta; leave the rest unchanged."""
+    overloaded = set(overloaded)
+    if not overloaded:
+        return dag
+    drop = (2 ** k) * delta
+    states = {n: (x - drop if n in overloaded else x) for n, x in dag.states.items()}
+    return replace(dag, states=states, step=k)
+
+
+def rescale_states(dag: PaperStates, divisor: Rational) -> PaperStates:
+    """Shrink all states by a positive divisor, preserving their order.
+
+    Resets the reversal counter and picks a fresh delta exceeding the largest
+    rescaled state difference, so the update rule can start doubling anew.
+    """
+    if divisor <= 0:
+        raise ValueError(f"divisor must be positive, got {divisor}")
+    states = {n: Fraction(x) / divisor for n, x in dag.states.items()}
+    states = {n: as_rational(x) for n, x in states.items()}
+    return replace(dag, states=states, step=0, delta=_span(states.values()) + 1)
+
+
+def maybe_rescale(dag: PaperStates, rescale_every: int = DEFAULT_RESCALE_EVERY) -> PaperStates:
+    """Rescale automatically once enough reversals have accumulated."""
+    if rescale_every and dag.step >= rescale_every:
+        span = _span(dag.states.values())
+        n = max(len(dag.net.nodes), 1)
+        divisor = Fraction(span, n) if span > n else 1
+        return rescale_states(dag, divisor)
+    return dag
 
 
 def random_network(rng: random.Random, n_min=3, n_max=6, cap_max=4, p=0.5, max_edges=None):
@@ -332,7 +402,7 @@ def brute_force_max_flow(dag, src=None, dst=None, cap_limit=200_000):
     subject to conservation (no node ships more than it received), and keeps
     the best terminal delivery.  Independent of the residual-graph solver.
     """
-    from lfbp import topological_order
+    from lfbp.graph import topological_order
 
     net = dag.net
     src = net.source if src is None else src

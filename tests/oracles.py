@@ -3,8 +3,9 @@
 ``brute_force_lex_min`` is the grid-enumeration oracle for the overload
 vector on small instances, ``lex_key``/``lex_compare`` order vectors by
 their sorted-descending components, ``overloaded_set`` is the smallest
-min-cut when a rate exceeds an orientation's max-flow, and ``is_acyclic``
-checks an orientation by topological sort.  ``erdos_renyi_network`` is the
+min-cut when a rate exceeds an orientation's max-flow, ``is_acyclic``
+checks an orientation by topological sort, and ``check_state_consistency``
+checks that every live link runs from lower to higher state.  ``erdos_renyi_network`` is the
 random-graph sampler as it was while it drew each capacity with
 ``rng.randint``, the reference for the sampler that draws the same stream
 inline.
@@ -187,6 +188,19 @@ def is_acyclic(dag: DagOrientation) -> bool:
     """True iff the live directed graph admits a topological ordering."""
     pairs = [dag.direction(e) for e in dag.heads]
     return topological_order(dag.net.nodes, pairs) is not None
+
+
+def check_state_consistency(dag: DagOrientation) -> None:
+    """Raise unless every live directed edge goes from lower to higher state."""
+    states = dag.states
+    if len(set(states.values())) != len(states):
+        raise InvariantViolation("topological states are not pairwise distinct")
+    for tail, head, _ in dag.directed_edges():
+        if not states[tail] < states[head]:
+            raise InvariantViolation(
+                f"edge ({tail},{head}) violates state order: "
+                f"x[{tail}]={states[tail]} >= x[{head}]={states[head]}"
+            )
 
 
 def erdos_renyi_network(

@@ -14,23 +14,13 @@ import time
 from fractions import Fraction
 from math import lcm
 
-from lfbp import (
-    Network,
-    converge,
-    initial_dag,
-    lex_min_overload,
-    max_flow,
-    max_flow_undirected,
-    orient_by_ranking,
-    orient_explicit,
-    reversal_step,
-    run,
-    smallest_min_cut,
-)
 from lfbp.cli import bundled_scenario, er_batch, sweep
-from lfbp.flow import delta_bound
+from lfbp.flow import delta_bound, max_flow, max_flow_undirected, smallest_min_cut
+from lfbp.graph import Network, initial_dag, orient_by_ranking, orient_explicit
+from lfbp.overload import lex_min_overload
 from lfbp.protocol import mark_step
-from lfbp.sim import SimState, arrivals_step, bp_step
+from lfbp.reversal import converge, reversal_step
+from lfbp.sim import SimState, arrivals_step, bp_step, run
 
 from conftest import exhaustive_smallest_min_cut, random_network, random_orientation
 from oracles import brute_force_lex_min, is_acyclic, lex_compare, overloaded_set

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lfbp.cli as cli
-from lfbp import InvariantViolation, ValidationError, max_flow_undirected
 from lfbp.cli import (
     ScenarioConfig,
+    ValidationError,
     bundled_scenario,
     bundled_scenario_names,
     er_batch,
@@ -27,6 +27,8 @@ from lfbp.cli import (
     sweep,
     write_scenario,
 )
+from lfbp.flow import max_flow_undirected
+from lfbp.graph import InvariantViolation
 from lfbp.sim import SUMMARY_FIELDS
 
 
@@ -251,8 +253,8 @@ class TestSchemaFuzz:
         names = set()
         for name in bundled_scenario_names():
             names |= {field_name(p) for p in field_paths(scenario_to_dict(bundled_scenario(name)))}
-        assert {"nodes", "edges", "rate", "dummy_packets", "initial_dag", "thresholds", "delta",
-                "rescale_every", "fail_prob", "dummy_scale", "load_factors", "seeds"} <= names
+        assert {"nodes", "edges", "rate", "dummy_packets", "initial_dag", "thresholds",
+                "fail_prob", "dummy_scale", "load_factors", "seeds"} <= names
 
     @pytest.mark.parametrize(
         ("field", "value", "message"),
@@ -286,31 +288,32 @@ class TestSchemaFuzz:
 
 
 class TestLfbpDelta:
-    """A delta below the one the initial orientation carries fails the run
-    at a later reversal, so validation rejects it."""
+    """Orientations are a node order with nothing numeric to size, so
+    ``lfbp.delta`` must be null, and ``lfbp.rescale_every`` is checked and
+    then ignored; neither is written back."""
 
-    @pytest.mark.parametrize(("name", "carried"), [("sixnode_fixed.scn", 7), ("grid4x4.scn", 17)])
-    def test_below_initial_delta_rejected(self, name, carried):
-        for delta in (1, 0, -3, "1/1000", carried - 1, "33/2"):
+    @pytest.mark.parametrize("name", ["sixnode_fixed.scn", "grid4x4.scn"])
+    def test_non_null_delta_rejected(self, name):
+        for delta in (1, 0, -3, "1/1000", 17, 10**6, "x"):
             doc = scenario_to_dict(bundled_scenario(name))
             doc["lfbp"]["delta"] = delta
-            if Fraction(delta) >= carried:
-                continue
-            with pytest.raises(ValidationError, match=rf"lfbp\.delta: .* below {carried}"):
+            with pytest.raises(ValidationError, match=r"lfbp\.delta: no longer used"):
                 scenario_from_dict(doc)
 
-    @pytest.mark.parametrize(("name", "carried"), [("sixnode_fixed.scn", 7), ("grid4x4.scn", 17)])
-    def test_initial_delta_and_above_accepted(self, name, carried):
-        for delta in (carried, 100, 10**6):
-            doc = scenario_to_dict(bundled_scenario(name))
-            doc["lfbp"]["delta"] = delta
-            assert scenario_from_dict(doc).lfbp_params.delta == delta
+    @pytest.mark.parametrize("name", ["sixnode_fixed.scn", "grid4x4.scn"])
+    def test_null_delta_and_rescale_every_ignored(self, name):
+        config = bundled_scenario(name)
+        doc = scenario_to_dict(config)
+        assert "delta" not in doc["lfbp"] and "rescale_every" not in doc["lfbp"]
+        for every in (0, 1, 32):
+            doc["lfbp"].update(delta=None, rescale_every=every)
+            assert scenario_from_dict(doc) == config
 
     def test_delta_on_by_id_orientation(self):
-        # by_id on nodes 0..2 carries span 2 plus one
-        with pytest.raises(ValidationError, match=r"lfbp\.delta: 2 is below 3"):
+        with pytest.raises(ValidationError, match=r"lfbp\.delta: no longer used .* set it to null"):
             scenario_from_dict(minimal_doc(lfbp={"thresholds": [10], "periods": [20], "delta": 2}))
-        assert scenario_from_dict(minimal_doc(lfbp={"delta": 3})).lfbp_params.delta == 3
+        config = scenario_from_dict(minimal_doc(lfbp={"delta": None}))
+        assert config == scenario_from_dict(minimal_doc(lfbp={}))
 
 
 class TestSweep:

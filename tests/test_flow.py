@@ -11,20 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfbp import (
-    DagOrientation,
-    Network,
+from lfbp.flow import (
+    MaxFlow,
+    _edge_layout,
     delta_bound,
-    erdos_renyi_network,
-    initial_dag,
     max_flow,
     max_flow_undirected,
     optimal_dag,
-    orient_explicit,
     smallest_min_cut,
 )
-
-from lfbp.flow import MaxFlow, _edge_layout
+from lfbp.graph import DagOrientation, Network, erdos_renyi_network, initial_dag, orient_explicit
 
 from conftest import (
     PairedFlowNetwork,
@@ -320,7 +316,7 @@ class TestMaxFlowUndirected:
         assert max_flow_undirected(sixnode()) == 15
 
     def test_fully_failed_grid_is_zero(self):
-        from lfbp import grid_network, apply_topology_event
+        from lfbp.graph import apply_topology_event, grid_network
 
         net = grid_network(4, 4, 6)
         dag = initial_dag(net)
@@ -329,7 +325,7 @@ class TestMaxFlowUndirected:
         assert max_flow(dag).value == 0
 
     def test_grid_is_twelve(self):
-        from lfbp import grid_network
+        from lfbp.graph import grid_network
 
         assert max_flow_undirected(grid_network(4, 4, 6)) == 12
 
@@ -444,7 +440,7 @@ class TestDeltaBound:
     def test_auto_mode_switches_on_edge_count(self):
         small = Network.build(range(3), [(0, 1, 3), (1, 2, 5)], 0, 2)
         assert delta_bound(small) == delta_bound(small, method="exhaustive")
-        from lfbp import grid_network
+        from lfbp.graph import grid_network
 
         big = grid_network(4, 4, 6)  # 24 edges: exhaustive would be rejected
         assert delta_bound(big) == delta_bound(big, method="analytic") == 1

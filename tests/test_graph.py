@@ -1,4 +1,5 @@
-"""Network construction, orientations, topology events, and state upkeep."""
+"""Network construction, orientations, topology events, and the node order
+against the paper's numeric state rule."""
 from __future__ import annotations
 
 import random
@@ -8,25 +9,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfbp import (
+from lfbp.graph import (
     DagOrientation,
     InvariantViolation,
     Network,
     apply_topology_event,
-    check_state_consistency,
     erdos_renyi_network,
     grid_network,
     initial_dag,
     orient_by_ranking,
     orient_explicit,
+)
+from lfbp.reversal import converge, reverse_toward
+
+import oracles
+from conftest import (
+    paper_reverse_toward,
+    paper_states,
+    random_network,
+    random_orientation,
     rescale_states,
     update_states_after_reversal,
 )
-from lfbp.reversal import converge
-
-import oracles
-from conftest import random_network, random_orientation
-from oracles import is_acyclic
+from oracles import check_state_consistency, is_acyclic
 
 
 def triangle():
@@ -71,7 +76,7 @@ class TestInitialDag:
         assert dag.direction((2, 3)) == (2, 3)
         assert dag.direction((1, 3)) == (1, 3)
         assert dag.version == 0
-        assert dag.states == {1: 1, 2: 2, 3: 3}
+        assert dag.states == {1: 0, 2: 1, 3: 2}
 
     def test_single_edge(self):
         net = Network.build([5, 2], [(5, 2, 1)], 2, 5)
@@ -153,54 +158,71 @@ class TestTopologyEvents:
             check_state_consistency(dag)
 
 
+def rank_order(states) -> list:
+    """The nodes from lowest to highest state."""
+    return sorted(states, key=states.__getitem__)
+
+
+def state_heads(states, live) -> dict:
+    """Each live link pointed at its higher-state endpoint."""
+    return {(i, j): (j if states[i] < states[j] else i) for i, j in live}
+
+
 class TestStateUpdates:
+    """The paper's drop rule, kept on ``PaperStates`` as the reference."""
+
     def test_formula_direct_substitution(self):
         net = Network.build([1, 2, 3], [(1, 2, 1), (2, 3, 1)], 1, 3)
-        dag = initial_dag(net)  # states 1, 2, 3
-        out = update_states_after_reversal(dag, {1}, 1, 10)
+        paper = paper_states(net, {1: 1, 2: 2, 3: 3})
+        out = update_states_after_reversal(paper, {1}, 1, 10)
         assert out.states == {1: -19, 2: 2, 3: 3}
 
     def test_empty_set_is_identity(self):
-        dag = initial_dag(triangle())
-        assert update_states_after_reversal(dag, set(), 3, 10).states == dag.states
+        paper = paper_states(triangle(), {1: 1, 2: 2, 3: 3})
+        assert update_states_after_reversal(paper, set(), 3, 10).states == paper.states
 
     def test_doubling_keeps_overloaded_below_everyone(self):
-        dag = initial_dag(triangle())
+        paper = paper_states(triangle(), {1: 1, 2: 2, 3: 3})
         for k in range(1, 8):
-            dag = update_states_after_reversal(dag, {2}, k, dag.delta)
-            assert dag.states[2] < min(dag.states[1], dag.states[3])
+            paper = update_states_after_reversal(paper, {2}, k, paper.delta)
+            assert paper.states[2] < min(paper.states[1], paper.states[3])
 
 
 class TestRescale:
+    """The paper rule's rescaling, kept on ``PaperStates`` as the reference."""
+
     def test_divides_and_preserves_order(self):
         net = Network.build([1, 2, 3], [(1, 2, 1), (2, 3, 1)], 1, 3)
-        dag = initial_dag(net)
-        dag = update_states_after_reversal(dag, {1}, 1, 10)  # -19, 2, 3
-        out = rescale_states(dag, 10)
+        paper = paper_states(net, {1: 1, 2: 2, 3: 3})
+        paper = update_states_after_reversal(paper, {1}, 1, 10)  # -19, 2, 3
+        out = rescale_states(paper, 10)
         assert out.states == {1: Fraction(-19, 10), 2: Fraction(1, 5), 3: Fraction(3, 10)}
         assert out.step == 0
         assert out.delta > max(out.states.values()) - min(out.states.values())
 
     def test_divisor_one_is_identity_on_states(self):
-        dag = initial_dag(triangle())
-        assert rescale_states(dag, 1).states == dag.states
+        paper = paper_states(triangle(), {1: 1, 2: 2, 3: 3})
+        assert rescale_states(paper, 1).states == paper.states
 
     def test_nonpositive_divisor_rejected(self):
-        dag = initial_dag(triangle())
+        paper = paper_states(triangle(), {1: 1, 2: 2, 3: 3})
         with pytest.raises(ValueError):
-            rescale_states(dag, 0)
+            rescale_states(paper, 0)
 
     def test_rescaling_never_changes_reversal_decisions(self, rng):
-        # Paired convergence runs: aggressive rescaling vs none must flip the
-        # same edges in the same order and land on the same orientation.
+        # Along a convergence trace, the paper states with aggressive
+        # rescaling and with none both keep the trace's node order.
         for _ in range(20):
             net = random_network(rng, n_min=4, n_max=8, cap_max=5)
             dag = random_orientation(rng, net)
-            rate = rng.randint(1, 10)
-            a = converge(dag, rate, record_overload=False, rescale_every=1)
-            b = converge(dag, rate, record_overload=False, rescale_every=0)
-            assert [e.reversed_edges for e in a.entries] == [e.reversed_edges for e in b.entries]
-            assert a.final.signature() == b.final.signature()
+            trace = converge(dag, rng.randint(1, 10), record_overload=False)
+            for every in (1, 0):
+                paper = paper_states(net, dag.states)
+                for entry in trace.entries:
+                    assert rank_order(paper.states) == rank_order(entry.dag.states)
+                    if entry.reversed_edges:
+                        paper = paper_reverse_toward(paper, entry.overloaded, every)
+                assert rank_order(paper.states) == rank_order(trace.final.states)
 
     def test_auto_rescale_keeps_states_small(self):
         # a long wrong-way line forces many reversals; periodic rescaling must
@@ -208,12 +230,69 @@ class TestRescale:
         n = 14
         net = Network.build(range(n), [(i, i + 1, 1) for i in range(n - 1)], 0, n - 1)
         wrong = orient_explicit(net, [(i + 1, i) for i in range(n - 1)])
-        scaled = converge(wrong, 1, record_overload=False, rescale_every=3).final
-        raw = converge(wrong, 1, record_overload=False, rescale_every=0).final
+        trace = converge(wrong, 1, record_overload=False)
+        scaled = raw = paper_states(net, wrong.states, delta=n + 1)
+        for entry in trace.entries:
+            if entry.reversed_edges:
+                scaled = paper_reverse_toward(scaled, entry.overloaded, 3)
+                raw = paper_reverse_toward(raw, entry.overloaded, 0)
         span = lambda d: max(d.states.values()) - min(d.states.values())
         assert span(raw) >= 2 ** (n - 2)
         assert span(scaled) < 2 ** 6
-        check_state_consistency(scaled)
+        assert rank_order(scaled.states) == rank_order(raw.states) == rank_order(trace.final.states)
+
+
+def dead_end_set(dag, start) -> set:
+    """``start`` and every node below it: no link of ``dag`` leaves the set."""
+    out: dict = {}
+    for tail, head, _ in dag.directed_edges():
+        out.setdefault(tail, []).append(head)
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in out.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+@given(
+    n=st.integers(3, 30),
+    steps=st.integers(1, 40),
+    rescale_every=st.sampled_from([0, 1, 3, 32]),
+    extra=st.integers(0, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_node_order_matches_paper_rule(n, steps, rescale_every, extra, seed):
+    """A reversal's stable partition of the node order keeps the order the
+    paper's 2^k * delta states give, whatever the rescale cadence and for any
+    delta above the starting span: the same order and the same heads."""
+    rng = random.Random(seed)
+    net = random_network(rng, n_min=n, n_max=n, p=rng.uniform(0.1, 0.6))
+    denominator = rng.randint(1, 3)
+    values = rng.sample(range(-10 * n, 10 * n), n)
+    ranking = {node: Fraction(v, denominator) for node, v in zip(sorted(net.nodes), values)}
+    dag = orient_by_ranking(net, ranking)
+    start = paper_states(net, ranking)
+    paper = paper_states(net, ranking, delta=start.delta + extra)
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        if kind == 2:
+            toward = dead_end_set(dag, rng.choice(sorted(net.nodes)))
+        else:
+            toward = {node for node in net.nodes if rng.random() < 0.4}
+            if kind == 1:
+                toward.discard(net.source)
+        new, flips = reverse_toward(dag, toward)
+        if flips:
+            paper = paper_reverse_toward(paper, toward, rescale_every)
+        else:
+            assert new is dag
+        dag = new
+        assert sorted(dag.states.values()) == list(range(n))
+        assert rank_order(paper.states) == rank_order(dag.states)
+        assert state_heads(paper.states, dag.heads) == dag.heads
 
 
 class TestOrientExplicit:

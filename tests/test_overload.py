@@ -10,16 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfbp import (
-    Network,
-    erdos_renyi_network,
-    initial_dag,
-    lex_min_overload,
-    max_flow,
-    max_flow_undirected,
-    smallest_min_cut,
-)
-from lfbp.flow import FlowNetwork
+from lfbp.flow import FlowNetwork, max_flow, max_flow_undirected, smallest_min_cut
+from lfbp.graph import Network, erdos_renyi_network, initial_dag
+from lfbp.overload import lex_min_overload
 
 from conftest import random_network, random_orientation, reference_lex_min_overload
 from oracles import brute_force_lex_min, lex_compare, lex_key, overloaded_set
@@ -213,7 +206,7 @@ class TestLexMinOverload:
 
     def test_destination_out_edges_carry_nothing(self):
         # the destination absorbs; a live link pointing out of it stays idle
-        from lfbp import orient_explicit
+        from lfbp.graph import orient_explicit
 
         net = Network.build([0, 1, 2], [(0, 1, 1), (0, 2, 2), (1, 2, 3)], 0, 2)
         dag = orient_explicit(net, [(0, 1), (0, 2), (2, 1)])

@@ -5,29 +5,16 @@ import math
 
 import pytest
 
-from lfbp import (
-    CommoditySpec,
-    LfbpParams,
-    Network,
-    SimState,
-    arrivals_step,
-    bp_step,
-    epoch_reversal,
-    initial_dag,
-    lfbp_run,
-    mark_step,
-    max_flow,
-    orient_explicit,
-    reversal_step,
-    run,
-    smallest_min_cut,
-)
-from lfbp import check_state_consistency, converge, max_flow_undirected
 from lfbp.cli import bundled_scenario
-from lfbp.reversal import reverse_toward
+from lfbp import sim
+from lfbp.flow import max_flow, max_flow_undirected, smallest_min_cut
+from lfbp.graph import Network, apply_topology_event, initial_dag, orient_explicit
+from lfbp.protocol import LfbpParams, epoch_reversal, lfbp_run, mark_step
+from lfbp.reversal import converge, reversal_step, reverse_toward
+from lfbp.sim import CommoditySpec, SimState, arrivals_step, bp_step, run
 
 from test_sim import make_config
-from oracles import is_acyclic
+from oracles import check_state_consistency, is_acyclic
 
 
 def sixnode_net():
@@ -241,3 +228,28 @@ class TestLfbpRun:
             seed=1,
         )
         assert report.edges_reversed == 0
+
+
+class TestNodeOrderInSlotEngine:
+    """Long lfbp runs with flipping reversals, and on grid4x4 with links
+    failing and coming back: every orientation stays a node order, ranks
+    0..n-1 that every live link climbs."""
+
+    @pytest.mark.parametrize("name,rho", [("grid4x4.scn", 0.6), ("grid4x4_multi.scn", 0.9)])
+    def test_states_stay_a_consistent_permutation(self, name, rho, monkeypatch):
+        actions = []
+
+        def counted(dag, action, edge):
+            actions.append(action)
+            return apply_topology_event(dag, action, edge)
+
+        monkeypatch.setattr(sim, "apply_topology_event", counted)
+        config = bundled_scenario(name)
+        report = run(config, "lfbp", 20_000, rho=rho, seed=1)
+        assert report.reversal_events >= 1
+        if config.topology is not None:
+            assert "add" in actions
+        n = len(config.network.nodes)
+        for dag in report.final_dags:
+            assert sorted(dag.states.values()) == list(range(n))
+            check_state_consistency(dag)

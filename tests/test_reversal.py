@@ -8,26 +8,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lfbp import (
+from lfbp.graph import (
     InvariantViolation,
     Network,
     apply_topology_event,
-    check_state_consistency,
-    converge,
     initial_dag,
-    lex_min_overload,
-    max_flow,
-    max_flow_undirected,
     orient_by_ranking,
     orient_explicit,
-    reversal_step,
-    smallest_min_cut,
 )
-from lfbp.flow import ReversalFlow, delta_bound
-from lfbp.reversal import default_max_iters, reverse_toward
+from lfbp.flow import ReversalFlow, delta_bound, max_flow, max_flow_undirected, smallest_min_cut
+from lfbp.overload import lex_min_overload
+from lfbp.reversal import converge, default_max_iters, reversal_step, reverse_toward
 
 from conftest import random_network, random_orientation, reference_converge, write_csv
-from oracles import is_acyclic, lex_compare
+from oracles import check_state_consistency, is_acyclic, lex_compare
 
 
 def side_edge_instance():

@@ -10,26 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfbp import (
+from lfbp.cli import ScenarioConfig, bundled_scenario, bundled_scenario_names, sweep
+from lfbp.graph import Network, apply_topology_event, grid_network, initial_dag, orient_explicit
+from lfbp.protocol import LfbpParams, epoch_reversal, mark_step
+from lfbp.sim import (
+    MAX_POISSON_MEAN,
+    SUMMARY_FIELDS,
     CommoditySpec,
-    LfbpParams,
-    Network,
     SimState,
     TopologyProcess,
-    apply_topology_event,
     arrivals_step,
     bp_step,
-    epoch_reversal,
-    grid_network,
-    initial_dag,
-    mark_step,
-    orient_explicit,
+    poisson_cdf,
     poisson_draw,
     run,
     topology_step,
 )
-from lfbp.cli import ScenarioConfig, bundled_scenario, bundled_scenario_names, sweep
-from lfbp.sim import MAX_POISSON_MEAN, SUMMARY_FIELDS, poisson_cdf
 
 from conftest import random_orientation, reference_bp_step, reference_poisson_draw
 from oracles import is_acyclic
@@ -346,7 +342,7 @@ class TestTopology:
     def test_all_edges_dead_blocks_bp(self):
         net = grid_network(3, 3, 2)
         dag = initial_dag(net)
-        from lfbp import apply_topology_event
+        from lfbp.graph import apply_topology_event
 
         for edge in sorted(net.capacity):
             dag = apply_topology_event(dag, "remove", edge)
