@@ -33,8 +33,11 @@ from .graph import (
     topological_order,
 )
 
-# Exhaustive subset enumeration stays tractable only at desk scale.
+# Exhaustive subset enumeration stays tractable only at desk scale.  Under
+# ``auto`` it also stops at MAX_SUBSET_SUMS distinct sums; 20 edges of
+# capacity 1-10 have at most 201.
 MAX_EXHAUSTIVE_EDGES = 20
+MAX_SUBSET_SUMS = 4096
 
 
 @dataclass(frozen=True)
@@ -387,32 +390,31 @@ def optimal_dag(net: Network) -> DagOrientation:
 def delta_bound(net: Network, method: str = "auto") -> Fraction:
     """Smallest positive difference between capacities of any two cuts.
 
-    ``exhaustive`` enumerates all subset sums of the edge capacities (desk
-    scale only).  ``analytic`` returns the 1/D lower bound from the least
-    common denominator D of the capacities; it is a bound, not the exact
-    value.  ``auto`` picks exhaustive when the edge count permits.
+    ``exhaustive`` enumerates all subset sums of the edge capacities, scaled
+    to integers by their least common denominator D (desk scale only).
+    ``analytic`` returns the 1/D lower bound; it is a bound, not the exact
+    value.  ``auto`` enumerates when the edge count permits and returns the
+    analytic bound instead once the sums pass ``MAX_SUBSET_SUMS``.
     """
     caps = list(net.capacity.values())
     if not caps or all(c == 0 for c in caps):
         raise ValueError("degenerate network: no positive capacity, delta undefined")
-    if method == "auto":
+    scale = math.lcm(*(c.denominator for c in caps))
+    auto = method == "auto"
+    if auto:
         method = "exhaustive" if len(caps) <= MAX_EXHAUSTIVE_EDGES else "analytic"
     if method == "analytic":
-        return Fraction(1, math.lcm(*(c.denominator for c in caps)))
+        return Fraction(1, scale)
     if method != "exhaustive":
         raise ValueError(f"unknown method {method!r}")
     if len(caps) > MAX_EXHAUSTIVE_EDGES:
         raise ValueError(f"exhaustive mode limited to {MAX_EXHAUSTIVE_EDGES} edges")
-    sums = {Fraction(0)}
+    sums = {0}
     for c in caps:
-        c = Fraction(c)
+        c = c.numerator * (scale // c.denominator)
         sums |= {s + c for s in sums}
+        if auto and len(sums) > MAX_SUBSET_SUMS:
+            return Fraction(1, scale)
+    # Some capacity is positive, so there are at least two distinct sums.
     ordered = sorted(sums)
-    best = None
-    for a, b in zip(ordered, ordered[1:]):
-        gap = b - a
-        if gap > 0 and (best is None or gap < best):
-            best = gap
-    if best is None:
-        raise ValueError("degenerate network: all subset sums equal")
-    return best
+    return Fraction(min(b - a for a, b in zip(ordered, ordered[1:])), scale)

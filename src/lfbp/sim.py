@@ -2,13 +2,11 @@
 random link failures, and per-run metrics.
 
 The engine is synchronous: every transmission of a slot is decided from the
-start-of-slot queue values (after that slot's arrivals).  With one commodity
-the moves are collected and applied afterwards; with several, the contest
-and each tail's budget read a snapshot of the queues and every send is
-applied as soon as it is decided.  The updates are sums, so the order in
-which they are applied cannot change the result.  Queues hold
-integer packets, so capacities must be integers here; the analytical modules
-accept general rationals.
+start-of-slot queue values (after that slot's arrivals).  The step reads a
+snapshot of the queues and applies every send to the live queues as soon as
+it is decided.  The updates are sums, so the order in which they are applied
+cannot change the result.  Queues hold integer packets, so capacities must be
+integers here; the analytical modules accept general rationals.
 
 Policies: ``bp`` is classical backpressure on the bidirected live network
 (loop-prone); ``lfbp`` constrains forwarding to a per-commodity acyclic
@@ -247,6 +245,11 @@ class SimState:
         else:
             self.live_mask = [True] * self.m
         self.live_order = [i for i in range(self.m) if self.live_mask[i]]
+        # With a topology process, each edge's chance of changing state this
+        # slot: fail while live, recover while dead.  ``topology_step`` keeps
+        # it in step with ``live_mask``.
+        if topology is not None:
+            self.flip_prob = [topology.fail_prob if x else topology.recover_prob for x in self.live_mask]
 
         self.marks = [[False] * self.n for _ in range(ncom)]
         self.epoch = 0
@@ -258,6 +261,7 @@ class SimState:
         self.t = 0
         self.arrivals = [0] * ncom
         self.delivered = [0] * ncom
+        # Summed by code that steps a state itself; ``run`` sums in locals.
         self.backlog_integral = 0
         self.backlog_net_integral = 0
         self.live_integral = 0
@@ -347,15 +351,18 @@ def bp_step(state: SimState) -> SimState:
     decided from the queues as they stood before the step; a packet sent to
     its destination is delivered.
 
-    With one commodity there is no contest on a link, and a tail whose
-    winning capacities sum to at most its backlog sends every capacity in
-    full, so only a contended tail sorts its winners.  With several, a
-    commodity's option on a link yields ``d = q[a] - q[b]``: ``a -> b``
-    wins when ``d`` beats the best so far, and on a two-way (``bp``) link
-    ``b -> a`` when ``-d`` does.  At most one of the two is positive, so a
-    strict comparison in commodity order keeps the lower commodity on a
-    tie.  One sort over all winners, keyed by tail first, puts each tail's
-    winners in serving order.
+    With one commodity there is no contest on a link.  A tail whose winning
+    capacities sum to at most its backlog sends each in full; a contended
+    tail sorts its winners and stops once its backlog is spent.  What lands
+    at the destination is delivered; the destination keeps what it held and
+    did not send (a hand-built state may leave packets there).
+
+    With several commodities, a commodity's option on a link yields
+    ``d = q[a] - q[b]``: ``a -> b`` wins when ``d`` beats the best so far,
+    and on a two-way (``bp``) link ``b -> a`` when ``-d`` does.  At most one
+    of the two is positive, so a strict comparison in commodity order keeps
+    the lower commodity on a tie.  One sort over all winners, keyed by tail
+    first, puts each tail's winners in serving order.
     """
     if len(state.commodities) == 1:
         return _step_one(state)
@@ -364,36 +371,41 @@ def bp_step(state: SimState) -> SimState:
 
 def _step_one(state: SimState) -> SimState:
     q = state.queues[0]
-    moves = []
+    q0 = q[:]
+    dst = state.dst_idx[0]
+    dst_sent = 0
     for u, arcs in state.plans:
-        qu = q[u]
+        qu = q0[u]
         if not qu:
             continue
-        wins = []
         total = 0
-        for arc in arcs:
-            if q[arc[0]] < qu:
-                wins.append(arc)
-                total += arc[1]
-        if total <= qu:
-            for v, cap, _vid in wins:
-                moves.append((u, v, cap))
+        for v, cap, _vid in arcs:
+            if q0[v] < qu:
+                total += cap
+        if not total:
             continue
-        # Descending differential is ascending neighbour queue.
-        avail = qu
-        for _qv, _vid, v, cap in sorted([(q[v], vid, v, cap) for v, cap, vid in wins]):
-            send = cap if cap < avail else avail
-            if send > 0:
-                avail -= send
-                moves.append((u, v, send))
-    dst = state.dst_idx[0]
-    gone = 0
-    for u, v, send in moves:
-        q[u] -= send
-        if v == dst:
-            gone += send
+        if total <= qu:
+            for v, cap, _vid in arcs:
+                if q0[v] < qu:
+                    q[v] += cap
         else:
-            q[v] += send
+            # The winners overdraw the backlog, so all of it goes, in
+            # descending differential (ascending neighbour queue) order.
+            total = avail = qu
+            for _qv, _vid, v, cap in sorted([(q0[v], vid, v, cap) for v, cap, vid in arcs if q0[v] < qu]):
+                if cap < avail:
+                    q[v] += cap
+                    avail -= cap
+                else:
+                    q[v] += avail
+                    break
+        q[u] -= total
+        if u == dst:
+            dst_sent = total
+    # Whatever reached the destination this slot is delivered.
+    kept = q0[dst] - dst_sent
+    gone = q[dst] - kept
+    q[dst] = kept
     state.delivered[0] += gone
     state.backlog_now -= gone
     return state
@@ -437,21 +449,23 @@ def topology_step(state: SimState) -> SimState:
     """Fail live links / revive dead ones; one uniform draw per edge per slot
     regardless of state, so sample paths are comparable across runs.
 
-    The draws are taken first, in edge order; then the events are applied
-    in the same order."""
+    The draws are taken first, in edge order, each against that edge's entry
+    of ``state.flip_prob``; then the events are applied in the same order,
+    each updating its edge's entry."""
     proc = state.topology
     if proc is None:
         return state
     rng_random = state.topo_rng.random
-    fail, recover = proc.fail_prob, proc.recover_prob
-    live = state.live_mask
-    events = [i for i in range(state.m) if rng_random() < (fail if live[i] else recover)]
+    flip_prob = state.flip_prob
+    events = [i for i, p in enumerate(flip_prob) if rng_random() < p]
     if not events:
         return state
+    live = state.live_mask
     dags, edge_list, apply = state.dags, state.edge_list, apply_topology_event
     for e_idx in events:
         kind = "remove" if live[e_idx] else "add"
         live[e_idx] = not live[e_idx]
+        flip_prob[e_idx] = proc.fail_prob if live[e_idx] else proc.recover_prob
         if dags is not None:
             edge = edge_list[e_idx]
             for y in range(len(dags)):
@@ -504,17 +518,16 @@ def run(
     horizon = config.horizon if horizon is None else horizon
     rho = config.load_factors[0] if rho is None else rho
     seed = config.seeds[0] if seed is None else seed
+    lfbp = policy == "lfbp"
 
     params = None
     dummies = None
-    if policy == "lfbp":
+    if lfbp:
         from .protocol import LfbpParams, mark_step, epoch_reversal
 
         params = config.lfbp_params or LfbpParams()
-        dummies = []
-        for c in config.commodities:
-            extra = int(config.dummy_scale / rho) if config.dummy_scale else 0
-            dummies.append(c.dummy_packets + extra)
+        extra = int(config.dummy_scale / rho) if config.dummy_scale else 0
+        dummies = [c.dummy_packets + extra for c in config.commodities]
 
     state = SimState(
         config.network,
@@ -527,33 +540,41 @@ def run(
         dummies=dummies,
         record_arrivals=record_arrivals,
     )
-    if policy == "lfbp":
+    if lfbp:
         state.epoch_left = params.period(0)
 
+    # The step is picked once.  ``delivered`` only rises, so once no
+    # commodity owes dummies the net backlog stays equal to the backlog.
+    step = _step_one if len(config.commodities) == 1 else _step_many
+    topology = state.topology is not None
+    dummies, delivered = state.dummies, state.delivered
+    owed = any(d > 0 for d in dummies)
+    backlog_integral = backlog_net_integral = live_integral = 0
     buckets = []
     bucket_backlog = 0
-    ncom = len(config.commodities)
     for t in range(horizon):
         arrivals_step(state)
-        bp_step(state)
-        if policy == "lfbp":
+        step(state)
+        if lfbp:
             mark_step(state, params)
             state.epoch_left -= 1
             if state.epoch_left <= 0:
                 epoch_reversal(state, params)
-        if state.topology is not None:
+        if topology:
             topology_step(state)
         state.t = t + 1
-        state.backlog_integral += state.backlog_now
-        net_backlog = state.backlog_now
-        for y in range(ncom):
-            out = state.dummies[y] - state.delivered[y]
-            if out > 0:
-                net_backlog -= out
-        state.backlog_net_integral += net_backlog
-        state.live_integral += len(state.live_order)
+        backlog = net_backlog = state.backlog_now
+        backlog_integral += backlog
+        if owed:
+            owed = False
+            for d, got in zip(dummies, delivered):
+                if d > got:
+                    net_backlog -= d - got
+                    owed = True
+        backlog_net_integral += net_backlog
+        live_integral += len(state.live_order)
         if bucket:
-            bucket_backlog += state.backlog_now
+            bucket_backlog += backlog
             if (t + 1) % bucket == 0:
                 buckets.append(
                     {
@@ -561,32 +582,30 @@ def run(
                         "policy": policy,
                         "load": repr(rho),
                         "total_backlog_avg": repr(bucket_backlog / bucket),
-                        "delivered": sum(state.delivered),
+                        "delivered": sum(delivered),
                         "reversals": state.edges_reversed,
                         "live_edges": len(state.live_order),
                     }
                 )
                 bucket_backlog = 0
 
-    total_arr = sum(state.arrivals)
-    total_del = sum(state.delivered)
-    dummy_total = sum(state.dummies)
+    total_del = sum(delivered)
     return MetricsReport(
         scenario=getattr(config, "name", ""),
         policy=policy,
         rho=rho,
         seed=seed,
         horizon=horizon,
-        arrivals=total_arr,
+        arrivals=sum(state.arrivals),
         delivered=total_del,
-        delivered_net=max(0, total_del - dummy_total),
-        avg_backlog=(state.backlog_integral / horizon) if horizon else 0.0,
-        avg_backlog_net=(state.backlog_net_integral / horizon) if horizon else 0.0,
+        delivered_net=max(0, total_del - sum(dummies)),
+        avg_backlog=(backlog_integral / horizon) if horizon else 0.0,
+        avg_backlog_net=(backlog_net_integral / horizon) if horizon else 0.0,
         final_backlog=state.backlog_now,
         reversal_events=state.reversal_events,
         edges_reversed=state.edges_reversed,
         topo_events=state.topo_events,
-        live_fraction=(state.live_integral / (horizon * state.m)) if horizon and state.m else 1.0,
+        live_fraction=(live_integral / (horizon * state.m)) if horizon and state.m else 1.0,
         delivered_by_commodity=tuple(state.delivered),
         arrivals_by_commodity=tuple(state.arrivals),
         reversal_log=state.reversal_log,

@@ -3,10 +3,11 @@
 The oracles here deliberately avoid the production code paths: min cuts by
 exhaustive subset enumeration, max-flow by grid enumeration of feasible
 flows.  They are slow and only meant for small instances.  The slot engine's
-earlier per-link forwarding step and term-by-term Poisson draw are kept here
-as references for the compiled plans and the CDF table that replaced them, and
-the earlier lexicographic overload solver, which built a fresh auxiliary
-network for every density guess, as the reference for the one built per call.
+earlier per-link forwarding step, topology round and term-by-term Poisson
+draw are kept here as references for the compiled plans, the per-edge flip
+probabilities and the CDF table that replaced them, and the earlier
+lexicographic overload solver, which built a fresh auxiliary network for every
+density guess, as the reference for the one built per call.
 The arc-list max-flow ``_solve`` serves the kernel tests and these references,
 and the earlier ``converge``, which solved every step's min-cut cold, is the
 reference for the one kept warm across steps.  ``ReferenceMaxFlow`` is the
@@ -28,7 +29,7 @@ from typing import Iterable, Mapping
 import pytest
 
 from lfbp.flow import CutPartition, FlowAllocation, FlowNetwork, MaxFlow
-from lfbp.graph import DagOrientation, InvariantViolation, Network, Rational, as_rational, orient_by_ranking
+from lfbp.graph import DagOrientation, InvariantViolation, Network, Rational, apply_topology_event, as_rational, orient_by_ranking
 from lfbp.overload import OverloadVector, lex_min_overload
 from lfbp.reversal import ReversalTrace, TraceEntry, _has_usable_entering, default_max_iters, reverse_toward
 
@@ -519,6 +520,33 @@ def reference_bp_step(state):
                 state.backlog_now -= send
             else:
                 queues[y][v] += send
+    return state
+
+
+def reference_topology_step(state):
+    """The engine's earlier topology round: each edge's flip probability is
+    chosen from its live flag as it is drawn, one uniform per edge, in edge
+    order; then the events are applied in the same order."""
+    proc = state.topology
+    if proc is None:
+        return state
+    rng_random = state.topo_rng.random
+    fail, recover = proc.fail_prob, proc.recover_prob
+    live = state.live_mask
+    events = [i for i in range(state.m) if rng_random() < (fail if live[i] else recover)]
+    if not events:
+        return state
+    dags, edge_list, apply = state.dags, state.edge_list, apply_topology_event
+    for e_idx in events:
+        kind = "remove" if live[e_idx] else "add"
+        live[e_idx] = not live[e_idx]
+        if dags is not None:
+            edge = edge_list[e_idx]
+            for y in range(len(dags)):
+                dags[y] = apply(dags[y], kind, edge)
+    state.topo_events += len(events)
+    state.live_order = [i for i in range(state.m) if live[i]]
+    state.rebuild_plans()
     return state
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -240,16 +241,22 @@ def test_criterion_6_dynamic_grid_backlog():
 
 
 def test_criterion_7_multicommodity_backlog():
-    """Three-commodity grid: lfbp strictly below bp at every load."""
-    config = bundled_scenario("grid4x4_multi.scn")
+    """Three-commodity grid: lfbp strictly below bp at every load.
+
+    The 18 (load, policy) cells run through ``sweep``'s two-worker pool;
+    criterion 9 pins pooled output equal to serial output."""
+    config = replace(bundled_scenario("grid4x4_multi.scn"), seeds=(1,))
     t0 = time.time()
+    backlog = {
+        (r.rho, r.policy): r.avg_backlog
+        for r in sweep(config, ("bp", "lfbp"), jobs=2, horizon=100_000)
+    }
     rows = []
     ok = True
     for rho in config.load_factors:
-        bp = run(config, "bp", 100_000, rho=rho, seed=1)
-        lf = run(config, "lfbp", 100_000, rho=rho, seed=1)
-        rows.append((rho, bp.avg_backlog, lf.avg_backlog))
-        ok = ok and lf.avg_backlog < bp.avg_backlog
+        bp, lf = backlog[rho, "bp"], backlog[rho, "lfbp"]
+        rows.append((rho, bp, lf))
+        ok = ok and lf < bp
     detail = "; ".join(f"rho={r}: bp={b:.0f} lfbp={l:.0f}" for r, b, l in rows)
     verdict(7, ok, detail + f", {time.time()-t0:.1f}s")
     assert ok
@@ -289,8 +296,6 @@ def test_criterion_8_threshold_detection():
 
 def test_criterion_9_determinism(tmp_path):
     """Byte-identical CSV reruns; identical arrival paths across policies."""
-    from dataclasses import replace
-
     t0 = time.time()
     config = replace(
         bundled_scenario("sixnode_fixed.scn"), load_factors=(0.5, 0.9), horizon=5_000

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import pickle
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -446,3 +447,21 @@ class TestDeltaBound:
         assert delta_bound(big) == delta_bound(big, method="analytic") == 1
         with pytest.raises(ValueError, match="limited"):
             delta_bound(big, method="exhaustive")
+
+    def test_auto_is_exact_at_small_capacities(self):
+        # 20 edges of capacity 1-10 have at most 201 subset sums.
+        rng = random.Random(11)
+        for _ in range(20):
+            path = [(i, i + 1, rng.choice([2, 4, 6, 8, 10])) for i in range(20)]
+            net = Network.build(range(21), path, 0, 20)
+            assert delta_bound(net) == delta_bound(net, method="exhaustive") == 2
+
+    def test_auto_falls_back_on_large_capacities(self):
+        # 20 edges of capacity 10^6-10^7: about 2^20 distinct subset sums,
+        # once enumerated in 18 CPU seconds and 173 MB.
+        rng = random.Random(7)
+        path = [(i, i + 1, rng.randint(10**6, 10**7)) for i in range(20)]
+        net = Network.build(range(21), path, 0, 20)
+        start = time.process_time()
+        assert delta_bound(net) == delta_bound(net, method="analytic") == 1
+        assert time.process_time() - start < 1.0

@@ -27,7 +27,7 @@ from lfbp.sim import (
     topology_step,
 )
 
-from conftest import random_orientation, reference_bp_step, reference_poisson_draw
+from conftest import random_orientation, reference_bp_step, reference_poisson_draw, reference_topology_step
 from oracles import is_acyclic
 
 
@@ -216,6 +216,21 @@ class TestBpStep:
         assert state.delivered == [3, 0]
         assert sum(state.queues[1]) == 3 and state.backlog_now == 3
 
+    def test_destination_tail_keeps_what_it_does_not_send(self):
+        # Hand-built: the destination (node 1) holds packets and, under bp,
+        # is itself a tail toward node 2 while node 0 delivers into it.
+        net = Network.build([0, 1, 2], [(0, 1, 2), (1, 2, 2)], 0, 1)
+        states = [SimState(net, [CommoditySpec(0, 0, 1, 0.0)], "bp", 1.0, 0) for _ in range(2)]
+        for state in states:
+            state.queues[0][:] = [6, 3, 0]
+            state.backlog_now = 9
+        state, reference = states
+        bp_step(state)
+        reference_bp_step(reference)
+        assert state.queues == reference.queues == [[4, 1, 2]]
+        assert state.delivered == reference.delivered == [2]
+        assert state.backlog_now == reference.backlog_now == 7
+
     def test_bidirected_bp_policy_uses_both_directions(self):
         net = Network.build([0, 1, 2], [(0, 1, 2), (1, 2, 2)], 0, 2)
         specs = [CommoditySpec(0, 0, 2, 0.0)]
@@ -256,6 +271,13 @@ def twin_states(seed, ncom, policy, qmax):
     return states
 
 
+def has_contended_tail(state):
+    """Whether some tail of a one-commodity plan has winners whose
+    capacities overdraw its backlog (the sorted case of ``bp_step``)."""
+    q = state.queues[0]
+    return any(sum(cap for v, cap, _vid in arcs if q[v] < q[u]) > q[u] > 0 for u, arcs in state.plans)
+
+
 class TestBpStepAgainstReference:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -276,51 +298,67 @@ class TestBpStepAgainstReference:
     def test_generator_reaches_both_tail_cases(self, qmax):
         # Small queues leave tails whose winning capacities overdraw the
         # backlog (the sorted case); large ones mostly do not.
-        contended = 0
-        for seed in range(200):
-            state, _ = twin_states(seed, 1, "bp", qmax)
-            q = state.queues[0]
-            contended += any(
-                sum(cap for v, cap, _vid in arcs if q[v] < q[u]) > q[u] > 0
-                for u, arcs in state.plans
-            )
+        contended = sum(has_contended_tail(twin_states(seed, 1, "bp", qmax)[0]) for seed in range(200))
         assert (contended > 100) if qmax == 2 else (contended < 50)
+
+
+def lockstep_with_churn(commodities, policy, slots):
+    """Run two identical states through ``slots`` slots of arrivals,
+    forwarding, marking, reversals and link churn on a 4x4 grid: one stepped
+    by ``bp_step`` and ``topology_step``, one by ``reference_bp_step`` and
+    ``reference_topology_step``.  Every slot, both must agree on queues,
+    deliveries, backlog, live mask and the topology stream's position.
+    Returns the engine state and how many slots began with a contended tail
+    (one-commodity plans only)."""
+    net = grid_network(4, 4, 6)
+    dags = [initial_dag(net) for _ in commodities] if policy == "lfbp" else None
+    params = LfbpParams(thresholds=(50,))
+    states = [
+        SimState(net, commodities, policy, 1.0, 3, topology=TopologyProcess(0.05, 0.3), initial_dags=dags)
+        for _ in range(2)
+    ]
+    for state in states:
+        state.epoch_left = params.period(0)
+    contended = 0
+    steps = ((bp_step, topology_step), (reference_bp_step, reference_topology_step))
+    for t in range(slots):
+        for state, (step, churn) in zip(states, steps):
+            arrivals_step(state)
+            if step is bp_step and len(commodities) == 1:
+                contended += has_contended_tail(state)
+            step(state)
+            if policy == "lfbp":
+                mark_step(state, params)
+                state.epoch_left -= 1
+                if state.epoch_left <= 0:
+                    epoch_reversal(state, params)
+            churn(state)
+            state.t = t + 1
+        state, reference = states
+        assert state.queues == reference.queues, f"slot {t + 1}"
+        assert state.delivered == reference.delivered
+        assert state.backlog_now == reference.backlog_now
+        assert state.live_mask == reference.live_mask
+        assert state.topo_rng.getstate() == reference.topo_rng.getstate()
+    assert state.topo_events >= 20
+    if policy == "lfbp":
+        assert state.reversal_events >= 1
+    return state, contended
 
 
 class TestLockstepWithChurn:
     @pytest.mark.parametrize("policy", ["bp", "lfbp"])
     def test_several_commodities_match_reference_every_slot(self, policy):
-        # Three commodities on a grid whose links fail and recover: every
-        # slot runs arrivals, marking, reversals and topology identically on
-        # two states, one stepped by ``bp_step`` and one by the reference.
-        net = grid_network(4, 4, 6)
         commodities = [CommoditySpec(0, 1, 16, 3.6), CommoditySpec(1, 4, 13, 3.5), CommoditySpec(2, 5, 8, 4.9)]
-        dags = [initial_dag(net) for _ in commodities] if policy == "lfbp" else None
-        params = LfbpParams(thresholds=(50,))
-        states = [
-            SimState(net, commodities, policy, 1.0, 3, topology=TopologyProcess(0.05, 0.3), initial_dags=dags)
-            for _ in range(2)
-        ]
-        for state in states:
-            state.epoch_left = params.period(0)
-        for t in range(2_000):
-            for state, step in zip(states, (bp_step, reference_bp_step)):
-                arrivals_step(state)
-                step(state)
-                if policy == "lfbp":
-                    mark_step(state, params)
-                    state.epoch_left -= 1
-                    if state.epoch_left <= 0:
-                        epoch_reversal(state, params)
-                topology_step(state)
-                state.t = t + 1
-            state, reference = states
-            assert state.queues == reference.queues, f"slot {t + 1}"
-            assert state.delivered == reference.delivered
-            assert state.backlog_now == reference.backlog_now
-        assert state.topo_events >= 20
-        if policy == "lfbp":
-            assert state.reversal_events >= 1
+        lockstep_with_churn(commodities, policy, 2_000)
+
+    @pytest.mark.parametrize("policy", ["bp", "lfbp"])
+    def test_one_commodity_matches_reference_every_slot(self, policy):
+        # The source is the by-ID orientation's sink, so lfbp must reverse,
+        # and the rate keeps queues short enough that most slots start with
+        # a tail whose winners overdraw its backlog (the sorted case).
+        _, contended = lockstep_with_churn([CommoditySpec(0, 16, 1, 6.0)], policy, 2_000)
+        assert contended >= 500
 
 
 class TestTopology:
