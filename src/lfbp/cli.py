@@ -38,7 +38,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -84,9 +84,6 @@ class ScenarioConfig:
     seeds: tuple[int, ...]
     dummy_scale: float | None = None
     description: str = ""
-
-    def with_lfbp_params(self, params: LfbpParams) -> "ScenarioConfig":
-        return replace(self, lfbp_params=params)
 
 
 # What converting a field's value may raise: a wrong type, a malformed string

@@ -10,11 +10,11 @@ A ``FlowNetwork`` holds one network's integer arc structure (node index,
 twin arc pairs, heads and adjacency) apart from its capacities, and its
 ``solve`` runs Dinic on any integer capacity vector over those arcs.  A
 ``Network`` builds one layout on its first max-flow and keeps it: one twin
-pair ``2e``/``2e + 1`` per positive-capacity edge, which its max-flows and
-those of its orientations fill both ways round or toward each live link's
-head.  ``ReversalFlow`` keeps one such flow warm across link reversals:
-turning around links that carry no flow keeps it feasible, so each later
-min-cut continues Dinic from the last residual.
+pair ``2e``/``2e + 1`` per positive-capacity edge, which its max-flows fill
+both ways round and those of its orientations from each live link's lower
+to its higher rank.  ``ReversalFlow`` keeps one such flow warm across link
+reversals: turning around links that carry no flow keeps it feasible, so
+each later min-cut continues Dinic from the last residual.
 """
 from __future__ import annotations
 
@@ -172,23 +172,29 @@ def _edge_layout(net: Network) -> tuple[FlowNetwork, list[Edge], list[Rational],
     return layout
 
 
-def _edge_flow(net: Network, src, dst, heads=None) -> tuple[MaxFlow, list[Edge]]:
+def _edge_flow(net: Network, src, dst, dag: DagOrientation | None = None) -> tuple[MaxFlow, list[Edge]]:
     """Max-flow over the arcs of ``_edge_layout``, each edge usable both ways
-    round or, given an orientation's ``heads``, only toward its head while
-    live, with capacities scaled by the LCM of the usable edges' denominators."""
+    round or, given an orientation ``dag``, only from its lower to its higher
+    rank while live, with capacities scaled by the LCM of the usable edges'
+    denominators."""
     fn, edges, caps, whole = _edge_layout(net)
     scale = 1
     if not whole:
         capacity = net.capacity
-        scale = math.lcm(*{capacity[e].denominator for e in (capacity if heads is None else heads)})
+        scale = math.lcm(*{capacity[e].denominator for e in (capacity if dag is None else dag.live)})
         caps = [c.numerator * (scale // c.denominator) for c in caps]
-    if heads is None:
+    if dag is None:
         res = [x for c in caps for x in (c, c)]
     else:
+        live, rank = dag.live, dag.states
         res = []
         for edge, c in zip(edges, caps):
-            head = heads.get(edge)  # None for a dead link
-            res += (c if head == edge[1] else 0, c if head == edge[0] else 0)
+            if edge not in live:
+                res += (0, 0)
+            elif rank[edge[0]] < rank[edge[1]]:
+                res += (c, 0)
+            else:
+                res += (0, c)
     return fn.solve(res, src, dst, scale), edges
 
 
@@ -209,7 +215,7 @@ class ReversalFlow:
         src = dag.net.source if src is None else src
         dst = dag.net.dest if dst is None else dst
         self._nodes = frozenset(dag.net.nodes)
-        self._flow, edges = _edge_flow(dag.net, src, dst, dag.heads)
+        self._flow, edges = _edge_flow(dag.net, src, dst, dag)
         self._pair = {edge: 2 * e for e, edge in enumerate(edges)}
 
     def cut(self) -> CutPartition:
@@ -284,12 +290,14 @@ def max_flow(dag: DagOrientation, src: int | None = None, dst: int | None = None
     dst = dag.net.dest if dst is None else dst
     if src == dst:
         raise ValueError("source and destination must differ")
-    result, edges = _edge_flow(dag.net, src, dst, dag.heads)
+    result, edges = _edge_flow(dag.net, src, dst, dag)
     flow = {(tail, head): 0 for tail, head, _ in dag.directed_edges()}
-    for e, (i, j) in enumerate(edges):
-        if (i, j) in dag.heads:
+    live, rank = dag.live, dag.states
+    for e, edge in enumerate(edges):
+        if edge in live:
+            i, j = edge
             used = result.arc_flow(2 * e)
-            if dag.heads[(i, j)] == i:
+            if not rank[i] < rank[j]:
                 i, j, used = j, i, -used
             flow[(i, j)] = used if result.scale == 1 else Fraction(used, result.scale)
     return FlowAllocation(flow=flow, value=result.value)
@@ -355,8 +363,9 @@ def optimal_dag(net: Network) -> DagOrientation:
     """An orientation whose max-flow matches the undirected max-flow.
 
     Solve the undirected max-flow, cancel any flow circulating on directed
-    cycles, orient flow-carrying edges along the flow, and orient idle edges
-    consistently with a deterministic topological order of the flow support.
+    cycles, and rank the nodes by a deterministic topological order of the
+    flow support: every flow-carrying edge's tail comes first, so each such
+    edge runs along its flow, and the idle edges follow the same order.
     """
     result, edges = _edge_flow(net, net.source, net.dest)
     support: dict[int, dict[int, Rational]] = {}
@@ -374,17 +383,7 @@ def optimal_dag(net: Network) -> DagOrientation:
     order = topological_order(net.nodes, pairs)
     if order is None:
         raise InvariantViolation("trimmed flow support still cyclic")
-    position = {n: pos for pos, n in enumerate(order)}
-
-    heads = {}
-    for i, j in net.capacity:
-        if support.get(i, {}).get(j, 0) > 0:
-            heads[(i, j)] = j
-        elif support.get(j, {}).get(i, 0) > 0:
-            heads[(i, j)] = i
-        else:
-            heads[(i, j)] = j if position[i] < position[j] else i
-    return DagOrientation(net=net, heads=heads, states=position)
+    return DagOrientation(net=net, live=frozenset(net.capacity), states={n: pos for pos, n in enumerate(order)})
 
 
 def delta_bound(net: Network, method: str = "auto") -> Fraction:

@@ -1,9 +1,10 @@
 """Undirected capacitated networks and acyclic orientations over them.
 
 A ``Network`` is the ground-truth undirected topology.  A ``DagOrientation``
-assigns a direction to every currently-live link so that the directed graph
-is acyclic; a node order (each node's rank) keeps newly appearing links
-orientable without global recomputation.
+is a live set and a node order: each live link runs from its lower-ranked
+endpoint to its higher-ranked one, as Gafni and Bertsekas direct a link by
+comparing the heights of its ends.  So the directed graph is acyclic, and a
+link that comes back to life is directed without any recomputation.
 """
 from __future__ import annotations
 
@@ -88,41 +89,36 @@ class Network:
 
 @dataclass(frozen=True)
 class DagOrientation:
-    """A direction assignment over the live links of a Network.
+    """The live links of a Network and a node order that directs them.
 
-    ``heads`` maps each live undirected edge to the endpoint it points at;
-    dead edges are simply absent.  ``states`` is a node order: each node's
-    rank, 0..n-1, and every live directed edge goes from lower rank to
-    higher rank.  ``version`` is a monotone sequence number for traces.
+    ``live`` holds the live undirected edges; dead edges are simply absent.
+    ``states`` is a node order: each node's rank, 0..n-1.  Every live link
+    runs from its lower-ranked endpoint to its higher-ranked one, so the
+    orientation is acyclic by construction.  ``version`` is a monotone
+    sequence number for traces.
     """
 
     net: Network
-    heads: dict[Edge, int]
+    live: frozenset[Edge]
     states: dict[int, int]
     version: int = 0
 
-    @property
-    def live(self) -> frozenset[Edge]:
-        return frozenset(self.heads)
-
-    def is_live(self, edge: Edge) -> bool:
-        return edge in self.heads
-
     def directed_edges(self) -> Iterator[tuple[int, int, Rational]]:
-        """Yield (tail, head, capacity) for every live directed edge."""
-        cap = self.net.capacity
-        for edge, head in self.heads.items():
-            tail = edge[0] if edge[1] == head else edge[1]
-            yield tail, head, cap[edge]
+        """Yield (tail, head, capacity) for every live link, in
+        ``net.capacity`` order."""
+        live, rank = self.live, self.states
+        for edge, cap in self.net.capacity.items():
+            if edge in live:
+                i, j = edge
+                yield (i, j, cap) if rank[i] < rank[j] else (j, i, cap)
 
     def direction(self, edge: Edge) -> tuple[int, int]:
-        head = self.heads[edge]
-        tail = edge[0] if edge[1] == head else edge[1]
-        return tail, head
+        i, j = edge
+        return (i, j) if self.states[i] < self.states[j] else (j, i)
 
     def signature(self) -> frozenset[tuple[int, int]]:
         """Hashable identity of the orientation (live directed edge set)."""
-        return frozenset((e[0], e[1]) if h == e[1] else (e[1], e[0]) for e, h in self.heads.items())
+        return frozenset((tail, head) for tail, head, _ in self.directed_edges())
 
 
 def orient_by_ranking(net: Network, ranking: Mapping[int, Rational]) -> DagOrientation:
@@ -135,10 +131,7 @@ def orient_by_ranking(net: Network, ranking: Mapping[int, Rational]) -> DagOrien
     if len({ranking[n] for n in order}) != len(order):
         raise ValueError("ranking values must be distinct")
     states = {n: pos for pos, n in enumerate(order)}
-    heads = {}
-    for i, j in net.capacity:
-        heads[(i, j)] = j if states[i] < states[j] else i
-    return DagOrientation(net=net, heads=heads, states=states)
+    return DagOrientation(net=net, live=frozenset(net.capacity), states=states)
 
 
 def initial_dag(net: Network) -> DagOrientation:
@@ -148,25 +141,21 @@ def initial_dag(net: Network) -> DagOrientation:
 
 def orient_explicit(net: Network, directed_pairs: Iterable[tuple[int, int]]) -> DagOrientation:
     """Build an orientation from explicit (tail, head) pairs covering all edges."""
-    heads: dict[Edge, int] = {}
+    pairs: dict[Edge, tuple[int, int]] = {}
     for tail, head in directed_pairs:
         key = edge_key(tail, head)
         if key not in net.capacity:
             raise ValueError(f"directed pair ({tail},{head}) is not one of the network's edges")
-        if key in heads:
+        if key in pairs:
             raise ValueError(f"edge {{{tail},{head}}} oriented twice")
-        heads[key] = head
-    missing = set(net.capacity) - set(heads)
+        pairs[key] = (tail, head)
+    missing = set(net.capacity) - set(pairs)
     if missing:
         raise ValueError(f"missing direction for edges {sorted(missing)}")
-    order = topological_order(net.nodes, _directed_pairs(heads))
+    order = topological_order(net.nodes, pairs.values())
     if order is None:
         raise ValueError("explicit orientation contains a directed cycle")
-    return DagOrientation(net=net, heads=heads, states={n: pos for pos, n in enumerate(order)})
-
-
-def _directed_pairs(heads: Mapping[Edge, int]) -> list[tuple[int, int]]:
-    return [((e[0] if e[1] == h else e[1]), h) for e, h in heads.items()]
+    return DagOrientation(net=net, live=frozenset(pairs), states={n: pos for pos, n in enumerate(order)})
 
 
 def topological_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[int] | None:
@@ -191,23 +180,22 @@ def topological_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) ->
 
 
 def apply_topology_event(dag: DagOrientation, action: str, edge: tuple[int, int]) -> DagOrientation:
-    """Remove a live edge, or add a dead one oriented from lower to higher rank."""
+    """Remove a live edge, or add a dead one; either way the node order, and
+    so every other link's direction, stays as it is."""
     key = edge_key(*edge)
     if key not in dag.net.capacity:
         raise ValueError(f"edge {{{edge[0]},{edge[1]}}} is not part of the network")
-    heads = dict(dag.heads)
     if action == "remove":
-        if key not in heads:
+        if key not in dag.live:
             raise ValueError(f"cannot remove dead edge {{{key[0]},{key[1]}}}")
-        del heads[key]
+        live = dag.live - {key}
     elif action == "add":
-        if key in heads:
+        if key in dag.live:
             raise ValueError(f"cannot add live edge {{{key[0]},{key[1]}}}")
-        i, j = key
-        heads[key] = j if dag.states[i] < dag.states[j] else i
+        live = dag.live | {key}
     else:
         raise ValueError(f"unknown topology action {action!r}")
-    return replace(dag, heads=heads)
+    return replace(dag, live=live)
 
 
 def grid_network(

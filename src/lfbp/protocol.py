@@ -130,26 +130,3 @@ def epoch_reversal(state: sim.SimState, params: LfbpParams) -> sim.SimState:
         state.rebuild_plans()
     return state
 
-
-def lfbp_run(
-    config,
-    params: LfbpParams | None = None,
-    horizon: int | None = None,
-    *,
-    rho: float | None = None,
-    seed=None,
-    bucket: int = 0,
-    record_arrivals: bool = False,
-) -> sim.MetricsReport:
-    """Run the loop-free policy on a scenario (thin wrapper over the engine)."""
-    if params is not None:
-        config = config.with_lfbp_params(params)
-    return sim.run(
-        config,
-        "lfbp",
-        horizon,
-        rho=rho,
-        seed=seed,
-        bucket=bucket,
-        record_arrivals=record_arrivals,
-    )

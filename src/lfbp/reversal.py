@@ -44,30 +44,28 @@ class ReversalTrace:
 
 
 def reverse_toward(dag: DagOrientation, overloaded: Iterable[int]):
-    """Reverse all live links entering ``overloaded`` from outside, then move
+    """Reverse all live links entering ``overloaded`` from outside by moving
     the overloaded nodes below all others in the node order, each side
-    keeping its own order.  Returns (new dag, reversed (tail, head) pairs).
+    keeping its own order.  Returns (new dag, reversed (tail, head) pairs);
+    when no link enters the set, the input comes back untouched.
 
-    Acyclicity survives for any node set: afterwards every boundary link
-    leaves the set, so no cycle can cross it, and both sides are unchanged
-    inside.  The new order stays consistent with every link by construction:
-    a flipped link now runs from the set (low) to outside (high), and the
-    links within either side keep their order.
+    The links to flip are read off the old order; the new order flips
+    exactly those.  A boundary link now runs from the set (low) to outside
+    (high), and the links within either side keep their direction, so
+    acyclicity survives for any node set.
     """
     overloaded = set(overloaded)
-    flips = []
-    heads = dict(dag.heads)
-    for edge, head in dag.heads.items():
-        tail = edge[0] if edge[1] == head else edge[1]
-        if tail not in overloaded and head in overloaded:
-            heads[edge] = tail
-            flips.append((tail, head))
+    flips = [
+        (tail, head)
+        for tail, head, _ in dag.directed_edges()
+        if tail not in overloaded and head in overloaded
+    ]
     if not flips:
         return dag, ()
     order = sorted(dag.states, key=dag.states.__getitem__)
     order = [n for n in order if n in overloaded] + [n for n in order if n not in overloaded]
     states = {n: pos for pos, n in enumerate(order)}
-    return replace(dag, heads=heads, states=states, version=dag.version + 1), tuple(sorted(flips))
+    return replace(dag, states=states, version=dag.version + 1), tuple(sorted(flips))
 
 
 def reversal_step(dag: DagOrientation, rate: Rational):

@@ -84,7 +84,6 @@ class MetricsReport:
     arrivals_by_commodity: tuple[int, ...]
     reversal_log: list = field(default_factory=list)
     buckets: list = field(default_factory=list)
-    arrival_paths: list | None = None
     final_dags: tuple | None = None
 
     def to_row(self) -> dict:
@@ -195,7 +194,6 @@ class SimState:
         topology: TopologyProcess | None = None,
         initial_dags: list[DagOrientation] | None = None,
         dummies: list[int] | None = None,
-        record_arrivals: bool = False,
     ):
         if policy not in ("bp", "lfbp"):
             raise ValueError(f"unknown policy {policy!r}")
@@ -269,7 +267,6 @@ class SimState:
         self.edges_reversed = 0
         self.topo_events = 0
         self.reversal_log: list = []
-        self.arrival_record = [[] for _ in range(ncom)] if record_arrivals else None
 
         self.rebuild_plans()
 
@@ -280,9 +277,11 @@ class SimState:
         Each live link offers one arc ``(y, a, b)`` per commodity it may
         carry: under ``bp`` every commodity, oriented as the link is listed,
         and the link may send either way (``two_way``); under ``lfbp`` each
-        commodity's DAG direction only.  With one commodity the arcs are
-        grouped by tail as ``(u, ((v, cap, node id of v), ...))``, a two-way
-        link under both endpoints; with several, each link keeps its options
+        commodity's DAG direction only, from its lower-ranked end to its
+        higher (every commodity's DAG has the live set of ``live_order``).
+        With one commodity the arcs are grouped by tail as
+        ``(u, ((v, cap, node id of v), ...))``, a two-way link under both
+        endpoints; with several, each link keeps its options
         ``(queues[y], a, b, y)``, commodity ascending, as ``(cap, options)``.
         A zero-capacity link never sends, so it is left out.
         """
@@ -293,16 +292,15 @@ class SimState:
             cap = self.cap_int[e_idx]
             if not cap:
                 continue
-            edge = self.edge_list[e_idx]
-            ia, ib = idx[edge[0]], idx[edge[1]]
+            a, b = self.edge_list[e_idx]
+            ia, ib = idx[a], idx[b]
             if two_way:
                 arcs = [(y, ia, ib) for y in range(len(self.commodities))]
             else:
-                arcs = []
-                for y, dag in enumerate(self.dags):
-                    head = dag.heads.get(edge)
-                    if head is not None:
-                        arcs.append((y, ia, ib) if head == edge[1] else (y, ib, ia))
+                arcs = [
+                    (y, ia, ib) if dag.states[a] < dag.states[b] else (y, ib, ia)
+                    for y, dag in enumerate(self.dags)
+                ]
             if arcs:
                 links.append((cap, arcs))
         self.two_way = two_way
@@ -321,18 +319,12 @@ class SimState:
                 for cap, arcs in links
             ]
 
-    def total_backlog(self) -> int:
-        return sum(sum(q) for q in self.queues)
-
 
 def arrivals_step(state: SimState) -> SimState:
     """Inject Poisson arrivals at each commodity's source, one uniform per
     commodity, drawn from its CDF table as ``poisson_draw`` does."""
-    record = state.arrival_record
     for y, table in enumerate(state.cdfs):
         k = bisect_left(table, state.arr_rngs[y].random(), 0, len(table) - 1)
-        if record is not None:
-            record[y].append(k)
         if k:
             state.queues[y][state.src_idx[y]] += k
             state.arrivals[y] += k
@@ -506,7 +498,6 @@ def run(
     rho: float | None = None,
     seed=None,
     bucket: int = 0,
-    record_arrivals: bool = False,
 ) -> MetricsReport:
     """Simulate one (policy, load, seed) cell of a scenario.
 
@@ -538,7 +529,6 @@ def run(
         topology=config.topology,
         initial_dags=build_initial_dags(config, policy),
         dummies=dummies,
-        record_arrivals=record_arrivals,
     )
     if lfbp:
         state.epoch_left = params.period(0)
@@ -610,6 +600,5 @@ def run(
         arrivals_by_commodity=tuple(state.arrivals),
         reversal_log=state.reversal_log,
         buckets=buckets,
-        arrival_paths=state.arrival_record,
         final_dags=tuple(state.dags) if state.dags is not None else None,
     )

@@ -28,6 +28,7 @@ from typing import Iterable, Mapping
 
 import pytest
 
+from lfbp import sim
 from lfbp.flow import CutPartition, FlowAllocation, FlowNetwork, MaxFlow
 from lfbp.graph import DagOrientation, InvariantViolation, Network, Rational, apply_topology_event, as_rational, orient_by_ranking
 from lfbp.overload import OverloadVector, lex_min_overload
@@ -468,10 +469,9 @@ def reference_edge_plan(state):
         else:
             edge = state.edge_list[e_idx]
             for y, dag in enumerate(state.dags):
-                head = dag.heads.get(edge)
-                if head is None:
+                if edge not in dag.live:
                     continue
-                tail = edge[0] if edge[1] == head else edge[1]
+                tail, head = dag.direction(edge)
                 options.append((y, state.idx[tail], state.idx[head]))
         edge_plan[e_idx] = (cap, tuple(options))
     return edge_plan
@@ -548,6 +548,25 @@ def reference_topology_step(state):
     state.live_order = [i for i in range(state.m) if live[i]]
     state.rebuild_plans()
     return state
+
+
+def run_recording_arrivals(monkeypatch, *args, **kwargs) -> list[list[int]]:
+    """The arrival path of ``sim.run(*args, **kwargs)``: for every slot, the
+    packets each commodity drew, read off ``state.arrivals`` around each
+    ``sim.arrivals_step`` call."""
+    step, paths = sim.arrivals_step, []
+
+    def recorded(state):
+        before = state.arrivals[:]
+        step(state)
+        paths.append([now - was for now, was in zip(state.arrivals, before)])
+        return state
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "arrivals_step", recorded)
+        report = sim.run(*args, **kwargs)
+    assert len(paths) == report.horizon
+    return paths
 
 
 def reference_poisson_draw(rng: random.Random, mean: float) -> int:

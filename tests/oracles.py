@@ -5,20 +5,33 @@ vector on small instances, ``lex_key``/``lex_compare`` order vectors by
 their sorted-descending components, ``overloaded_set`` is the smallest
 min-cut when a rate exceeds an orientation's max-flow, ``is_acyclic``
 checks an orientation by topological sort, and ``check_state_consistency``
-checks that every live link runs from lower to higher state.  ``erdos_renyi_network`` is the
-random-graph sampler as it was while it drew each capacity with
-``rng.randint``, the reference for the sampler that draws the same stream
-inline.
+checks that the states are a node order that every live link climbs.
+``erdos_renyi_network`` is the random-graph sampler as it was while it drew
+each capacity with ``rng.randint``, the reference for the sampler that draws
+the same stream inline.  ``HeadsOrientation`` and the ``reference_*``
+constructors, reversal, topology event and optimal orientation keep every
+direction in a ``heads`` map, as the package did before it derived each
+direction from the node order; they are the reference for the derived one.
 """
 from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from lfbp.flow import FlowAllocation, smallest_min_cut
-from lfbp.graph import DagOrientation, InvariantViolation, Network, Rational, as_rational, topological_order
+from lfbp.flow import FlowAllocation, _edge_flow, _trim_cycles, smallest_min_cut
+from lfbp.graph import (
+    DagOrientation,
+    Edge,
+    InvariantViolation,
+    Network,
+    Rational,
+    as_rational,
+    edge_key,
+    topological_order,
+)
 from lfbp.overload import OverloadVector
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -184,17 +197,138 @@ def _split_count(caps: list[int], budget: int) -> int:
     return sum(counts.values())
 
 
+@dataclass(frozen=True)
+class HeadsOrientation:
+    """The orientation as it was kept while it stored every direction twice:
+    ``heads`` maps each live edge to the endpoint it points at, next to the
+    ``states`` node order.  The reference for ``DagOrientation``, which
+    derives each direction from the ranks."""
+
+    net: Network
+    heads: dict[Edge, int]
+    states: dict[int, int]
+    version: int = 0
+
+    @property
+    def live(self) -> frozenset[Edge]:
+        return frozenset(self.heads)
+
+    def directed_edges(self) -> Iterator[tuple[int, int, Rational]]:
+        """Yield (tail, head, capacity) for every live directed edge."""
+        cap = self.net.capacity
+        for edge, head in self.heads.items():
+            tail = edge[0] if edge[1] == head else edge[1]
+            yield tail, head, cap[edge]
+
+    def signature(self) -> frozenset[tuple[int, int]]:
+        """Hashable identity of the orientation (live directed edge set)."""
+        return frozenset((e[0], e[1]) if h == e[1] else (e[1], e[0]) for e, h in self.heads.items())
+
+
+def reference_orient_by_ranking(net: Network, ranking: Mapping[int, Rational]) -> HeadsOrientation:
+    """Orient every edge from lower-ranked to higher-ranked endpoint.
+
+    The ranking values must be distinct; the orientation keeps each node's
+    position in their order as its rank.
+    """
+    order = sorted(net.nodes, key=ranking.__getitem__)
+    if len({ranking[n] for n in order}) != len(order):
+        raise ValueError("ranking values must be distinct")
+    states = {n: pos for pos, n in enumerate(order)}
+    heads = {}
+    for i, j in net.capacity:
+        heads[(i, j)] = j if states[i] < states[j] else i
+    return HeadsOrientation(net=net, heads=heads, states=states)
+
+
+def reference_reverse_toward(dag: HeadsOrientation, overloaded: Iterable[int]):
+    """Reverse all live links entering ``overloaded`` from outside, then move
+    the overloaded nodes below all others in the node order, each side
+    keeping its own order.  Returns (new dag, reversed (tail, head) pairs)."""
+    overloaded = set(overloaded)
+    flips = []
+    heads = dict(dag.heads)
+    for edge, head in dag.heads.items():
+        tail = edge[0] if edge[1] == head else edge[1]
+        if tail not in overloaded and head in overloaded:
+            heads[edge] = tail
+            flips.append((tail, head))
+    if not flips:
+        return dag, ()
+    order = sorted(dag.states, key=dag.states.__getitem__)
+    order = [n for n in order if n in overloaded] + [n for n in order if n not in overloaded]
+    states = {n: pos for pos, n in enumerate(order)}
+    return replace(dag, heads=heads, states=states, version=dag.version + 1), tuple(sorted(flips))
+
+
+def reference_apply_topology_event(dag: HeadsOrientation, action: str, edge: tuple[int, int]) -> HeadsOrientation:
+    """Remove a live edge, or add a dead one oriented from lower to higher rank."""
+    key = edge_key(*edge)
+    if key not in dag.net.capacity:
+        raise ValueError(f"edge {{{edge[0]},{edge[1]}}} is not part of the network")
+    heads = dict(dag.heads)
+    if action == "remove":
+        if key not in heads:
+            raise ValueError(f"cannot remove dead edge {{{key[0]},{key[1]}}}")
+        del heads[key]
+    elif action == "add":
+        if key in heads:
+            raise ValueError(f"cannot add live edge {{{key[0]},{key[1]}}}")
+        i, j = key
+        heads[key] = j if dag.states[i] < dag.states[j] else i
+    else:
+        raise ValueError(f"unknown topology action {action!r}")
+    return replace(dag, heads=heads)
+
+
+def reference_optimal_dag(net: Network) -> HeadsOrientation:
+    """An orientation whose max-flow matches the undirected max-flow.
+
+    Solve the undirected max-flow, cancel any flow circulating on directed
+    cycles, orient flow-carrying edges along the flow, and orient idle edges
+    consistently with a deterministic topological order of the flow support.
+    """
+    result, edges = _edge_flow(net, net.source, net.dest)
+    support: dict[int, dict[int, Rational]] = {}
+    for e, (i, j) in enumerate(edges):
+        net_flow = result.arc_flow(2 * e)
+        if result.scale != 1:
+            net_flow = Fraction(net_flow, result.scale)
+        if net_flow > 0:
+            support.setdefault(i, {})[j] = net_flow
+        elif net_flow < 0:
+            support.setdefault(j, {})[i] = -net_flow
+    _trim_cycles(support)
+
+    pairs = [(u, v) for u, row in support.items() for v in row]
+    order = topological_order(net.nodes, pairs)
+    if order is None:
+        raise InvariantViolation("trimmed flow support still cyclic")
+    position = {n: pos for pos, n in enumerate(order)}
+
+    heads = {}
+    for i, j in net.capacity:
+        if support.get(i, {}).get(j, 0) > 0:
+            heads[(i, j)] = j
+        elif support.get(j, {}).get(i, 0) > 0:
+            heads[(i, j)] = i
+        else:
+            heads[(i, j)] = j if position[i] < position[j] else i
+    return HeadsOrientation(net=net, heads=heads, states=position)
+
+
 def is_acyclic(dag: DagOrientation) -> bool:
     """True iff the live directed graph admits a topological ordering."""
-    pairs = [dag.direction(e) for e in dag.heads]
+    pairs = [(tail, head) for tail, head, _ in dag.directed_edges()]
     return topological_order(dag.net.nodes, pairs) is not None
 
 
 def check_state_consistency(dag: DagOrientation) -> None:
-    """Raise unless every live directed edge goes from lower to higher state."""
+    """Raise unless ``states`` ranks the network's nodes 0..n-1 and every live
+    directed edge goes from lower to higher state."""
     states = dag.states
-    if len(set(states.values())) != len(states):
-        raise InvariantViolation("topological states are not pairwise distinct")
+    if set(states) != dag.net.nodes or sorted(states.values()) != list(range(len(states))):
+        raise InvariantViolation(f"states are not a node order of the network: {states}")
     for tail, head, _ in dag.directed_edges():
         if not states[tail] < states[head]:
             raise InvariantViolation(

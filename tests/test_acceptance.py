@@ -23,7 +23,7 @@ from lfbp.protocol import mark_step
 from lfbp.reversal import converge, reversal_step
 from lfbp.sim import SimState, arrivals_step, bp_step, run
 
-from conftest import exhaustive_smallest_min_cut, random_network, random_orientation
+from conftest import exhaustive_smallest_min_cut, random_network, random_orientation, run_recording_arrivals
 from oracles import brute_force_lex_min, is_acyclic, lex_compare, overloaded_set
 
 
@@ -189,15 +189,23 @@ def test_criterion_5_fixed_topology_backlog():
     rho=0.95, until about slot 4,500.  The first bucket holds that whole
     transient (449 packets on average at rho=0.95) and is the warm-up; the
     claim under test is about long-run backlog, not about horizon length.
+
+    The 20 (load, policy) cells run through ``sweep``'s two-worker pool on
+    the scenario's only seed, 1; criterion 9 pins pooled output equal to
+    serial output.
     """
     config = bundled_scenario("sixnode_fixed.scn")
+    assert config.seeds == (1,)
     bucket = 20_000
     t0 = time.time()
+    reports = {
+        (r.rho, r.policy): r
+        for r in sweep(config, ("bp", "lfbp"), jobs=2, horizon=200_000, bucket=bucket)
+    }
     results = {}
     bad = {}
     for rho in config.load_factors:
-        bp = run(config, "bp", 200_000, rho=rho, seed=1, bucket=bucket)
-        lf = run(config, "lfbp", 200_000, rho=rho, seed=1, bucket=bucket)
+        bp, lf = reports[rho, "bp"], reports[rho, "lfbp"]
         results[rho] = (bp.avg_backlog, lf.avg_backlog)
         assert len(bp.buckets) == len(lf.buckets) == 200_000 // bucket
         for b, l in zip(bp.buckets[1:], lf.buckets[1:]):
@@ -294,7 +302,7 @@ def test_criterion_8_threshold_detection():
     assert ok
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, monkeypatch):
     """Byte-identical CSV reruns; identical arrival paths across policies."""
     t0 = time.time()
     config = replace(
@@ -305,9 +313,9 @@ def test_criterion_9_determinism(tmp_path):
     sweep(config, ("bp", "lfbp"), b, jobs=2)
     identical = a.read_bytes() == b.read_bytes()
 
-    bp = run(config, "bp", 5_000, rho=0.9, seed=12, record_arrivals=True)
-    lf = run(config, "lfbp", 5_000, rho=0.9, seed=12, record_arrivals=True)
-    paths_equal = bp.arrival_paths == lf.arrival_paths
+    bp_paths = run_recording_arrivals(monkeypatch, config, "bp", 5_000, rho=0.9, seed=12)
+    lf_paths = run_recording_arrivals(monkeypatch, config, "lfbp", 5_000, rho=0.9, seed=12)
+    paths_equal = bp_paths == lf_paths
     ok = identical and paths_equal
     verdict(9, ok, f"csv byte-identical={identical} (serial vs pooled), "
                    f"arrival paths identical={paths_equal}, {time.time()-t0:.1f}s")

@@ -3,22 +3,26 @@ against the paper's numeric state rule."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfbp.flow import max_flow, max_flow_undirected, optimal_dag, smallest_min_cut
 from lfbp.graph import (
     DagOrientation,
     InvariantViolation,
     Network,
     apply_topology_event,
+    edge_key,
     erdos_renyi_network,
     grid_network,
     initial_dag,
     orient_by_ranking,
     orient_explicit,
+    topological_order,
 )
 from lfbp.reversal import converge, reverse_toward
 
@@ -28,6 +32,7 @@ from conftest import (
     paper_states,
     random_network,
     random_orientation,
+    reference_smallest_min_cut,
     rescale_states,
     update_states_after_reversal,
 )
@@ -87,14 +92,14 @@ class TestInitialDag:
         net = grid_network(4, 4, 6)
         assert len(net.nodes) == 16 and len(net.capacity) == 24
         dag = initial_dag(net)
-        for (i, j), head in dag.heads.items():
-            assert head == max(i, j)
-            assert j - i in (1, 4)  # down within a column, or right one column
+        assert dag.live == frozenset(net.capacity)
+        for tail, head, _ in dag.directed_edges():
+            assert head - tail in (1, 4)  # down within a column, or right one column
 
     def test_deterministic(self):
         net = triangle()
         a, b = initial_dag(net), initial_dag(net)
-        assert a.heads == b.heads and a.states == b.states
+        assert a.signature() == b.signature() and a.states == b.states
 
     def test_acyclic_and_state_consistent(self, rng):
         for _ in range(50):
@@ -105,14 +110,9 @@ class TestInitialDag:
 
 class TestIsAcyclic:
     def test_direct_three_cycle_detected(self):
-        net = triangle()
-        # construct directly, bypassing the orienting constructors
-        cyclic = DagOrientation(
-            net=net,
-            heads={(1, 2): 2, (2, 3): 3, (1, 3): 1},
-            states={1: 1, 2: 2, 3: 3},
-        )
-        assert not is_acyclic(cyclic)
+        # A node order cannot hold a cycle, so the three-cycle's pairs go
+        # straight to the sort that ``is_acyclic`` runs.
+        assert topological_order(triangle().nodes, [(1, 2), (2, 3), (3, 1)]) is None
 
     def test_initial_dag_always_acyclic(self, rng):
         for _ in range(25):
@@ -124,7 +124,7 @@ class TestTopologyEvents:
         net = Network.build([1, 2], [(1, 2, 1)], 1, 2)
         dag = initial_dag(net)
         dag = apply_topology_event(dag, "remove", (1, 2))
-        assert not dag.is_live((1, 2))
+        assert (1, 2) not in dag.live
         back = apply_topology_event(dag, "add", (1, 2))
         assert back.direction((1, 2)) == (1, 2)
 
@@ -133,7 +133,7 @@ class TestTopologyEvents:
         dag = initial_dag(net)
         dag = apply_topology_event(dag, "remove", (1, 2))
         flipped = dag.states | {1: 10}
-        dag = DagOrientation(net=net, heads=dict(dag.heads), states=flipped)
+        dag = DagOrientation(net=net, live=dag.live, states=flipped)
         assert apply_topology_event(dag, "add", (1, 2)).direction((1, 2)) == (2, 1)
 
     def test_remove_dead_edge_rejected(self):
@@ -152,7 +152,7 @@ class TestTopologyEvents:
         edges = sorted(dag.net.capacity)
         for _ in range(300):
             edge = edges[rng.randrange(len(edges))]
-            action = "remove" if dag.is_live(edge) else "add"
+            action = "remove" if edge in dag.live else "add"
             dag = apply_topology_event(dag, action, edge)
             assert is_acyclic(dag)
             check_state_consistency(dag)
@@ -292,7 +292,108 @@ def test_node_order_matches_paper_rule(n, steps, rescale_every, extra, seed):
         dag = new
         assert sorted(dag.states.values()) == list(range(n))
         assert rank_order(paper.states) == rank_order(dag.states)
-        assert state_heads(paper.states, dag.heads) == dag.heads
+        assert state_heads(paper.states, dag.live) == {e: dag.direction(e)[1] for e in dag.live}
+
+
+def mixed_network(rng: random.Random, n: int) -> Network:
+    """A random network on 0..n-1 whose capacities mix ints, fractions and
+    zeros, its edges built in shuffled order so that ``net.capacity`` order
+    is not the sorted one."""
+    p = rng.uniform(0.2, 0.8)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                kind = rng.randrange(3)
+                if kind == 0:
+                    cap = 0
+                elif kind == 1:
+                    cap = rng.randint(1, 6)
+                else:
+                    cap = Fraction(rng.randint(1, 12), rng.randint(2, 5))
+                edges.append((j, i, cap) if rng.random() < 0.5 else (i, j, cap))
+    rng.shuffle(edges)
+    return Network.build(range(n), edges, 0, n - 1)
+
+
+@given(n=st.integers(2, 12), steps=st.integers(40, 60), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_derived_directions_match_heads_reference(n, steps, seed):
+    """Directions derived from the node order equal the ones the ``heads``
+    map kept, after every reversal (random sets and dead-end sets) and every
+    topology event, and the max-flows over them agree.  Until the first
+    event, the live links also come out in the reference's order."""
+    rng = random.Random(seed)
+    net = mixed_network(rng, n)
+    values = rng.sample(range(-5 * n, 5 * n), n)
+    ranking = {node: Fraction(v, 2) for node, v in zip(range(n), values)}
+    dag = orient_by_ranking(net, ranking)
+    ref = oracles.reference_orient_by_ranking(net, ranking)
+    edges = list(net.capacity)
+    had_event = False
+    for _ in range(steps):
+        kind = rng.randrange(5)
+        if kind >= 3 and edges:
+            edge = rng.choice(edges)[::rng.choice((1, -1))]
+            live = edge_key(*edge) in ref.live
+            action = ("remove" if live else "add") if kind == 3 else ("add" if live else "remove")
+            if kind == 4:  # the wrong action for the edge's state
+                with pytest.raises(ValueError) as want:
+                    oracles.reference_apply_topology_event(ref, action, edge)
+                with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                    apply_topology_event(dag, action, edge)
+                continue
+            dag = apply_topology_event(dag, action, edge)
+            ref = oracles.reference_apply_topology_event(ref, action, edge)
+            had_event = True
+        else:
+            if kind == 2:
+                toward = dead_end_set(ref, rng.randrange(n))
+            else:
+                toward = {node for node in range(n) if rng.random() < 0.4}
+            new, flips = reverse_toward(dag, toward)
+            ref, ref_flips = oracles.reference_reverse_toward(ref, toward)
+            assert flips == ref_flips
+            if not flips:
+                assert new is dag
+            dag = new
+        assert dag.signature() == ref.signature()
+        assert dag.live == ref.live
+        assert dag.states == ref.states
+        assert dag.version == ref.version
+        if not had_event:
+            assert list(dag.directed_edges()) == list(ref.directed_edges())
+        assert smallest_min_cut(dag) == reference_smallest_min_cut(ref)
+        assert set(max_flow(dag).flow) == ref.signature()
+
+
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_max_flow_reads_the_directions_directed_edges_yields(n, seed):
+    """``max_flow`` directs every live link as ``directed_edges`` does, for
+    any rank map: one strict comparison decides both, so even tied ranks,
+    which no constructor makes, send a link the same way in each."""
+    rng = random.Random(seed)
+    net = mixed_network(rng, n)
+    states = {node: rng.randrange(n // 2 + 1) for node in range(n)}
+    live = frozenset(e for e in net.capacity if rng.random() < 0.8)
+    dag = DagOrientation(net=net, live=live, states=states)
+    flow = max_flow(dag)
+    assert set(flow.flow) == dag.signature()
+    assert all(0 <= f <= net.capacity[edge_key(u, v)] for (u, v), f in flow.flow.items())
+    assert flow.value == reference_smallest_min_cut(dag).capacity
+
+
+def test_optimal_dag_matches_heads_reference():
+    """Ranking by the topological order of the trimmed flow support directs
+    every link as the head rule that followed the flow did."""
+    rng = random.Random(12)
+    for _ in range(250):
+        net = mixed_network(rng, rng.randint(2, 12))
+        dag, ref = optimal_dag(net), oracles.reference_optimal_dag(net)
+        assert dag.signature() == ref.signature()
+        assert dag.live == ref.live and dag.states == ref.states
+        assert max_flow(dag).value == max_flow_undirected(net)
 
 
 class TestOrientExplicit:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,7 @@ from lfbp.cli import bundled_scenario
 from lfbp import sim
 from lfbp.flow import max_flow, max_flow_undirected, smallest_min_cut
 from lfbp.graph import Network, apply_topology_event, initial_dag, orient_explicit
-from lfbp.protocol import LfbpParams, epoch_reversal, lfbp_run, mark_step
+from lfbp.protocol import LfbpParams, epoch_reversal, mark_step
 from lfbp.reversal import converge, reversal_step, reverse_toward
 from lfbp.sim import CommoditySpec, SimState, arrivals_step, bp_step, run
 
@@ -72,10 +73,10 @@ class TestMarking:
 
     def test_no_marks_epoch_still_advances(self):
         state, params = self.make_state()
-        before = [dict(d.heads) for d in state.dags]
+        before = [d.signature() for d in state.dags]
         epoch_reversal(state, params)
         assert state.epoch == 1
-        assert [dict(d.heads) for d in state.dags] == before
+        assert [d.signature() for d in state.dags] == before
         assert state.edges_reversed == 0
 
 
@@ -151,8 +152,9 @@ class TestReversalGate:
 
 class TestLfbpRun:
     def test_infinite_threshold_means_no_reversals(self):
-        config = bundled_scenario("sixnode_fixed.scn").with_lfbp_params(
-            LfbpParams(thresholds=(10**12,), periods=(50,))
+        config = replace(
+            bundled_scenario("sixnode_fixed.scn"),
+            lfbp_params=LfbpParams(thresholds=(10**12,), periods=(50,)),
         )
         report = run(config, "lfbp", 5_000, rho=0.5, seed=1)
         assert report.edges_reversed == 0
@@ -197,7 +199,7 @@ class TestLfbpRun:
     def test_lfbp_beats_bp_delivery_on_under_supporting_start(self):
         config = bundled_scenario("sixnode_fixed.scn")
         bp = run(config, "bp", 30_000, rho=0.6, seed=3)
-        lf = lfbp_run(config, horizon=30_000, rho=0.6, seed=3)
+        lf = run(config, "lfbp", 30_000, rho=0.6, seed=3)
         assert lf.delivered >= bp.delivered
 
     @pytest.mark.parametrize(
@@ -220,13 +222,8 @@ class TestLfbpRun:
 
     def test_lfbp_params_override(self):
         config = bundled_scenario("sixnode_fixed.scn")
-        report = lfbp_run(
-            config,
-            params=LfbpParams(thresholds=(10**12,), periods=(60,)),
-            horizon=2_000,
-            rho=0.5,
-            seed=1,
-        )
+        config = replace(config, lfbp_params=LfbpParams(thresholds=(10**12,), periods=(60,)))
+        report = run(config, "lfbp", 2_000, rho=0.5, seed=1)
         assert report.edges_reversed == 0
 
 
