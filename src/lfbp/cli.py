@@ -27,7 +27,9 @@ Summary CSV columns (one row per run):
     avg_backlog,avg_backlog_net,final_backlog,reversal_events,
     edges_reversed,topo_events,live_fraction
 Bucketed trace CSV columns (optional, one row per slot bucket):
-    slot_bucket,policy,load,total_backlog_avg,delivered,reversals,live_edges
+    seed,slot_bucket,policy,load,total_backlog_avg,delivered,reversals,live_edges
+Reversal event CSV columns (whenever a run used lfbp, one row per marked epoch):
+    rho,seed,slot,commodity,edges_reversed,marked
 Every row carries the seed needed to reproduce it exactly.
 """
 from __future__ import annotations
@@ -39,7 +41,6 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -380,11 +381,18 @@ def sweep(
         reports = [_run_cell(cell) for cell in cells]
     reports.sort(key=lambda r: (r.rho, r.policy, r.seed))
     if out_path is not None:
-        write_summary_csv(reports, out_path)
-        if bucket:
-            write_trace_csv(reports, Path(out_path).with_suffix(".trace.csv"))
-            write_reversal_events_csv(reports, Path(out_path).with_suffix(".reversals.csv"))
+        write_run_csvs(reports, out_path, bucket)
     return reports
+
+
+def write_run_csvs(reports, out_path, bucket: int) -> None:
+    """The summary CSV at ``out_path`` and beside it ``.trace.csv`` when
+    ``bucket`` is above 0 and ``.reversals.csv`` when any report ran lfbp."""
+    write_summary_csv(reports, out_path)
+    if bucket:
+        write_trace_csv(reports, Path(out_path).with_suffix(".trace.csv"))
+    if any(report.policy == "lfbp" for report in reports):
+        write_reversal_events_csv(reports, Path(out_path).with_suffix(".reversals.csv"))
 
 
 def write_summary_csv(reports, path) -> None:
@@ -579,11 +587,7 @@ def main(argv=None) -> int:
                 bucket=args.trace_bucket,
             )
             if args.out:
-                write_summary_csv([report], args.out)
-                if args.trace_bucket:
-                    write_trace_csv([report], Path(args.out).with_suffix(".trace.csv"))
-                if report.reversal_log:
-                    write_reversal_events_csv([report], Path(args.out).with_suffix(".reversals.csv"))
+                write_run_csvs([report], args.out, args.trace_bucket)
             row = report.to_row()
             print(",".join(str(row[k]) for k in SUMMARY_FIELDS))
         elif args.command == "sweep":

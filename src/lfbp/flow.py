@@ -1,10 +1,8 @@
 """Exact max-flow / min-cut computations over orientations and raw networks.
 
 Dinic's blocking-flow max-flow on exact rational capacities (scaled once to
-integers), the unique smallest min-cut via residual reachability,
-construction of a throughput-optimal orientation from an undirected
-max-flow, and the cut granularity constant used to bound link-reversal
-iteration counts.
+integers), the unique smallest min-cut via residual reachability, and the
+cut granularity constant used to bound link-reversal iteration counts.
 
 A ``FlowNetwork`` holds one network's integer arc structure (node index,
 twin arc pairs, heads and adjacency) apart from its capacities, and its
@@ -30,12 +28,11 @@ from .graph import (
     Network,
     Rational,
     edge_key,
-    topological_order,
 )
 
-# Exhaustive subset enumeration stays tractable only at desk scale.  Under
-# ``auto`` it also stops at MAX_SUBSET_SUMS distinct sums; 20 edges of
-# capacity 1-10 have at most 201.
+# Exhaustive subset enumeration stays tractable only at desk scale; it also
+# stops at MAX_SUBSET_SUMS distinct sums.  20 edges of capacity 1-10 have at
+# most 201.
 MAX_EXHAUSTIVE_EDGES = 20
 MAX_SUBSET_SUMS = 4096
 
@@ -319,100 +316,25 @@ def smallest_min_cut(dag: DagOrientation, src: int | None = None, dst: int | Non
     return ReversalFlow(dag, src, dst).cut()
 
 
-def _trim_cycles(support: dict[int, dict[int, Rational]]) -> None:
-    """Cancel positive flow on directed cycles, lowest-ID-first DFS order."""
-    while True:
-        cycle = _find_cycle(support)
-        if cycle is None:
-            return
-        slack = min(support[u][v] for u, v in cycle)
-        for u, v in cycle:
-            support[u][v] -= slack
-            if support[u][v] == 0:
-                del support[u][v]
-
-
-def _find_cycle(support: dict[int, dict[int, Rational]]) -> list[tuple[int, int]] | None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    for root in sorted(support):
-        if color.get(root, WHITE) != WHITE:
-            continue
-        color[root] = GRAY
-        path = [root]
-        iters = [iter(sorted(support.get(root, ())))]
-        while path:
-            try:
-                nxt = next(iters[-1])
-            except StopIteration:
-                color[path.pop()] = BLACK
-                iters.pop()
-                continue
-            c = color.get(nxt, WHITE)
-            if c == GRAY:
-                cyc_nodes = path[path.index(nxt):] + [nxt]
-                return list(zip(cyc_nodes, cyc_nodes[1:]))
-            if c == WHITE:
-                color[nxt] = GRAY
-                path.append(nxt)
-                iters.append(iter(sorted(support.get(nxt, ()))))
-    return None
-
-
-def optimal_dag(net: Network) -> DagOrientation:
-    """An orientation whose max-flow matches the undirected max-flow.
-
-    Solve the undirected max-flow, cancel any flow circulating on directed
-    cycles, and rank the nodes by a deterministic topological order of the
-    flow support: every flow-carrying edge's tail comes first, so each such
-    edge runs along its flow, and the idle edges follow the same order.
-    """
-    result, edges = _edge_flow(net, net.source, net.dest)
-    support: dict[int, dict[int, Rational]] = {}
-    for e, (i, j) in enumerate(edges):
-        net_flow = result.arc_flow(2 * e)
-        if result.scale != 1:
-            net_flow = Fraction(net_flow, result.scale)
-        if net_flow > 0:
-            support.setdefault(i, {})[j] = net_flow
-        elif net_flow < 0:
-            support.setdefault(j, {})[i] = -net_flow
-    _trim_cycles(support)
-
-    pairs = [(u, v) for u, row in support.items() for v in row]
-    order = topological_order(net.nodes, pairs)
-    if order is None:
-        raise InvariantViolation("trimmed flow support still cyclic")
-    return DagOrientation(net=net, live=frozenset(net.capacity), states={n: pos for pos, n in enumerate(order)})
-
-
-def delta_bound(net: Network, method: str = "auto") -> Fraction:
+def delta_bound(net: Network) -> Fraction:
     """Smallest positive difference between capacities of any two cuts.
 
-    ``exhaustive`` enumerates all subset sums of the edge capacities, scaled
-    to integers by their least common denominator D (desk scale only).
-    ``analytic`` returns the 1/D lower bound; it is a bound, not the exact
-    value.  ``auto`` enumerates when the edge count permits and returns the
-    analytic bound instead once the sums pass ``MAX_SUBSET_SUMS``.
+    Enumerates all subset sums of the edge capacities, scaled to integers by
+    their least common denominator D, while the edge count and the number of
+    distinct sums permit; past ``MAX_EXHAUSTIVE_EDGES`` edges or
+    ``MAX_SUBSET_SUMS`` sums it returns the 1/D lower bound instead.
     """
     caps = list(net.capacity.values())
     if not caps or all(c == 0 for c in caps):
         raise ValueError("degenerate network: no positive capacity, delta undefined")
     scale = math.lcm(*(c.denominator for c in caps))
-    auto = method == "auto"
-    if auto:
-        method = "exhaustive" if len(caps) <= MAX_EXHAUSTIVE_EDGES else "analytic"
-    if method == "analytic":
-        return Fraction(1, scale)
-    if method != "exhaustive":
-        raise ValueError(f"unknown method {method!r}")
     if len(caps) > MAX_EXHAUSTIVE_EDGES:
-        raise ValueError(f"exhaustive mode limited to {MAX_EXHAUSTIVE_EDGES} edges")
+        return Fraction(1, scale)
     sums = {0}
     for c in caps:
         c = c.numerator * (scale // c.denominator)
         sums |= {s + c for s in sums}
-        if auto and len(sums) > MAX_SUBSET_SUMS:
+        if len(sums) > MAX_SUBSET_SUMS:
             return Fraction(1, scale)
     # Some capacity is positive, so there are at least two distinct sums.
     ordered = sorted(sums)

@@ -6,6 +6,8 @@ sequence of strictly improving orientations that terminates at one supporting
 the offered rate, or at the network's own max-flow when the rate is
 infeasible.  ``converge`` solves one max-flow per call and keeps it warm
 across its steps (``flow.ReversalFlow``): the flipped links carry no flow.
+``optimal_dag`` is the throughput-optimal orientation that this iteration
+reaches from the ID order at the network's undirected max-flow.
 """
 from __future__ import annotations
 
@@ -14,14 +16,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from .graph import DagOrientation, InvariantViolation, Rational, as_rational
+from .graph import DagOrientation, InvariantViolation, Network, Rational, as_rational, edge_key, initial_dag
 from .flow import CutPartition, ReversalFlow, delta_bound, max_flow_undirected, smallest_min_cut
 from .overload import OverloadVector, lex_min_overload
 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    version: int
     dag: DagOrientation
     max_flow_value: Rational
     overloaded: frozenset[int] | None
@@ -88,18 +89,10 @@ def _step(dag: DagOrientation, rate: Rational, cut: CutPartition):
     """``reversal_step`` against ``cut``, the smallest min-cut of ``dag``."""
     if as_rational(rate) <= cut.capacity:
         return dag, (), None
-    if not _has_usable_entering(dag, cut.source_side):
-        return dag, (), cut
     new_dag, flips = reverse_toward(dag, cut.source_side)
+    if not any(dag.net.capacity[edge_key(*flip)] > 0 for flip in flips):
+        return dag, (), cut
     return new_dag, flips, cut
-
-
-def _has_usable_entering(dag: DagOrientation, inside) -> bool:
-    return any(
-        cap > 0
-        for tail, head, cap in dag.directed_edges()
-        if tail not in inside and head in inside
-    )
 
 
 def default_max_iters(dag: DagOrientation, fmax: Rational | None = None) -> int:
@@ -118,7 +111,7 @@ def default_max_iters(dag: DagOrientation, fmax: Rational | None = None) -> int:
     if fmax == 0:
         return n
     try:
-        delta = delta_bound(dag.net, method="auto")
+        delta = delta_bound(dag.net)
     except ValueError:
         return n
     return math.ceil(Fraction(n) * Fraction(fmax) / delta) + n
@@ -142,7 +135,7 @@ def converge(
         overload = lex_min_overload(dag, rate) if record_overload else None
         new_dag, flips, over = _step(dag, rate, cut)
         overloaded = None if over is None else over.source_side
-        entries.append(TraceEntry(dag.version, dag, cut.capacity, overloaded, flips, overload))
+        entries.append(TraceEntry(dag, cut.capacity, overloaded, flips, overload))
         if not flips:
             # The rate is supported, or nothing useful is left to reverse: the
             # orientation meets the network max-flow and the rest is infeasible.
@@ -152,3 +145,10 @@ def converge(
     raise InvariantViolation(
         f"link reversal did not converge within {max_iters} iterations"
     )
+
+
+def optimal_dag(net: Network) -> DagOrientation:
+    """An orientation whose max-flow matches the undirected max-flow: the one
+    link reversal reaches from the ID order at that rate."""
+    dag, fmax = initial_dag(net), max_flow_undirected(net)
+    return converge(dag, fmax, default_max_iters(dag, fmax), record_overload=False).final

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .graph import DagOrientation, Network, apply_topology_event
@@ -220,7 +220,6 @@ class SimState:
                     f"simulator requires integer capacities; edge {e} has {cap}"
                 )
             self.cap_int.append(int(cap))
-        self.edge_index = {e: i for i, e in enumerate(self.edge_list)}
 
         ncom = len(commodities)
         self.src_idx = [self.idx[c.source] for c in commodities]
@@ -472,7 +471,7 @@ def initial_orientation(net: Network, mode) -> DagOrientation:
     """The starting orientation a scenario's ``initial_dag`` names: "by_id",
     "optimal" or explicit (tail, head) pairs."""
     from .graph import initial_dag, orient_explicit
-    from .flow import optimal_dag
+    from .reversal import optimal_dag
 
     if mode == "by_id":
         return initial_dag(net)
@@ -484,10 +483,14 @@ def initial_orientation(net: Network, mode) -> DagOrientation:
 
 
 def build_initial_dags(config, policy: str) -> list[DagOrientation] | None:
-    """Per-commodity starting orientations for the lfbp policy."""
+    """Per-commodity starting orientations for the lfbp policy, each built on
+    the network with that commodity's endpoints."""
     if policy != "lfbp":
         return None
-    return [initial_orientation(config.network, config.initial_dag) for _ in config.commodities]
+    return [
+        initial_orientation(replace(config.network, source=c.source, dest=c.dest), config.initial_dag)
+        for c in config.commodities
+    ]
 
 
 def run(

@@ -9,7 +9,8 @@ probabilities and the CDF table that replaced them, and the earlier
 lexicographic overload solver, which built a fresh auxiliary network for every
 density guess, as the reference for the one built per call.
 The arc-list max-flow ``_solve`` serves the kernel tests and these references,
-and the earlier ``converge``, which solved every step's min-cut cold, is the
+and the earlier ``converge``, which solved every step's min-cut cold and
+walked the links entering the cut a second time to find a usable one, is the
 reference for the one kept warm across steps.  ``ReferenceMaxFlow`` is the
 Dinic kernel before it pruned the dead ends at the sink's level.  The
 paper's numeric state rule (drop the reversed-toward nodes by 2^k * delta,
@@ -32,7 +33,7 @@ from lfbp import sim
 from lfbp.flow import CutPartition, FlowAllocation, FlowNetwork, MaxFlow
 from lfbp.graph import DagOrientation, InvariantViolation, Network, Rational, apply_topology_event, as_rational, orient_by_ranking
 from lfbp.overload import OverloadVector, lex_min_overload
-from lfbp.reversal import ReversalTrace, TraceEntry, _has_usable_entering, default_max_iters, reverse_toward
+from lfbp.reversal import ReversalTrace, TraceEntry, default_max_iters, reverse_toward
 
 from oracles import _fluid_arcs
 
@@ -224,22 +225,30 @@ def reference_converge(
         cut = reference_smallest_min_cut(dag)
         overload = lex_min_overload(dag, rate) if record_overload else None
         if as_rational(rate) <= cut.capacity:
-            entries.append(TraceEntry(dag.version, dag, cut.capacity, None, (), overload))
+            entries.append(TraceEntry(dag, cut.capacity, None, (), overload))
             return ReversalTrace(entries)
         if not _has_usable_entering(dag, cut.source_side):
             # Nothing useful to reverse: the orientation already meets the
             # network max-flow and the excess rate is simply infeasible.
             entries.append(
-                TraceEntry(dag.version, dag, cut.capacity, cut.source_side, (), overload)
+                TraceEntry(dag, cut.capacity, cut.source_side, (), overload)
             )
             return ReversalTrace(entries)
         new_dag, flips = reverse_toward(dag, cut.source_side)
         entries.append(
-            TraceEntry(dag.version, dag, cut.capacity, cut.source_side, flips, overload)
+            TraceEntry(dag, cut.capacity, cut.source_side, flips, overload)
         )
         dag = new_dag
     raise InvariantViolation(
         f"link reversal did not converge within {max_iters} iterations"
+    )
+
+
+def _has_usable_entering(dag: DagOrientation, inside) -> bool:
+    return any(
+        cap > 0
+        for tail, head, cap in dag.directed_edges()
+        if tail not in inside and head in inside
     )
 
 
@@ -261,7 +270,7 @@ def csv_rows(trace: ReversalTrace) -> list[dict]:
     for e in trace.entries:
         rows.append(
             {
-                "k": e.version,
+                "k": e.dag.version,
                 "max_flow": str(e.max_flow_value),
                 "overloaded_size": len(e.overloaded) if e.overloaded else 0,
                 "edges_reversed": len(e.reversed_edges),

@@ -9,19 +9,22 @@ checks that the states are a node order that every live link climbs.
 ``erdos_renyi_network`` is the random-graph sampler as it was while it drew
 each capacity with ``rng.randint``, the reference for the sampler that draws
 the same stream inline.  ``HeadsOrientation`` and the ``reference_*``
-constructors, reversal, topology event and optimal orientation keep every
-direction in a ``heads`` map, as the package did before it derived each
-direction from the node order; they are the reference for the derived one.
+constructors, reversal and topology event keep every direction in a
+``heads`` map, as the package did before it derived each direction from the
+node order; they are the reference for the derived one.  ``exhaustive_delta``
+is the cut granularity by full subset-sum enumeration, the reference for
+``delta_bound``.
 """
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from lfbp.flow import FlowAllocation, _edge_flow, _trim_cycles, smallest_min_cut
+from lfbp.flow import MAX_EXHAUSTIVE_EDGES, FlowAllocation, smallest_min_cut
 from lfbp.graph import (
     DagOrientation,
     Edge,
@@ -281,40 +284,23 @@ def reference_apply_topology_event(dag: HeadsOrientation, action: str, edge: tup
     return replace(dag, heads=heads)
 
 
-def reference_optimal_dag(net: Network) -> HeadsOrientation:
-    """An orientation whose max-flow matches the undirected max-flow.
-
-    Solve the undirected max-flow, cancel any flow circulating on directed
-    cycles, orient flow-carrying edges along the flow, and orient idle edges
-    consistently with a deterministic topological order of the flow support.
-    """
-    result, edges = _edge_flow(net, net.source, net.dest)
-    support: dict[int, dict[int, Rational]] = {}
-    for e, (i, j) in enumerate(edges):
-        net_flow = result.arc_flow(2 * e)
-        if result.scale != 1:
-            net_flow = Fraction(net_flow, result.scale)
-        if net_flow > 0:
-            support.setdefault(i, {})[j] = net_flow
-        elif net_flow < 0:
-            support.setdefault(j, {})[i] = -net_flow
-    _trim_cycles(support)
-
-    pairs = [(u, v) for u, row in support.items() for v in row]
-    order = topological_order(net.nodes, pairs)
-    if order is None:
-        raise InvariantViolation("trimmed flow support still cyclic")
-    position = {n: pos for pos, n in enumerate(order)}
-
-    heads = {}
-    for i, j in net.capacity:
-        if support.get(i, {}).get(j, 0) > 0:
-            heads[(i, j)] = j
-        elif support.get(j, {}).get(i, 0) > 0:
-            heads[(i, j)] = i
-        else:
-            heads[(i, j)] = j if position[i] < position[j] else i
-    return HeadsOrientation(net=net, heads=heads, states=position)
+def exhaustive_delta(net: Network) -> Fraction:
+    """Smallest positive difference between capacities of any two cuts, from
+    all subset sums of the edge capacities scaled to integers by their least
+    common denominator (desk scale only)."""
+    caps = list(net.capacity.values())
+    if not caps or all(c == 0 for c in caps):
+        raise ValueError("degenerate network: no positive capacity, delta undefined")
+    scale = math.lcm(*(c.denominator for c in caps))
+    if len(caps) > MAX_EXHAUSTIVE_EDGES:
+        raise ValueError(f"exhaustive mode limited to {MAX_EXHAUSTIVE_EDGES} edges")
+    sums = {0}
+    for c in caps:
+        c = c.numerator * (scale // c.denominator)
+        sums |= {s + c for s in sums}
+    # Some capacity is positive, so there are at least two distinct sums.
+    ordered = sorted(sums)
+    return Fraction(min(b - a for a, b in zip(ordered, ordered[1:])), scale)
 
 
 def is_acyclic(dag: DagOrientation) -> bool:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from lfbp.cli import bundled_scenario, er_batch, sweep
-from lfbp.flow import delta_bound, max_flow, max_flow_undirected, smallest_min_cut
+from lfbp.flow import max_flow, max_flow_undirected, smallest_min_cut
 from lfbp.graph import Network, initial_dag, orient_by_ranking, orient_explicit
 from lfbp.overload import lex_min_overload
 from lfbp.protocol import mark_step
@@ -24,7 +24,7 @@ from lfbp.reversal import converge, reversal_step
 from lfbp.sim import SimState, arrivals_step, bp_step, run
 
 from conftest import exhaustive_smallest_min_cut, random_network, random_orientation, run_recording_arrivals
-from oracles import brute_force_lex_min, is_acyclic, lex_compare, overloaded_set
+from oracles import brute_force_lex_min, exhaustive_delta, is_acyclic, lex_compare, overloaded_set
 
 
 def verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -131,7 +131,7 @@ def test_criterion_3_convergence_and_bounds():
         rate = rng.randint(1, 14)
         fmax = max_flow_undirected(net)
         n = len(net.nodes)
-        delta = delta_bound(net, method="exhaustive")
+        delta = exhaustive_delta(net)
         bound = math.ceil(Fraction(n) * Fraction(max(fmax, 1)) / delta)
         trace = converge(dag, rate, max_iters=bound + n, record_overload=False)
         final_cap = trace.entries[-1].max_flow_value

@@ -378,6 +378,15 @@ class TestSweep:
         assert lines[0] == "rho,seed,slot,commodity,edges_reversed,marked"
         assert len(lines) >= 2  # the overloaded pair must have been flagged
 
+    def test_reversal_events_csv_without_trace_bucket(self, tmp_path):
+        config = bundled_scenario("sixnode_detect.scn")
+        out = tmp_path / "d.csv"
+        sweep(config, ("lfbp",), out, horizon=400)
+        assert not out.with_suffix(".trace.csv").exists()
+        lines = out.with_suffix(".reversals.csv").read_text().strip().splitlines()
+        assert lines[0] == "rho,seed,slot,commodity,edges_reversed,marked"
+        assert len(lines) >= 2
+
 
 # sha256 of the CSV that ``er_batch`` writes for (samples, n range, seed), with
 # the default p and capacity range.  A change that moves a row must update
@@ -530,6 +539,16 @@ class TestMainVerbs:
             cli.main(["run", "--scenario", "sixnode_detect.scn", "--policy", "lfbp",
                       "--horizon", "400", "--seed", "5", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_run_writes_reversal_events_for_lfbp_only(self, tmp_path):
+        # No epoch marks a node in 10 slots, so lfbp writes only the header.
+        base = ["run", "--scenario", "sixnode_fixed.scn", "--horizon", "10"]
+        bp, lfbp = tmp_path / "bp.csv", tmp_path / "lfbp.csv"
+        assert cli.main([*base, "--policy", "bp", "--out", str(bp)]) == 0
+        assert cli.main([*base, "--policy", "lfbp", "--out", str(lfbp)]) == 0
+        assert bp.exists() and not bp.with_suffix(".reversals.csv").exists()
+        events = lfbp.with_suffix(".reversals.csv").read_text().splitlines()
+        assert events == ["rho,seed,slot,commodity,edges_reversed,marked"]
 
     def test_er_batch_verb(self, tmp_path, capsys):
         out = tmp_path / "er.csv"

@@ -18,9 +18,9 @@ from lfbp.flow import (
     delta_bound,
     max_flow,
     max_flow_undirected,
-    optimal_dag,
     smallest_min_cut,
 )
+from lfbp.reversal import optimal_dag
 from lfbp.graph import DagOrientation, Network, erdos_renyi_network, initial_dag, orient_explicit
 
 from conftest import (
@@ -35,6 +35,7 @@ from conftest import (
     random_network,
     random_orientation,
 )
+from oracles import exhaustive_delta
 
 
 def chain(c1, c2):
@@ -410,23 +411,25 @@ class TestOptimalDag:
 class TestDeltaBound:
     def test_unit_capacities(self):
         net = Network.build(range(4), [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)], 0, 3)
-        assert delta_bound(net, method="exhaustive") == 1
-        assert delta_bound(net, method="analytic") == 1
+        assert delta_bound(net) == exhaustive_delta(net) == 1
 
     def test_fractional_analytic_lcd(self):
         net = Network.build(
             range(3), [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 3))], 0, 2
         )
-        assert delta_bound(net, method="analytic") == Fraction(1, 6)
+        assert delta_bound(net) == exhaustive_delta(net) == Fraction(1, 6)
+        # past MAX_EXHAUSTIVE_EDGES edges the bound is 1/D for D = lcm(2, 3)
+        path = [(i, i + 1, Fraction(1, 2 + i % 2)) for i in range(24)]
+        assert delta_bound(Network.build(range(25), path, 0, 24)) == Fraction(1, 6)
 
     def test_powers_of_two_exhaustive(self):
         net = Network.build(range(4), [(0, 1, 1), (1, 2, 2), (2, 3, 4)], 0, 3)
-        assert delta_bound(net, method="exhaustive") == 1
+        assert delta_bound(net) == exhaustive_delta(net) == 1
 
     def test_exhaustive_finds_small_gaps(self):
         net = Network.build(range(3), [(0, 1, 3), (1, 2, Fraction(5, 2))], 0, 2)
         # subset sums: 0, 5/2, 3, 11/2 -> smallest positive gap 1/2
-        assert delta_bound(net, method="exhaustive") == Fraction(1, 2)
+        assert delta_bound(net) == exhaustive_delta(net) == Fraction(1, 2)
 
     def test_degenerate_all_zero(self):
         net = Network.build(range(2), [(0, 1, 0)], 0, 1)
@@ -436,17 +439,18 @@ class TestDeltaBound:
     def test_analytic_never_exceeds_exhaustive(self, rng):
         for _ in range(20):
             net = random_network(rng, n_max=5, cap_max=6, max_edges=8)
-            assert delta_bound(net, method="analytic") <= delta_bound(net, method="exhaustive")
+            analytic = Fraction(1, math.lcm(*(c.denominator for c in net.capacity.values())))
+            assert analytic <= exhaustive_delta(net) == delta_bound(net)
 
     def test_auto_mode_switches_on_edge_count(self):
         small = Network.build(range(3), [(0, 1, 3), (1, 2, 5)], 0, 2)
-        assert delta_bound(small) == delta_bound(small, method="exhaustive")
+        assert delta_bound(small) == exhaustive_delta(small)
         from lfbp.graph import grid_network
 
         big = grid_network(4, 4, 6)  # 24 edges: exhaustive would be rejected
-        assert delta_bound(big) == delta_bound(big, method="analytic") == 1
+        assert delta_bound(big) == 1
         with pytest.raises(ValueError, match="limited"):
-            delta_bound(big, method="exhaustive")
+            exhaustive_delta(big)
 
     def test_auto_is_exact_at_small_capacities(self):
         # 20 edges of capacity 1-10 have at most 201 subset sums.
@@ -454,7 +458,7 @@ class TestDeltaBound:
         for _ in range(20):
             path = [(i, i + 1, rng.choice([2, 4, 6, 8, 10])) for i in range(20)]
             net = Network.build(range(21), path, 0, 20)
-            assert delta_bound(net) == delta_bound(net, method="exhaustive") == 2
+            assert delta_bound(net) == exhaustive_delta(net) == 2
 
     def test_auto_falls_back_on_large_capacities(self):
         # 20 edges of capacity 10^6-10^7: about 2^20 distinct subset sums,
@@ -463,5 +467,5 @@ class TestDeltaBound:
         path = [(i, i + 1, rng.randint(10**6, 10**7)) for i in range(20)]
         net = Network.build(range(21), path, 0, 20)
         start = time.process_time()
-        assert delta_bound(net) == delta_bound(net, method="analytic") == 1
+        assert delta_bound(net) == Fraction(1, 1)
         assert time.process_time() - start < 1.0

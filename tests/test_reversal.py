@@ -16,12 +16,12 @@ from lfbp.graph import (
     orient_by_ranking,
     orient_explicit,
 )
-from lfbp.flow import ReversalFlow, delta_bound, max_flow, max_flow_undirected, smallest_min_cut
+from lfbp.flow import ReversalFlow, max_flow, max_flow_undirected, smallest_min_cut
 from lfbp.overload import lex_min_overload
 from lfbp.reversal import converge, default_max_iters, reversal_step, reverse_toward
 
 from conftest import random_network, random_orientation, reference_converge, write_csv
-from oracles import check_state_consistency, is_acyclic, lex_compare
+from oracles import check_state_consistency, exhaustive_delta, is_acyclic, lex_compare
 
 
 def side_edge_instance():
@@ -223,7 +223,7 @@ class TestConverge:
             fmax = max_flow_undirected(net)
             if fmax == 0:
                 continue
-            delta = delta_bound(net, method="exhaustive")
+            delta = exhaustive_delta(net)
             bound = math.ceil(Fraction(len(net.nodes)) * Fraction(fmax) / delta)
             trace = converge(dag, fmax, max_iters=bound, record_overload=False)
             assert trace.iterations <= bound
@@ -344,7 +344,7 @@ class TestTrace:
     def test_versions_strictly_increase(self, rng):
         dag = line_with_wrong_links(6)
         trace = converge(dag, 1)
-        versions = [e.version for e in trace.entries]
+        versions = [e.dag.version for e in trace.entries]
         assert versions == sorted(set(versions))
 
     def test_max_flow_nondecreasing(self, rng):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfbp.cli import ScenarioConfig, bundled_scenario, bundled_scenario_names, sweep
+from lfbp.flow import max_flow, max_flow_undirected
 from lfbp.graph import Network, apply_topology_event, grid_network, initial_dag, orient_explicit
 from lfbp.protocol import LfbpParams, epoch_reversal, mark_step
 from lfbp.sim import (
@@ -21,6 +22,7 @@ from lfbp.sim import (
     TopologyProcess,
     arrivals_step,
     bp_step,
+    build_initial_dags,
     poisson_cdf,
     poisson_draw,
     run,
@@ -515,6 +517,15 @@ class TestRun:
         early = float(report.buckets[1]["total_backlog_avg"])
         late = float(report.buckets[-1]["total_backlog_avg"])
         assert late < 3 * max(early, 5.0)
+
+    def test_optimal_start_is_built_per_commodity(self):
+        # commodity 9 -> 1 on the orientation built for 1 -> 9 would start
+        # at max-flow 0
+        net = grid_network(3, 3, 4)
+        specs = [CommoditySpec(0, 1, 9, 2.0), CommoditySpec(1, 9, 1, 2.0)]
+        config = make_config(net, specs, initial_dag="optimal")
+        for dag, c in zip(build_initial_dags(config, "lfbp"), specs):
+            assert max_flow(dag, c.source, c.dest).value == max_flow_undirected(net, c.source, c.dest) == 8
 
     def test_dummy_scale_applies_to_lfbp_only(self):
         net = Network.build([0, 1], [(0, 1, 30)], 0, 1)
