@@ -135,6 +135,8 @@ def _rational(value, where: str):
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(data).__name__}")
     version = _field(data, "version", int, where)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"{where}.version: unsupported schema version {version}")
@@ -280,45 +282,6 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     )
 
 
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    def cap_repr(c):
-        return c if isinstance(c, int) else str(c)
-
-    return {
-        "version": SCHEMA_VERSION,
-        "name": config.name,
-        "description": config.description,
-        "nodes": sorted(config.network.nodes),
-        "edges": [[i, j, cap_repr(cap)] for (i, j), cap in sorted(config.network.capacity.items())],
-        "commodities": [
-            {
-                "id": c.id,
-                "source": c.source,
-                "dest": c.dest,
-                "rate": c.rate,
-                "dummy_packets": c.dummy_packets,
-            }
-            for c in config.commodities
-        ],
-        "initial_dag": list(map(list, config.initial_dag))
-        if isinstance(config.initial_dag, tuple)
-        else config.initial_dag,
-        "lfbp": None
-        if config.lfbp_params is None
-        else {
-            "thresholds": [cap_repr(t) for t in config.lfbp_params.thresholds],
-            "periods": list(config.lfbp_params.periods),
-        },
-        "topology": None
-        if config.topology is None
-        else {"fail_prob": config.topology.fail_prob, "recover_prob": config.topology.recover_prob},
-        "dummy_scale": config.dummy_scale,
-        "load_factors": list(config.load_factors),
-        "horizon": config.horizon,
-        "seeds": list(config.seeds),
-    }
-
-
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
@@ -330,21 +293,12 @@ def load_scenario(path) -> ScenarioConfig:
     return scenario_from_dict(data, where=path.name)
 
 
-def write_scenario(config: ScenarioConfig, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(config), indent=2) + "\n")
-
-
 def bundled_scenario(name: str) -> ScenarioConfig:
     """Load one of the scenarios shipped with the package."""
     ref = resources.files("lfbp").joinpath("scenarios", name)
     if not ref.is_file():
         raise ValidationError(f"no bundled scenario named {name!r}")
     return scenario_from_dict(json.loads(ref.read_text()), where=name)
-
-
-def bundled_scenario_names() -> list[str]:
-    folder = resources.files("lfbp").joinpath("scenarios")
-    return sorted(p.name for p in folder.iterdir() if p.name.endswith(".scn"))
 
 
 def _run_cell(args):
@@ -395,21 +349,21 @@ def write_run_csvs(reports, out_path, bucket: int) -> None:
         write_reversal_events_csv(reports, Path(out_path).with_suffix(".reversals.csv"))
 
 
-def write_summary_csv(reports, path) -> None:
+def _write_csv(path, fields, rows) -> None:
+    """One CSV file: a header of ``fields``, then one line per row dict."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        for report in reports:
-            writer.writerow(report.to_row())
+        writer.writerows(rows)
+
+
+def write_summary_csv(reports, path) -> None:
+    _write_csv(path, SUMMARY_FIELDS, (report.to_row() for report in reports))
 
 
 def write_trace_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["seed"] + BUCKET_FIELDS)
-        writer.writeheader()
-        for report in reports:
-            for row in report.buckets:
-                writer.writerow({"seed": report.seed, **row})
+    rows = ({"seed": report.seed, **row} for report in reports for row in report.buckets)
+    _write_csv(path, ["seed"] + BUCKET_FIELDS, rows)
 
 
 REVERSAL_FIELDS = ["rho", "seed", "slot", "commodity", "edges_reversed", "marked"]
@@ -417,21 +371,22 @@ REVERSAL_FIELDS = ["rho", "seed", "slot", "commodity", "edges_reversed", "marked
 
 def write_reversal_events_csv(reports, path) -> None:
     """One row per epoch with marks: which nodes were flagged, how many links flipped."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REVERSAL_FIELDS)
-        writer.writeheader()
-        for report in reports:
-            for slot, commodity, flips, marked in report.reversal_log:
-                writer.writerow(
-                    {
-                        "rho": repr(report.rho),
-                        "seed": report.seed,
-                        "slot": slot,
-                        "commodity": commodity,
-                        "edges_reversed": flips,
-                        "marked": ";".join(str(n) for n in marked),
-                    }
-                )
+    _write_csv(
+        path,
+        REVERSAL_FIELDS,
+        (
+            {
+                "rho": repr(report.rho),
+                "seed": report.seed,
+                "slot": slot,
+                "commodity": commodity,
+                "edges_reversed": flips,
+                "marked": ";".join(str(n) for n in marked),
+            }
+            for report in reports
+            for slot, commodity, flips, marked in report.reversal_log
+        ),
+    )
 
 
 def er_batch(
@@ -485,10 +440,7 @@ def er_batch(
         "rows": rows,
     }
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["sample", "n", "edges", "fmax", "iterations", "bound"])
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(out_path, ["sample", "n", "edges", "fmax", "iterations", "bound"], rows)
     return stats
 
 

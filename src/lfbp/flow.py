@@ -47,10 +47,10 @@ class FlowAllocation:
 
 @dataclass(frozen=True)
 class CutPartition:
-    """A source-side / sink-side node partition and its directed crossing capacity."""
+    """A cut's source side and its directed crossing capacity; the sink side
+    is every other node of the network."""
 
     source_side: frozenset[int]
-    sink_side: frozenset[int]
     capacity: Rational
 
 
@@ -206,19 +206,17 @@ class ReversalFlow:
     min-cut source side.
     """
 
-    __slots__ = ("_nodes", "_flow", "_pair")
+    __slots__ = ("_flow", "_pair")
 
     def __init__(self, dag: DagOrientation, src: int | None = None, dst: int | None = None):
         src = dag.net.source if src is None else src
         dst = dag.net.dest if dst is None else dst
-        self._nodes = frozenset(dag.net.nodes)
         self._flow, edges = _edge_flow(dag.net, src, dst, dag)
         self._pair = {edge: 2 * e for e, edge in enumerate(edges)}
 
     def cut(self) -> CutPartition:
         """The smallest min-cut of the current orientation."""
-        side = self._flow.source_side
-        return CutPartition(source_side=side, sink_side=self._nodes - side, capacity=self._flow.value)
+        return CutPartition(source_side=self._flow.source_side, capacity=self._flow.value)
 
     def reverse(self, flips: Iterable[tuple[int, int]]) -> None:
         """Turn the flipped ``(tail, head)`` links around and continue the

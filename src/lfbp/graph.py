@@ -82,10 +82,6 @@ class Network:
             capacity[key] = cap
         return cls(nodes=node_set, capacity=capacity, source=source, dest=dest)
 
-    @property
-    def edges(self) -> list[Edge]:
-        return sorted(self.capacity)
-
 
 @dataclass(frozen=True)
 class DagOrientation:
@@ -94,14 +90,12 @@ class DagOrientation:
     ``live`` holds the live undirected edges; dead edges are simply absent.
     ``states`` is a node order: each node's rank, 0..n-1.  Every live link
     runs from its lower-ranked endpoint to its higher-ranked one, so the
-    orientation is acyclic by construction.  ``version`` is a monotone
-    sequence number for traces.
+    orientation is acyclic by construction.
     """
 
     net: Network
     live: frozenset[Edge]
     states: dict[int, int]
-    version: int = 0
 
     def directed_edges(self) -> Iterator[tuple[int, int, Rational]]:
         """Yield (tail, head, capacity) for every live link, in
@@ -111,14 +105,6 @@ class DagOrientation:
             if edge in live:
                 i, j = edge
                 yield (i, j, cap) if rank[i] < rank[j] else (j, i, cap)
-
-    def direction(self, edge: Edge) -> tuple[int, int]:
-        i, j = edge
-        return (i, j) if self.states[i] < self.states[j] else (j, i)
-
-    def signature(self) -> frozenset[tuple[int, int]]:
-        """Hashable identity of the orientation (live directed edge set)."""
-        return frozenset((tail, head) for tail, head, _ in self.directed_edges())
 
 
 def orient_by_ranking(net: Network, ranking: Mapping[int, Rational]) -> DagOrientation:
@@ -196,28 +182,6 @@ def apply_topology_event(dag: DagOrientation, action: str, edge: tuple[int, int]
     else:
         raise ValueError(f"unknown topology action {action!r}")
     return replace(dag, live=live)
-
-
-def grid_network(
-    rows: int, cols: int, capacity: Rational, source: int | None = None, dest: int | None = None
-) -> Network:
-    """Grid with column-major 1-based IDs; links join horizontal/vertical neighbors."""
-    def node_id(r: int, c: int) -> int:
-        return c * rows + r + 1
-
-    nodes = [node_id(r, c) for c in range(cols) for r in range(rows)]
-    edges = []
-    for c in range(cols):
-        for r in range(rows):
-            if r + 1 < rows:
-                edges.append((node_id(r, c), node_id(r + 1, c), capacity))
-            if c + 1 < cols:
-                edges.append((node_id(r, c), node_id(r, c + 1), capacity))
-    if source is None:
-        source = nodes[0]
-    if dest is None:
-        dest = nodes[-1]
-    return Network.build(nodes, edges, source, dest)
 
 
 def erdos_renyi_network(

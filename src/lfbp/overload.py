@@ -45,9 +45,6 @@ class OverloadVector:
     rates: dict[int, Rational]
     inducing_flow: FlowAllocation
 
-    def sorted_desc(self) -> tuple:
-        return tuple(sorted(self.rates.values(), reverse=True))
-
     def support(self) -> frozenset[int]:
         return frozenset(n for n, q in self.rates.items() if q > 0)
 

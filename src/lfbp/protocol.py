@@ -47,9 +47,6 @@ class LfbpParams:
         # The epoch from which the last threshold repeats; not a field.
         object.__setattr__(self, "last_threshold_epoch", len(self.thresholds) - 1)
 
-    def threshold(self, epoch: int):
-        return self.thresholds[epoch if epoch < self.last_threshold_epoch else -1]
-
     def period(self, epoch: int) -> int:
         return self.periods[min(epoch, len(self.periods) - 1)]
 

@@ -66,7 +66,7 @@ def reverse_toward(dag: DagOrientation, overloaded: Iterable[int]):
     order = sorted(dag.states, key=dag.states.__getitem__)
     order = [n for n in order if n in overloaded] + [n for n in order if n not in overloaded]
     states = {n: pos for pos, n in enumerate(order)}
-    return replace(dag, states=states, version=dag.version + 1), tuple(sorted(flips))
+    return replace(dag, states=states), tuple(sorted(flips))
 
 
 def reversal_step(dag: DagOrientation, rate: Rational):

@@ -169,17 +169,6 @@ def poisson_cdf(mean: float) -> list[float]:
         table.append(c)
 
 
-def poisson_draw(rng: random.Random, mean: float) -> int:
-    """Poisson sample by CDF inversion; always consumes exactly one uniform
-    so parallel runs stay on identical sample paths.
-
-    The sample is the smallest k with ``u <= table[k]``; a uniform above the
-    table's last entry (probability about 1e-16) takes the last k.
-    """
-    table = poisson_cdf(mean)
-    return bisect_left(table, rng.random(), 0, len(table) - 1)
-
-
 class SimState:
     """Mutable per-run simulation state; one writer, never shared."""
 
@@ -320,8 +309,13 @@ class SimState:
 
 
 def arrivals_step(state: SimState) -> SimState:
-    """Inject Poisson arrivals at each commodity's source, one uniform per
-    commodity, drawn from its CDF table as ``poisson_draw`` does."""
+    """Inject Poisson arrivals at each commodity's source by CDF inversion.
+
+    Each commodity consumes exactly one uniform per slot, even at mean 0, so
+    parallel runs stay on identical sample paths.  The draw is the smallest k
+    with ``u <= table[k]`` in the commodity's ``poisson_cdf`` table; a uniform
+    above the table's last entry (probability about 1e-16) takes the last k.
+    """
     for y, table in enumerate(state.cdfs):
         k = bisect_left(table, state.arr_rngs[y].random(), 0, len(table) - 1)
         if k:

@@ -1,13 +1,19 @@
 """Shared instance generators and independent oracles for the test suite.
 
+Helpers the package itself never calls live here: ``grid_network``, the
+orientation readers ``direction`` and ``signature``, and the scenario-file
+writers ``scenario_to_dict``, ``write_scenario`` and
+``bundled_scenario_names`` moved here from ``lfbp`` unchanged.
+
 The oracles here deliberately avoid the production code paths: min cuts by
 exhaustive subset enumeration, max-flow by grid enumeration of feasible
 flows.  They are slow and only meant for small instances.  The slot engine's
 earlier per-link forwarding step, topology round and term-by-term Poisson
-draw are kept here as references for the compiled plans, the per-edge flip
-probabilities and the CDF table that replaced them, and the earlier
-lexicographic overload solver, which built a fresh auxiliary network for every
-density guess, as the reference for the one built per call.
+draw (``reference_poisson_draws``, one sorted walk for many draws) are kept
+here as references for the compiled plans, the per-edge flip probabilities
+and the CDF table that replaced them, and the earlier lexicographic overload
+solver, which built a fresh auxiliary network for every density guess, as
+the reference for the one built per call.
 The arc-list max-flow ``_solve`` serves the kernel tests and these references,
 and the earlier ``converge``, which solved every step's min-cut cold and
 walked the links entering the cut a second time to find a usable one, is the
@@ -20,22 +26,118 @@ node order that replaced it.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from importlib import resources
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import pytest
 
 from lfbp import sim
+from lfbp.cli import SCHEMA_VERSION, ScenarioConfig
 from lfbp.flow import CutPartition, FlowAllocation, FlowNetwork, MaxFlow
-from lfbp.graph import DagOrientation, InvariantViolation, Network, Rational, apply_topology_event, as_rational, orient_by_ranking
+from lfbp.graph import (
+    DagOrientation,
+    Edge,
+    InvariantViolation,
+    Network,
+    Rational,
+    apply_topology_event,
+    as_rational,
+    orient_by_ranking,
+)
 from lfbp.overload import OverloadVector, lex_min_overload
 from lfbp.reversal import ReversalTrace, TraceEntry, default_max_iters, reverse_toward
 
 from oracles import _fluid_arcs
+
+
+# Network, orientation and scenario-file helpers that only the tests use.
+
+
+def grid_network(
+    rows: int, cols: int, capacity: Rational, source: int | None = None, dest: int | None = None
+) -> Network:
+    """Grid with column-major 1-based IDs; links join horizontal/vertical neighbors."""
+    def node_id(r: int, c: int) -> int:
+        return c * rows + r + 1
+
+    nodes = [node_id(r, c) for c in range(cols) for r in range(rows)]
+    edges = []
+    for c in range(cols):
+        for r in range(rows):
+            if r + 1 < rows:
+                edges.append((node_id(r, c), node_id(r + 1, c), capacity))
+            if c + 1 < cols:
+                edges.append((node_id(r, c), node_id(r, c + 1), capacity))
+    if source is None:
+        source = nodes[0]
+    if dest is None:
+        dest = nodes[-1]
+    return Network.build(nodes, edges, source, dest)
+
+
+def direction(dag: DagOrientation, edge: Edge) -> tuple[int, int]:
+    i, j = edge
+    return (i, j) if dag.states[i] < dag.states[j] else (j, i)
+
+
+def signature(dag: DagOrientation) -> frozenset[tuple[int, int]]:
+    """Hashable identity of the orientation (live directed edge set)."""
+    return frozenset((tail, head) for tail, head, _ in dag.directed_edges())
+
+
+def scenario_to_dict(config: ScenarioConfig) -> dict:
+    def cap_repr(c):
+        return c if isinstance(c, int) else str(c)
+
+    return {
+        "version": SCHEMA_VERSION,
+        "name": config.name,
+        "description": config.description,
+        "nodes": sorted(config.network.nodes),
+        "edges": [[i, j, cap_repr(cap)] for (i, j), cap in sorted(config.network.capacity.items())],
+        "commodities": [
+            {
+                "id": c.id,
+                "source": c.source,
+                "dest": c.dest,
+                "rate": c.rate,
+                "dummy_packets": c.dummy_packets,
+            }
+            for c in config.commodities
+        ],
+        "initial_dag": list(map(list, config.initial_dag))
+        if isinstance(config.initial_dag, tuple)
+        else config.initial_dag,
+        "lfbp": None
+        if config.lfbp_params is None
+        else {
+            "thresholds": [cap_repr(t) for t in config.lfbp_params.thresholds],
+            "periods": list(config.lfbp_params.periods),
+        },
+        "topology": None
+        if config.topology is None
+        else {"fail_prob": config.topology.fail_prob, "recover_prob": config.topology.recover_prob},
+        "dummy_scale": config.dummy_scale,
+        "load_factors": list(config.load_factors),
+        "horizon": config.horizon,
+        "seeds": list(config.seeds),
+    }
+
+
+def write_scenario(config: ScenarioConfig, path) -> None:
+    Path(path).write_text(json.dumps(scenario_to_dict(config), indent=2) + "\n")
+
+
+def bundled_scenario_names() -> list[str]:
+    folder = resources.files("lfbp").joinpath("scenarios")
+    return sorted(p.name for p in folder.iterdir() if p.name.endswith(".scn"))
 
 
 class PairedFlowNetwork(FlowNetwork):
@@ -202,7 +304,6 @@ def reference_smallest_min_cut(dag: DagOrientation, src: int | None = None, dst:
     result = _solve(dag.net.nodes, dag.directed_edges(), src, dst)
     return CutPartition(
         source_side=result.source_side,
-        sink_side=frozenset(dag.net.nodes) - result.source_side,
         capacity=result.value,
     )
 
@@ -265,12 +366,13 @@ def cut_capacity(dag: DagOrientation, side_a: Iterable[int], side_b: Iterable[in
 
 
 def csv_rows(trace: ReversalTrace) -> list[dict]:
-    """One row per trace entry, as ``ReversalTrace.csv_rows`` wrote them."""
+    """One row per trace entry, as ``ReversalTrace.csv_rows`` wrote them;
+    ``k`` is the entry's index, the count of reversals that led to it."""
     rows = []
-    for e in trace.entries:
+    for k, e in enumerate(trace.entries):
         rows.append(
             {
-                "k": e.dag.version,
+                "k": k,
                 "max_flow": str(e.max_flow_value),
                 "overloaded_size": len(e.overloaded) if e.overloaded else 0,
                 "edges_reversed": len(e.reversed_edges),
@@ -480,7 +582,7 @@ def reference_edge_plan(state):
             for y, dag in enumerate(state.dags):
                 if edge not in dag.live:
                     continue
-                tail, head = dag.direction(edge)
+                tail, head = direction(dag, edge)
                 options.append((y, state.idx[tail], state.idx[head]))
         edge_plan[e_idx] = (cap, tuple(options))
     return edge_plan
@@ -578,21 +680,28 @@ def run_recording_arrivals(monkeypatch, *args, **kwargs) -> list[list[int]]:
     return paths
 
 
-def reference_poisson_draw(rng: random.Random, mean: float) -> int:
-    """The engine's earlier Poisson draw: walk the CDF term by term."""
-    u = rng.random()
+def reference_poisson_draws(rng: random.Random, mean: float, count: int) -> list[int]:
+    """``count`` draws of the engine's earlier Poisson draw, which took one
+    uniform and walked the CDF term by term from 0.
+
+    All uniforms are taken first, in order; then one walk with the same
+    recurrence and the same ``k > 100_000`` stop serves them in ascending
+    order, so each gets the k its own walk from 0 would reach."""
+    uniforms = [rng.random() for _ in range(count)]
+    out = [0] * count
     if mean <= 0.0:
-        return 0
+        return out
     p = math.exp(-mean)
     c = p
     k = 0
-    while u > c:
-        k += 1
-        p *= mean / k
-        c += p
-        if k > 100_000:  # numerically unreachable for desk-scale means
-            break
-    return k
+    for i in sorted(range(count), key=uniforms.__getitem__):
+        u = uniforms[i]
+        while u > c and k <= 100_000:  # the stop is numerically unreachable for desk-scale means
+            k += 1
+            p *= mean / k
+            c += p
+        out[i] = k
+    return out
 
 
 def _max_surplus_set(

@@ -210,7 +210,6 @@ class HeadsOrientation:
     net: Network
     heads: dict[Edge, int]
     states: dict[int, int]
-    version: int = 0
 
     @property
     def live(self) -> frozenset[Edge]:
@@ -261,7 +260,7 @@ def reference_reverse_toward(dag: HeadsOrientation, overloaded: Iterable[int]):
     order = sorted(dag.states, key=dag.states.__getitem__)
     order = [n for n in order if n in overloaded] + [n for n in order if n not in overloaded]
     states = {n: pos for pos, n in enumerate(order)}
-    return replace(dag, heads=heads, states=states, version=dag.version + 1), tuple(sorted(flips))
+    return replace(dag, heads=heads, states=states), tuple(sorted(flips))
 
 
 def reference_apply_topology_event(dag: HeadsOrientation, action: str, edge: tuple[int, int]) -> HeadsOrientation:

@@ -19,17 +19,16 @@ from lfbp.cli import (
     ScenarioConfig,
     ValidationError,
     bundled_scenario,
-    bundled_scenario_names,
     er_batch,
     load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     sweep,
-    write_scenario,
 )
 from lfbp.flow import max_flow_undirected
 from lfbp.graph import InvariantViolation
 from lfbp.sim import SUMMARY_FIELDS
+
+from conftest import bundled_scenario_names, scenario_to_dict, write_scenario
 
 
 def minimal_doc(**overrides):
@@ -462,6 +461,15 @@ class TestMainVerbs:
         bad.write_text(json.dumps(minimal_doc(load_factors=[-1])))
         assert cli.main(["validate", "--scenario", str(bad)]) == 1
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, kind", [("5", "int"), ("null", "NoneType"), ("true", "bool"), ('"version"', "str"), ("[1]", "list")]
+    )
+    def test_top_level_not_an_object_exits_one(self, text, kind, tmp_path, capsys):
+        bad = tmp_path / "f.scn"
+        bad.write_text(text)
+        assert cli.main(["validate", "--scenario", str(bad)]) == 1
+        assert capsys.readouterr().err == f"validation error: f.scn: expected an object, got {kind}\n"
 
     @pytest.mark.parametrize("verb", ["run", "sweep", "validate"])
     def test_fractional_capacity_exits_one_naming_edge(self, verb, tmp_path, capsys):

@@ -14,6 +14,7 @@ from lfbp.protocol import LfbpParams, epoch_reversal, mark_step
 from lfbp.reversal import converge, reversal_step, reverse_toward
 from lfbp.sim import CommoditySpec, SimState, arrivals_step, bp_step, run
 
+from conftest import direction, signature
 from test_sim import make_config
 from oracles import check_state_consistency, is_acyclic
 
@@ -24,11 +25,17 @@ def sixnode_net():
 
 class TestParams:
     def test_sequences_repeat_last_value(self):
-        p = LfbpParams(thresholds=(60,), periods=(150, 50))
+        p = LfbpParams(thresholds=(100, 60), periods=(150, 50))
         assert p.period(0) == 150
         assert p.period(1) == 50
         assert p.period(9) == 50
-        assert p.threshold(7) == 60
+        # At epoch 7 ``mark_step`` holds queues to the last threshold, 60.
+        net = Network.build([0, 1, 2], [(0, 1, 2), (1, 2, 2)], 0, 2)
+        state = SimState(net, [CommoditySpec(0, 0, 2, 0.0)], "lfbp", 1.0, 0, initial_dags=[initial_dag(net)])
+        state.epoch = 7
+        state.queues[0][:2] = [61, 60]
+        mark_step(state, p)
+        assert state.marks[0] == [True, False, False]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -73,10 +80,10 @@ class TestMarking:
 
     def test_no_marks_epoch_still_advances(self):
         state, params = self.make_state()
-        before = [d.signature() for d in state.dags]
+        before = [signature(d) for d in state.dags]
         epoch_reversal(state, params)
         assert state.epoch == 1
-        assert [d.signature() for d in state.dags] == before
+        assert [signature(d) for d in state.dags] == before
         assert state.edges_reversed == 0
 
 
@@ -97,7 +104,7 @@ class TestEpochReversal:
             state.marks[0][i] = node in cut.source_side
         params = LfbpParams(thresholds=(60,), periods=(10,))
         epoch_reversal(state, params)
-        assert state.dags[0].signature() == oracle_dag.signature()
+        assert signature(state.dags[0]) == signature(oracle_dag)
         assert state.edges_reversed == len(flips)
 
     def test_wrong_marks_never_break_acyclicity(self, rng):
@@ -143,8 +150,8 @@ class TestReversalGate:
             state.marks[0][state.idx[node]] = True
         epoch_reversal(state, LfbpParams(thresholds=(60,), periods=(50,)))
         out = state.dags[0]
-        assert out.direction((0, 2)) == (2, 0)
-        assert out.direction((0, 1)) == (0, 1)
+        assert direction(out, (0, 2)) == (2, 0)
+        assert direction(out, (0, 1)) == (0, 1)
         assert max_flow(out).value == max_flow(dag).value == 3
         assert is_acyclic(out)
         assert state.reversal_log == [(0, 0, 1, (1, 2, 4))]
@@ -158,8 +165,8 @@ class TestLfbpRun:
         )
         report = run(config, "lfbp", 5_000, rho=0.5, seed=1)
         assert report.edges_reversed == 0
-        assert report.final_dags[0].signature() == \
-            orient_explicit(config.network, config.initial_dag).signature()
+        assert signature(report.final_dags[0]) == \
+            signature(orient_explicit(config.network, config.initial_dag))
 
     def test_converges_past_initial_bottleneck(self):
         # static topology, rate above the initial orientation's max-flow

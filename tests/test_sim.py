@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfbp.cli import ScenarioConfig, bundled_scenario, bundled_scenario_names, sweep
+from lfbp.cli import ScenarioConfig, bundled_scenario, sweep
 from lfbp.flow import max_flow, max_flow_undirected
-from lfbp.graph import Network, apply_topology_event, grid_network, initial_dag, orient_explicit
+from lfbp.graph import Network, apply_topology_event, initial_dag, orient_explicit
 from lfbp.protocol import LfbpParams, epoch_reversal, mark_step
 from lfbp.sim import (
     MAX_POISSON_MEAN,
@@ -24,15 +24,16 @@ from lfbp.sim import (
     bp_step,
     build_initial_dags,
     poisson_cdf,
-    poisson_draw,
     run,
     topology_step,
 )
 
 from conftest import (
+    bundled_scenario_names,
+    grid_network,
     random_orientation,
     reference_bp_step,
-    reference_poisson_draw,
+    reference_poisson_draws,
     reference_topology_step,
     run_recording_arrivals,
 )
@@ -97,18 +98,20 @@ class TestArrivals:
         assert any(seqs[0])
 
     def test_sample_mean_within_three_sigma(self):
-        rng = random.Random(7)
         mean = 3.7
         n = 100_000
-        total = sum(poisson_draw(rng, mean) for _ in range(n))
+        net = Network.build([0, 1], [(0, 1, 1)], 0, 1)
+        total = sum(draws(SimState(net, [CommoditySpec(0, 0, 1, mean)], "bp", 1.0, 7), n))
         sigma = math.sqrt(mean / n)
         assert abs(total / n - mean) < 3 * sigma
 
     def test_draw_consumes_one_uniform_even_at_zero_mean(self):
-        a, b = random.Random(5), random.Random(5)
-        poisson_draw(a, 0.0)
-        b.random()
-        assert a.random() == b.random()
+        net = Network.build([0, 1], [(0, 1, 1)], 0, 1)
+        state = SimState(net, [CommoditySpec(0, 0, 1, 0.0)], "bp", 1.0, 5)
+        reference = random.Random("5|arrivals|0")
+        assert draws(state, 1) == [0]
+        reference.random()
+        assert state.arr_rngs[0].random() == reference.random()
 
     def test_zero_mean_table_is_one_entry(self):
         assert poisson_cdf(0.0) == [1.0]
@@ -120,7 +123,8 @@ class TestArrivals:
         net = Network.build([0, 1], [(0, 1, 1)], 0, 1)
         state = SimState(net, [CommoditySpec(0, 0, 1, mean)], "bp", 1.0, 3)
         reference = random.Random("3|arrivals|0")
-        assert draws(state, 100_000) == [reference_poisson_draw(reference, mean) for _ in range(100_000)]
+        assert draws(state, 100_000) == reference_poisson_draws(reference, mean, 100_000)
+        assert state.arr_rngs[0].getstate() == reference.getstate()
 
     @pytest.mark.parametrize("mean", [MAX_POISSON_MEAN + 1, 900.0, float("inf"), float("nan"), -1.0])
     def test_unrepresentable_mean_rejected(self, mean):

@@ -47,3 +47,70 @@ def test_unused_imports_flagged(tmp_path):
 def test_no_unused_imports_in_package():
     found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in unused_imports(path)]
     assert found == []
+
+
+# Definitions kept although nothing in the package or the benchmark reads
+# them, each with its reason.
+UNREAD_ALLOWED = {
+    "reversal.py reversal_step": "the only reader of reversal's smallest_min_cut import, "
+    "the name the benchmark's tracer patches; without it that import goes unused",
+}
+
+
+def unread_definitions(defining: list[Path], reading: list[Path]) -> list[tuple[str, int, str]]:
+    """``(file, line, name)`` for each top-level function or class in ``defining``
+    never read as a name in ``reading``, and each method or property of such
+    a class never read as an attribute there.  A module attribute such as
+    ``sim.bp_step`` counts as a read of the name; dunder methods are left
+    out."""
+    names: set[str] = set()
+    attributes: set[str] = set()
+    for path in reading:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    read = names | attributes
+    found = []
+    for path in defining:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in read:
+                found.append((path.name, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (path.name, item.lineno, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("__")
+                    and item.name not in attributes
+                ]
+    return found
+
+
+def test_unread_definitions_flagged(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "class Box:\n"
+        "    def __init__(self): pass\n"
+        "    def read(self): pass\n"
+        "    @property\n"
+        "    def size(self): pass\n"
+        "    def dropped(self): pass\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("import module\nmodule.used()\nbox = module.Box()\nbox.read()\nbox.size\ndropped = 1\n")
+    assert unread_definitions([module], [module, reader]) == [("module.py", 2, "unused"), ("module.py", 8, "dropped")]
+
+
+def test_package_defines_only_what_it_or_the_benchmark_reads():
+    """Every function, class and method in the package has a reader in the
+    package or the benchmark: code that only tests call lives in ``tests/``."""
+    package = sorted(PACKAGE.glob("*.py"))
+    bench = sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
+    found = unread_definitions(package, package + bench)
+    assert sorted(f"{file} {name}" for file, _line, name in found) == sorted(UNREAD_ALLOWED)
