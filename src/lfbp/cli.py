@@ -19,8 +19,11 @@ Scenario files are versioned JSON documents (conventionally ``.scn``):
       "seeds": [1]
     }
 
-Capacities may be integers or fraction strings.  ``dummy_scale`` S adds
-floor(S / rho) startup packets to every commodity source, lfbp runs only.
+``load_scenario`` reads a file, or else the bundled scenario of that name.
+Capacities and lfbp thresholds may be integers or fraction strings; every
+other number must be a JSON number, and ``horizon`` at least 1.
+``dummy_scale`` S adds floor(S / rho) startup packets to every commodity
+source, lfbp runs only.
 
 Summary CSV columns (one row per run):
     scenario,policy,rho,seed,horizon,arrivals,delivered,delivered_net,
@@ -38,9 +41,10 @@ import argparse
 import csv
 import json
 import math
+import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -51,6 +55,7 @@ from .graph import (
     as_rational,
     erdos_renyi_network,
     orient_by_ranking,
+    orient_explicit,
 )
 from .flow import max_flow_undirected
 from .protocol import LfbpParams
@@ -87,61 +92,81 @@ class ScenarioConfig:
     description: str = ""
 
 
-# What converting a field's value may raise: a wrong type, a malformed string
-# or NaN, an infinite float, and a fraction string with a zero denominator.
+# What converting a rational may raise: a wrong type, a malformed string or
+# NaN, an infinite float, and a fraction string with a zero denominator.
 _CONVERSION_ERRORS = (TypeError, ValueError, OverflowError, ZeroDivisionError)
 _REQUIRED = object()
 
 
-def _field(data: dict, key: str, kind, where: str, default=_REQUIRED):
-    if key not in data:
-        if default is _REQUIRED:
-            raise ValidationError(f"{where}: missing field {key!r}")
-        return default
-    value = data[key]
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-        raise ValidationError(f"{where}.{key}: expected {kind}, got {type(value).__name__}")
-    return value
-
-
-def _object(data: dict, key: str, where: str) -> dict | None:
-    """An optional sub-object; None when absent or null."""
-    value = data.get(key)
-    if value is not None and not isinstance(value, dict):
-        raise ValidationError(f"{where}.{key}: expected an object, got {type(value).__name__}")
+def _kind(value, where: str, kind, name: str):
+    """``value`` if it is of JSON kind ``kind`` (a bool never is), else an
+    error naming ``where``."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"{where}: expected {name}, got {type(value).__name__}")
     return value
 
 
 def _int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{where}: expected an integer, got {type(value).__name__}")
-    return value
+    return _kind(value, where, int, "an integer")
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool):
-        raise ValidationError(f"{where}: expected a number, got bool")
     try:
-        return float(value)
-    except _CONVERSION_ERRORS as exc:
+        return float(_kind(value, where, (int, float), "a number"))
+    except OverflowError as exc:  # an integer beyond the float range
         raise ValidationError(f"{where}: {exc}") from exc
 
 
+def _str(value, where: str) -> str:
+    return _kind(value, where, str, "a string")
+
+
+def _list(value, where: str) -> list:
+    return _kind(value, where, list, "a list")
+
+
+def _object(value, where: str) -> dict:
+    return _kind(value, where, dict, "an object")
+
+
 def _rational(value, where: str):
+    """An integer, a float or a fraction string such as ``"3/4"``, exact."""
     try:
         return as_rational(value)
     except _CONVERSION_ERRORS as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
+def _items(read):
+    """A reader of a list whose element ``i`` ``read`` reads at ``where[i]``."""
+    return lambda value, where: [read(item, f"{where}[{pos}]") for pos, item in enumerate(_list(value, where))]
+
+
+def _get(data: dict, key: str, where: str, read, default=_REQUIRED):
+    """Field ``key`` of ``data`` as ``read`` reads it at ``where.key``;
+    ``default`` when the field is absent and a default is given."""
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValidationError(f"{where}: missing field {key!r}")
+        return default
+    return read(data[key], f"{where}.{key}")
+
+
+def _build(where: str, make, *args):
+    """``make(*args)``, with its ``ValueError`` reported at ``where``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
 def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{where}: expected an object, got {type(data).__name__}")
-    version = _field(data, "version", int, where)
+    _object(data, where)
+    version = _get(data, "version", where, _int)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"{where}.version: unsupported schema version {version}")
-    name = _field(data, "name", str, where)
-    nodes = [_int(n, f"{where}.nodes[{pos}]") for pos, n in enumerate(_field(data, "nodes", list, where))]
+    name = _get(data, "name", where, _str)
+    nodes = _get(data, "nodes", where, _items(_int))
     node_set = set(nodes)
     if len(node_set) != len(nodes):
         raise ValidationError(f"{where}.nodes: node IDs must be unique")
@@ -151,103 +176,69 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
             raise ValidationError(f"{field}: {value!r} is not one of the nodes")
         return value
 
-    edges = []
-    for pos, item in enumerate(_field(data, "edges", list, where)):
-        ewhere = f"{where}.edges[{pos}]"
+    def edge(item, ewhere: str):
         if not isinstance(item, list) or len(item) != 3:
             raise ValidationError(f"{ewhere}: expected [i, j, capacity]")
-        i, j, cap = item
-        edges.append((node(i, ewhere), node(j, ewhere), _rational(cap, f"{ewhere}.capacity")))
+        return node(item[0], ewhere), node(item[1], ewhere), _rational(item[2], f"{ewhere}.capacity")
 
-    raw_commodities = _field(data, "commodities", list, where)
-    if not raw_commodities:
-        raise ValidationError(f"{where}.commodities: at least one commodity required")
-    commodities = []
-    for pos, item in enumerate(raw_commodities):
-        cwhere = f"{where}.commodities[{pos}]"
-        if not isinstance(item, dict):
-            raise ValidationError(f"{cwhere}: expected an object, got {type(item).__name__}")
-        cid = _field(item, "id", int, cwhere)
-        if any(c.id == cid for c in commodities):
+    ids = set()
+
+    def commodity(item, cwhere: str) -> CommoditySpec:
+        cid = _get(_object(item, cwhere), "id", cwhere, _int)
+        if cid in ids:
             raise ValidationError(f"{cwhere}.id: duplicate commodity id {cid}")
-        rate = _number(_field(item, "rate", (int, float), cwhere), f"{cwhere}.rate")
+        ids.add(cid)
+        rate = _get(item, "rate", cwhere, _number)
         if not math.isfinite(rate):
             raise ValidationError(f"{cwhere}.rate: must be finite, got {rate}")
-        dummy_packets = _field(item, "dummy_packets", int, cwhere, 0)
+        dummy_packets = _get(item, "dummy_packets", cwhere, _int, 0)
         if dummy_packets < 0:
             raise ValidationError(f"{cwhere}.dummy_packets: must be nonnegative")
-        try:
-            commodities.append(
-                CommoditySpec(
-                    id=cid,
-                    source=node(_field(item, "source", int, cwhere), f"{cwhere}.source"),
-                    dest=node(_field(item, "dest", int, cwhere), f"{cwhere}.dest"),
-                    rate=rate,
-                    dummy_packets=dummy_packets,
-                )
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{cwhere}: {exc}") from exc
+        source = node(_get(item, "source", cwhere, _int), f"{cwhere}.source")
+        dest = node(_get(item, "dest", cwhere, _int), f"{cwhere}.dest")
+        return _build(cwhere, CommoditySpec, cid, source, dest, rate, dummy_packets)
 
-    try:
-        network = Network.build(nodes, edges, commodities[0].source, commodities[0].dest)
-    except ValueError as exc:
-        raise ValidationError(f"{where}.edges: {exc}") from exc
+    edges = _get(data, "edges", where, _items(edge))
+    commodities = _get(data, "commodities", where, _items(commodity))
+    if not commodities:
+        raise ValidationError(f"{where}.commodities: at least one commodity required")
+    network = _build(f"{where}.edges", Network.build, nodes, edges, commodities[0].source, commodities[0].dest)
+
+    def pair(item, pwhere: str):
+        if not isinstance(item, list) or len(item) != 2:
+            raise ValidationError(f"{pwhere}: expected [tail, head]")
+        return node(item[0], pwhere), node(item[1], pwhere)
 
     initial = data.get("initial_dag", "by_id")
     if isinstance(initial, list):
-        pairs = []
-        for pos, pair in enumerate(initial):
-            pwhere = f"{where}.initial_dag[{pos}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValidationError(f"{pwhere}: expected [tail, head]")
-            pairs.append((node(pair[0], pwhere), node(pair[1], pwhere)))
-        from .graph import orient_explicit
-
-        try:
-            orient_explicit(network, pairs)  # acyclicity / coverage check
-        except ValueError as exc:
-            raise ValidationError(f"{where}.initial_dag: {exc}") from exc
-        initial = tuple(pairs)
+        initial = tuple(_items(pair)(initial, f"{where}.initial_dag"))
+        _build(f"{where}.initial_dag", orient_explicit, network, initial)  # acyclicity / coverage check
     elif initial not in ("by_id", "optimal"):
         raise ValidationError(f"{where}.initial_dag: expected 'by_id', 'optimal' or pair list")
 
     lfbp_params = None
-    raw = _object(data, "lfbp", where)
+    raw = data.get("lfbp")
     if raw is not None:
         lwhere = f"{where}.lfbp"
-        thresholds = _field(raw, "thresholds", list, lwhere, [60])
-        periods = _field(raw, "periods", list, lwhere, [50])
+        thresholds = _get(_object(raw, lwhere), "thresholds", lwhere, _items(_rational), [60])
+        periods = _get(raw, "periods", lwhere, _items(_int), [50])
         if raw.get("delta") is not None:
             raise ValidationError(
                 f"{lwhere}.delta: no longer used (orientations are a node order); remove it or set it to null"
             )
         # Accepted for older files and ignored: orientations need no rescaling.
-        if _field(raw, "rescale_every", int, lwhere, 0) < 0:
+        if _get(raw, "rescale_every", lwhere, _int, 0) < 0:
             raise ValidationError(f"{lwhere}.rescale_every: must be nonnegative")
-        try:
-            lfbp_params = LfbpParams(
-                thresholds=tuple(_rational(t, f"{lwhere}.thresholds[{pos}]") for pos, t in enumerate(thresholds)),
-                periods=tuple(_int(p, f"{lwhere}.periods[{pos}]") for pos, p in enumerate(periods)),
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{lwhere}: {exc}") from exc
+        lfbp_params = _build(lwhere, LfbpParams, tuple(thresholds), tuple(periods))
 
     topology = None
-    raw = _object(data, "topology", where)
+    raw = data.get("topology")
     if raw is not None:
         twhere = f"{where}.topology"
-        try:
-            topology = TopologyProcess(
-                fail_prob=_number(_field(raw, "fail_prob", (int, float), twhere), f"{twhere}.fail_prob"),
-                recover_prob=_number(_field(raw, "recover_prob", (int, float), twhere), f"{twhere}.recover_prob"),
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{twhere}: {exc}") from exc
+        fail_prob = _get(_object(raw, twhere), "fail_prob", twhere, _number)
+        topology = _build(twhere, TopologyProcess, fail_prob, _get(raw, "recover_prob", twhere, _number))
 
-    load_factors = tuple(
-        _number(r, f"{where}.load_factors[{pos}]") for pos, r in enumerate(_field(data, "load_factors", list, where))
-    )
+    load_factors = tuple(_get(data, "load_factors", where, _items(_number)))
     if not load_factors or not all(math.isfinite(r) and r > 0 for r in load_factors):
         raise ValidationError(f"{where}.load_factors: all load factors must be finite and > 0")
     for pos, c in enumerate(commodities):
@@ -255,10 +246,10 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
             check_load([c], max(load_factors))
         except ValueError as exc:
             raise ValidationError(f"{where}.commodities[{pos}].rate: {exc} at the largest of load_factors") from exc
-    horizon = _field(data, "horizon", int, where)
-    if horizon < 0:
-        raise ValidationError(f"{where}.horizon: must be nonnegative")
-    seeds = tuple(_int(s, f"{where}.seeds[{pos}]") for pos, s in enumerate(_field(data, "seeds", list, where)))
+    horizon = _get(data, "horizon", where, _int)
+    if horizon < 1:
+        raise ValidationError(f"{where}.horizon: must be at least 1")
+    seeds = tuple(_get(data, "seeds", where, _items(_int)))
     if not seeds:
         raise ValidationError(f"{where}.seeds: at least one seed required")
     dummy_scale = data.get("dummy_scale")
@@ -278,27 +269,25 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         horizon=horizon,
         seeds=seeds,
         dummy_scale=dummy_scale,
-        description=str(data.get("description", "")),
+        description=_get(data, "description", where, _str, ""),
     )
 
 
 def load_scenario(path) -> ScenarioConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"scenario file not found: {path}")
+    """The scenario in the file at ``path``, or else the bundled scenario of
+    that name (``sixnode_fixed.scn``)."""
+    found = Path(path)
+    if not found.exists():
+        found = resources.files("lfbp").joinpath("scenarios", str(path))
+        if not found.is_file():
+            raise ValidationError(f"scenario not found (no file or bundled name): {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(found.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return scenario_from_dict(data, where=path.name)
-
-
-def bundled_scenario(name: str) -> ScenarioConfig:
-    """Load one of the scenarios shipped with the package."""
-    ref = resources.files("lfbp").joinpath("scenarios", name)
-    if not ref.is_file():
-        raise ValidationError(f"no bundled scenario named {name!r}")
-    return scenario_from_dict(json.loads(ref.read_text()), where=name)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read: {exc}") from exc
+    return scenario_from_dict(data, where=found.name)
 
 
 def _run_cell(args):
@@ -401,11 +390,9 @@ def er_batch(
     uniform integer capacities, start from a random orientation, and converge
     at the network max-flow rate.  Every sample is checked against the
     iteration bound."""
-    import random as _random
-
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = _random.Random(f"{seed}|er-batch")
+    rng = random.Random(f"{seed}|er-batch")
     rows = []
     total_iters = 0
     max_iters_seen = 0
@@ -447,14 +434,7 @@ def er_batch(
 def _load_arg_scenario(value: str) -> ScenarioConfig:
     """A scenario the CLI can simulate: the schema's checks, and integer
     capacities, which the slot engine needs (the analysis modules do not)."""
-    path = Path(value)
-    if path.exists():
-        config, where = load_scenario(path), path.name
-    else:
-        try:
-            config, where = bundled_scenario(value), value
-        except ValidationError:
-            raise ValidationError(f"scenario not found (no file or bundled name): {value}")
+    config, where = load_scenario(value), Path(value).name
     for pos, cap in enumerate(config.network.capacity.values()):
         if type(cap) is not int:
             raise ValidationError(f"{where}.edges[{pos}].capacity: the simulator requires an integer, got {cap}")
@@ -525,21 +505,11 @@ def main(argv=None) -> int:
         _check_args(args)
         if args.command == "run":
             config = _load_arg_scenario(args.scenario)
-            if args.rho is not None:
-                try:
-                    check_load(config.commodities, args.rho)
-                except ValueError as exc:
-                    raise ValidationError(f"--rho: {exc}") from exc
-            report = run(
-                config,
-                args.policy,
-                args.horizon,
-                rho=args.rho,
-                seed=args.seed,
-                bucket=args.trace_bucket,
-            )
-            if args.out:
-                write_run_csvs([report], args.out, args.trace_bucket)
+            rho = config.load_factors[0] if args.rho is None else args.rho
+            seed = config.seeds[0] if args.seed is None else args.seed
+            _build("--rho", check_load, config.commodities, rho)
+            cell = replace(config, load_factors=(rho,), seeds=(seed,))
+            [report] = sweep(cell, (args.policy,), args.out or None, horizon=args.horizon, bucket=args.trace_bucket)
             row = report.to_row()
             print(",".join(str(row[k]) for k in SUMMARY_FIELDS))
         elif args.command == "sweep":

@@ -24,9 +24,12 @@ reverses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .reversal import reverse_toward
-from . import sim
+
+if TYPE_CHECKING:  # sim imports this module to run it
+    from .sim import SimState
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class LfbpParams:
         return self.periods[min(epoch, len(self.periods) - 1)]
 
 
-def mark_step(state: sim.SimState, params: LfbpParams) -> sim.SimState:
+def mark_step(state: SimState, params: LfbpParams) -> SimState:
     """Mark queues above the current threshold; marks stick until epoch end."""
     epoch = state.epoch
     limit = params.thresholds[epoch if epoch < params.last_threshold_epoch else -1]
@@ -95,7 +98,7 @@ def _reversible_marks(dag, marked: set, source: int) -> set:
     return keep
 
 
-def epoch_reversal(state: sim.SimState, params: LfbpParams) -> sim.SimState:
+def epoch_reversal(state: SimState, params: LfbpParams) -> SimState:
     """Per commodity, reverse links from unmarked nodes into the marked
     components that pass the gate of ``_reversible_marks``, then clear marks
     and start the next epoch.

@@ -27,7 +27,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .graph import DagOrientation, Network, apply_topology_event
+from .graph import DagOrientation, Network, apply_topology_event, initial_dag, orient_explicit
+from .protocol import LfbpParams, epoch_reversal, mark_step
+from .reversal import optimal_dag
 
 
 @dataclass(frozen=True)
@@ -464,9 +466,6 @@ def topology_step(state: SimState) -> SimState:
 def initial_orientation(net: Network, mode) -> DagOrientation:
     """The starting orientation a scenario's ``initial_dag`` names: "by_id",
     "optimal" or explicit (tail, head) pairs."""
-    from .graph import initial_dag, orient_explicit
-    from .reversal import optimal_dag
-
     if mode == "by_id":
         return initial_dag(net)
     if mode == "optimal":
@@ -511,8 +510,6 @@ def run(
     params = None
     dummies = None
     if lfbp:
-        from .protocol import LfbpParams, mark_step, epoch_reversal
-
         params = config.lfbp_params or LfbpParams()
         extra = int(config.dummy_scale / rho) if config.dummy_scale else 0
         dummies = [c.dummy_packets + extra for c in config.commodities]

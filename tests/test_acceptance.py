@@ -15,7 +15,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
-from lfbp.cli import bundled_scenario, er_batch, sweep
+from lfbp.cli import er_batch, load_scenario, sweep
 from lfbp.flow import max_flow, max_flow_undirected, smallest_min_cut
 from lfbp.graph import Network, initial_dag, orient_by_ranking, orient_explicit
 from lfbp.overload import lex_min_overload
@@ -194,7 +194,7 @@ def test_criterion_5_fixed_topology_backlog():
     the scenario's only seed, 1; criterion 9 pins pooled output equal to
     serial output.
     """
-    config = bundled_scenario("sixnode_fixed.scn")
+    config = load_scenario("sixnode_fixed.scn")
     assert config.seeds == (1,)
     bucket = 20_000
     t0 = time.time()
@@ -232,7 +232,7 @@ def test_criterion_5_fixed_topology_backlog():
 
 def test_criterion_6_dynamic_grid_backlog():
     """Failing-grid scenario: big backlog cut at rho=0.1, live fraction on target."""
-    config = bundled_scenario("grid4x4.scn")
+    config = load_scenario("grid4x4.scn")
     t0 = time.time()
     bp = run(config, "bp", 200_000, rho=0.1, seed=1)
     lf = run(config, "lfbp", 200_000, rho=0.1, seed=1)
@@ -253,7 +253,7 @@ def test_criterion_7_multicommodity_backlog():
 
     The 18 (load, policy) cells run through ``sweep``'s two-worker pool;
     criterion 9 pins pooled output equal to serial output."""
-    config = replace(bundled_scenario("grid4x4_multi.scn"), seeds=(1,))
+    config = replace(load_scenario("grid4x4_multi.scn"), seeds=(1,))
     t0 = time.time()
     backlog = {
         (r.rho, r.policy): r.avg_backlog
@@ -272,7 +272,7 @@ def test_criterion_7_multicommodity_backlog():
 
 def test_criterion_8_threshold_detection():
     """Across 100 seeds the marked set identifies the smallest min-cut."""
-    config = bundled_scenario("sixnode_detect.scn")
+    config = load_scenario("sixnode_detect.scn")
     t0 = time.time()
     dag0 = initial_dag(config.network)
     cut = smallest_min_cut(dag0)
@@ -306,7 +306,7 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
     """Byte-identical CSV reruns; identical arrival paths across policies."""
     t0 = time.time()
     config = replace(
-        bundled_scenario("sixnode_fixed.scn"), load_factors=(0.5, 0.9), horizon=5_000
+        load_scenario("sixnode_fixed.scn"), load_factors=(0.5, 0.9), horizon=5_000
     )
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     sweep(config, ("bp", "lfbp"), a, jobs=1)

@@ -18,7 +18,6 @@ import lfbp.cli as cli
 from lfbp.cli import (
     ScenarioConfig,
     ValidationError,
-    bundled_scenario,
     er_batch,
     load_scenario,
     scenario_from_dict,
@@ -59,17 +58,17 @@ class TestBundledScenarios:
             "sixnode_fixed.scn",
         } <= set(names)
         for name in names:
-            bundled_scenario(name)
+            load_scenario(name)
 
     def test_sixnode_fixed_values(self):
-        config = bundled_scenario("sixnode_fixed.scn")
+        config = load_scenario("sixnode_fixed.scn")
         assert len(config.network.nodes) == 6
         assert max_flow_undirected(config.network) == 15
         assert config.lfbp_params.thresholds == (60,)
         assert config.lfbp_params.periods == (150, 50)
 
     def test_grid_values(self):
-        config = bundled_scenario("grid4x4.scn")
+        config = load_scenario("grid4x4.scn")
         assert len(config.network.nodes) == 16
         assert len(config.network.capacity) == 24
         assert all(c == 6 for c in config.network.capacity.values())
@@ -77,7 +76,7 @@ class TestBundledScenarios:
         assert config.topology.recover_prob == 1e-3
 
     def test_multi_commodity_values(self):
-        config = bundled_scenario("grid4x4_multi.scn")
+        config = load_scenario("grid4x4_multi.scn")
         assert [c.rate for c in config.commodities] == [7.18, 6.96, 9.86]
         assert [(c.source, c.dest) for c in config.commodities] == [(1, 16), (4, 13), (5, 8)]
         assert config.dummy_scale == 500
@@ -92,7 +91,7 @@ class TestScenarioParsing:
 
     def test_bundled_round_trip(self, tmp_path):
         for name in bundled_scenario_names():
-            config = bundled_scenario(name)
+            config = load_scenario(name)
             path = tmp_path / name
             write_scenario(config, path)
             assert load_scenario(path) == config
@@ -137,8 +136,28 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize("factor", [float("nan"), float("inf"), "nan"])
     def test_non_finite_load_factor_rejected(self, factor):
-        with pytest.raises(ValidationError, match="load_factors: all load factors must be finite"):
+        # The string "nan" is not a JSON number, so its type is what is wrong.
+        if isinstance(factor, str):
+            message = r"load_factors\[1\]: expected a number, got str"
+        else:
+            message = "load_factors: all load factors must be finite"
+        with pytest.raises(ValidationError, match=message):
             scenario_from_dict(minimal_doc(load_factors=[0.5, factor]))
+
+    @pytest.mark.parametrize(
+        ("overrides", "field"),
+        [
+            ({"commodities": [{"id": 0, "source": 0, "dest": 2, "rate": "0.5"}]}, r"commodities\[0\]\.rate"),
+            ({"load_factors": ["0.5"]}, r"load_factors\[0\]"),
+            ({"dummy_scale": "0.5"}, "dummy_scale"),
+            ({"topology": {"fail_prob": "0.5", "recover_prob": 0.5}}, r"topology\.fail_prob"),
+        ],
+        ids=["rate", "load_factors", "dummy_scale", "fail_prob"],
+    )
+    def test_numeric_string_rejected_naming_field(self, overrides, field):
+        # Every number of a scenario is a JSON number, never a string.
+        with pytest.raises(ValidationError, match=rf"^scenario\.{field}: expected a number, got str$"):
+            scenario_from_dict(minimal_doc(**overrides))
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
     def test_bad_dummy_scale_rejected(self, scale):
@@ -179,8 +198,8 @@ class TestScenarioParsing:
             load_scenario("/definitely/missing.scn")
 
     def test_unknown_bundled_name(self):
-        with pytest.raises(ValidationError, match="no bundled scenario"):
-            bundled_scenario("nope.scn")
+        with pytest.raises(ValidationError, match=r"^scenario not found \(no file or bundled name\): nope\.scn$"):
+            load_scenario("nope.scn")
 
 
 def field_paths(doc, path=()):
@@ -233,7 +252,7 @@ class TestSchemaFuzz:
     )
     @settings(max_examples=600, deadline=None)
     def test_mutated_field_round_trips_or_is_named(self, name, data, kind, wrong):
-        doc = scenario_to_dict(bundled_scenario(name))
+        doc = scenario_to_dict(load_scenario(name))
         paths = list(field_paths(doc))
         if kind == "missing":
             paths = [p for p in paths if isinstance(p[-1], str)]
@@ -251,7 +270,7 @@ class TestSchemaFuzz:
     def test_every_field_is_reachable(self):
         names = set()
         for name in bundled_scenario_names():
-            names |= {field_name(p) for p in field_paths(scenario_to_dict(bundled_scenario(name)))}
+            names |= {field_name(p) for p in field_paths(scenario_to_dict(load_scenario(name)))}
         assert {"nodes", "edges", "rate", "dummy_packets", "initial_dag", "thresholds",
                 "fail_prob", "dummy_scale", "load_factors", "seeds"} <= names
 
@@ -276,7 +295,7 @@ class TestSchemaFuzz:
         ],
     )
     def test_holes_the_fuzz_found(self, field, value, message):
-        doc = scenario_to_dict(bundled_scenario("grid4x4.scn"))
+        doc = scenario_to_dict(load_scenario("grid4x4.scn"))
         doc["lfbp"]["delta"] = None
         parent = doc
         for key in field[:-1]:
@@ -294,14 +313,14 @@ class TestLfbpDelta:
     @pytest.mark.parametrize("name", ["sixnode_fixed.scn", "grid4x4.scn"])
     def test_non_null_delta_rejected(self, name):
         for delta in (1, 0, -3, "1/1000", 17, 10**6, "x"):
-            doc = scenario_to_dict(bundled_scenario(name))
+            doc = scenario_to_dict(load_scenario(name))
             doc["lfbp"]["delta"] = delta
             with pytest.raises(ValidationError, match=r"lfbp\.delta: no longer used"):
                 scenario_from_dict(doc)
 
     @pytest.mark.parametrize("name", ["sixnode_fixed.scn", "grid4x4.scn"])
     def test_null_delta_and_rescale_every_ignored(self, name):
-        config = bundled_scenario(name)
+        config = load_scenario(name)
         doc = scenario_to_dict(config)
         assert "delta" not in doc["lfbp"] and "rescale_every" not in doc["lfbp"]
         for every in (0, 1, 32):
@@ -369,7 +388,7 @@ class TestSweep:
         assert len(lines) == 3  # two buckets for one run
 
     def test_reversal_events_csv(self, tmp_path):
-        config = bundled_scenario("sixnode_detect.scn")
+        config = load_scenario("sixnode_detect.scn")
         out = tmp_path / "d.csv"
         sweep(config, ("lfbp",), out, horizon=400, bucket=200)
         events = out.with_suffix(".reversals.csv")
@@ -378,7 +397,7 @@ class TestSweep:
         assert len(lines) >= 2  # the overloaded pair must have been flagged
 
     def test_reversal_events_csv_without_trace_bucket(self, tmp_path):
-        config = bundled_scenario("sixnode_detect.scn")
+        config = load_scenario("sixnode_detect.scn")
         out = tmp_path / "d.csv"
         sweep(config, ("lfbp",), out, horizon=400)
         assert not out.with_suffix(".trace.csv").exists()
@@ -456,6 +475,24 @@ class TestMainVerbs:
         assert "ok: sixnode-fixed" in done.stdout
         assert "RuntimeWarning" not in done.stderr
 
+    def test_unreadable_file_exits_one_naming_it(self, tmp_path, capsys):
+        # A directory, and a file that is not UTF-8 text.
+        folder = tmp_path / "d"
+        folder.mkdir()
+        binary = tmp_path / "b.scn"
+        binary.write_bytes(b"\xff\xfe{")
+        for path in (folder, binary):
+            assert cli.main(["validate", "--scenario", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"validation error: {path}: cannot read: ") and "Traceback" not in err
+
+    def test_zero_horizon_file_not_simulated(self, tmp_path, capsys):
+        path = tmp_path / "h0.scn"
+        path.write_text(json.dumps(minimal_doc(name="h0", horizon=0)))
+        assert cli.main(["run", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "validation error: h0.scn.horizon: must be at least 1\n" and captured.out == ""
+
     def test_validate_bad_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text(json.dumps(minimal_doc(load_factors=[-1])))
@@ -475,7 +512,7 @@ class TestMainVerbs:
     def test_fractional_capacity_exits_one_naming_edge(self, verb, tmp_path, capsys):
         # The schema keeps fractions for the analysis modules; the CLI only
         # simulates, and the slot engine needs integer capacities.
-        doc = scenario_to_dict(bundled_scenario("sixnode_fixed.scn"))
+        doc = scenario_to_dict(load_scenario("sixnode_fixed.scn"))
         doc["edges"][3][2] = "31/2"
         path = tmp_path / "frac.scn"
         path.write_text(json.dumps(doc))

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from lfbp.cli import bundled_scenario
+from lfbp.cli import load_scenario
 from lfbp import sim
 from lfbp.flow import max_flow, max_flow_undirected, smallest_min_cut
 from lfbp.graph import Network, apply_topology_event, initial_dag, orient_explicit
@@ -20,7 +20,7 @@ from oracles import check_state_consistency, is_acyclic
 
 
 def sixnode_net():
-    return bundled_scenario("sixnode_fixed.scn").network
+    return load_scenario("sixnode_fixed.scn").network
 
 
 class TestParams:
@@ -125,7 +125,7 @@ class TestReversalGate:
     def test_source_free_marks_on_converged_orientation_flip_nothing(self):
         # a queue excursion at node 2 alone used to flip 0->2 (capacity 15)
         # and cut the orientation's max-flow from 15 to 5
-        config = bundled_scenario("sixnode_fixed.scn")
+        config = load_scenario("sixnode_fixed.scn")
         dag = converge(orient_explicit(config.network, config.initial_dag), 15).final
         assert max_flow(dag).value == 15
         state = SimState(config.network, list(config.commodities), "lfbp", 0.95, 0,
@@ -160,7 +160,7 @@ class TestReversalGate:
 class TestLfbpRun:
     def test_infinite_threshold_means_no_reversals(self):
         config = replace(
-            bundled_scenario("sixnode_fixed.scn"),
+            load_scenario("sixnode_fixed.scn"),
             lfbp_params=LfbpParams(thresholds=(10**12,), periods=(50,)),
         )
         report = run(config, "lfbp", 5_000, rho=0.5, seed=1)
@@ -182,20 +182,20 @@ class TestLfbpRun:
         assert max_flow(report.final_dags[0]).value >= 13
 
     def test_worst_case_start_reaches_optimal(self):
-        config = bundled_scenario("sixnode_fixed.scn")
+        config = load_scenario("sixnode_fixed.scn")
         report = run(config, "lfbp", 20_000, rho=0.9, seed=1)
         assert max_flow(report.final_dags[0]).value == 15
         assert report.edges_reversed >= 6
 
     def test_multicommodity_dags_independent(self):
-        config = bundled_scenario("grid4x4_multi.scn")
+        config = load_scenario("grid4x4_multi.scn")
         report = run(config, "lfbp", 3_000, rho=0.5, seed=1)
         assert len(report.final_dags) == 3
         for dag in report.final_dags:
             assert is_acyclic(dag)
 
     def test_reversal_log_records_marks(self):
-        config = bundled_scenario("sixnode_detect.scn")
+        config = load_scenario("sixnode_detect.scn")
         report = run(config, "lfbp", 400, rho=0.9, seed=1)
         assert report.reversal_log
         slot, commodity, flips, marked = report.reversal_log[0]
@@ -204,7 +204,7 @@ class TestLfbpRun:
         assert marked  # detection fired
 
     def test_lfbp_beats_bp_delivery_on_under_supporting_start(self):
-        config = bundled_scenario("sixnode_fixed.scn")
+        config = load_scenario("sixnode_fixed.scn")
         bp = run(config, "bp", 30_000, rho=0.6, seed=3)
         lf = run(config, "lfbp", 30_000, rho=0.6, seed=3)
         assert lf.delivered >= bp.delivered
@@ -222,13 +222,13 @@ class TestLfbpRun:
         # identical arrival paths; every bundled start under-supports its rate,
         # so the reversing policy must deliver at least as much (net of any
         # startup packets)
-        config = bundled_scenario(name)
+        config = load_scenario(name)
         bp = run(config, "bp", 25_000, rho=rho, seed=7)
         lf = run(config, "lfbp", 25_000, rho=rho, seed=7)
         assert lf.delivered_net >= bp.delivered_net
 
     def test_lfbp_params_override(self):
-        config = bundled_scenario("sixnode_fixed.scn")
+        config = load_scenario("sixnode_fixed.scn")
         config = replace(config, lfbp_params=LfbpParams(thresholds=(10**12,), periods=(60,)))
         report = run(config, "lfbp", 2_000, rho=0.5, seed=1)
         assert report.edges_reversed == 0
@@ -248,7 +248,7 @@ class TestNodeOrderInSlotEngine:
             return apply_topology_event(dag, action, edge)
 
         monkeypatch.setattr(sim, "apply_topology_event", counted)
-        config = bundled_scenario(name)
+        config = load_scenario(name)
         report = run(config, "lfbp", 20_000, rho=rho, seed=1)
         assert report.reversal_events >= 1
         if config.topology is not None:

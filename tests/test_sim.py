@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfbp.cli import ScenarioConfig, bundled_scenario, sweep
+from lfbp.cli import ScenarioConfig, load_scenario, sweep
 from lfbp.flow import max_flow, max_flow_undirected
 from lfbp.graph import Network, apply_topology_event, initial_dag, orient_explicit
 from lfbp.protocol import LfbpParams, epoch_reversal, mark_step
@@ -590,7 +590,7 @@ class TestGoldenSamplePaths:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
     def test_csv_digests(self, name, tmp_path):
-        config = replace(bundled_scenario(name), seeds=(1,))
+        config = replace(load_scenario(name), seeds=(1,))
         out = tmp_path / "summary.csv"
         sweep(config, ("bp", "lfbp"), out, horizon=5_000, bucket=500)
         paths = (out, out.with_suffix(".trace.csv"), out.with_suffix(".reversals.csv"))

@@ -49,6 +49,32 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def function_imports(path: Path) -> list[str]:
+    """``file:line`` for each ``import`` statement inside a function."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [
+                f"{path.name}:{inner.lineno}"
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            ]
+    return sorted(set(found))
+
+
+def test_function_imports_flagged(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import json\ndef load():\n    from math import lcm\n    def inner():\n        import os\n")
+    assert function_imports(probe) == ["probe.py:3", "probe.py:5"]
+
+
+def test_no_imports_inside_functions_in_package():
+    """Every module imports at its top, so the import graph is what the
+    module headers say: graph, flow, overload, reversal, protocol, sim, cli."""
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in function_imports(path)]
+    assert found == []
+
+
 # Definitions kept although nothing in the package or the benchmark reads
 # them, each with its reason.
 UNREAD_ALLOWED = {
