@@ -20,16 +20,18 @@ Scenario files are versioned JSON documents (conventionally ``.scn``):
     }
 
 ``load_scenario`` reads a file, or else the bundled scenario of that name.
-Capacities and lfbp thresholds may be integers or fraction strings; every
-other number must be a JSON number, and ``horizon`` at least 1.
+Each object accepts only the fields shown (and ``lfbp.delta``, which must be
+null).  Capacities and lfbp thresholds may be integers or fraction strings;
+every other number must be a JSON number, and ``horizon`` at least 1.
 ``dummy_scale`` S adds floor(S / rho) startup packets to every commodity
-source, lfbp runs only.
+source, lfbp runs only; S / rho must be within the float range.
 
 Summary CSV columns (one row per run):
     scenario,policy,rho,seed,horizon,arrivals,delivered,delivered_net,
     avg_backlog,avg_backlog_net,final_backlog,reversal_events,
     edges_reversed,topo_events,live_fraction
-Bucketed trace CSV columns (optional, one row per slot bucket):
+Bucketed trace CSV columns (optional, one row per slot bucket, the last
+ending at the horizon):
     seed,slot_bucket,policy,load,total_backlog_avg,delivered,reversals,live_edges
 Reversal event CSV columns (whenever a run used lfbp, one row per marked epoch):
     rho,seed,slot,commodity,edges_reversed,marked
@@ -96,6 +98,8 @@ class ScenarioConfig:
 # NaN, an infinite float, and a fraction string with a zero denominator.
 _CONVERSION_ERRORS = (TypeError, ValueError, OverflowError, ZeroDivisionError)
 _REQUIRED = object()
+_SCENARIO_FIELDS = ("version", "name", "description", "nodes", "edges", "commodities", "initial_dag", "lfbp",
+                    "topology", "dummy_scale", "load_factors", "horizon", "seeds")
 
 
 def _kind(value, where: str, kind, name: str):
@@ -125,8 +129,12 @@ def _list(value, where: str) -> list:
     return _kind(value, where, list, "a list")
 
 
-def _object(value, where: str) -> dict:
-    return _kind(value, where, dict, "an object")
+def _object(value, where: str, fields) -> dict:
+    """``value`` if it is an object with no field outside ``fields``."""
+    for key in _kind(value, where, dict, "an object"):
+        if key not in fields:
+            raise ValidationError(f"{where}.{key}: unknown field")
+    return value
 
 
 def _rational(value, where: str):
@@ -160,8 +168,14 @@ def _build(where: str, make, *args):
         raise ValidationError(f"{where}: {exc}") from exc
 
 
+def _check_dummy_scale(dummy_scale, rho: float, where: str) -> None:
+    """Reject a load at which ``dummy_scale / rho`` is beyond the float range."""
+    if dummy_scale and math.isinf(dummy_scale / rho):
+        raise ValidationError(f"{where}: dummy_scale / load = {dummy_scale} / {rho} is beyond the float range")
+
+
 def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
-    _object(data, where)
+    _object(data, where, _SCENARIO_FIELDS)
     version = _get(data, "version", where, _int)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"{where}.version: unsupported schema version {version}")
@@ -184,7 +198,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     ids = set()
 
     def commodity(item, cwhere: str) -> CommoditySpec:
-        cid = _get(_object(item, cwhere), "id", cwhere, _int)
+        _object(item, cwhere, ("id", "source", "dest", "rate", "dummy_packets"))
+        cid = _get(item, "id", cwhere, _int)
         if cid in ids:
             raise ValidationError(f"{cwhere}.id: duplicate commodity id {cid}")
         ids.add(cid)
@@ -220,22 +235,21 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     raw = data.get("lfbp")
     if raw is not None:
         lwhere = f"{where}.lfbp"
-        thresholds = _get(_object(raw, lwhere), "thresholds", lwhere, _items(_rational), [60])
+        _object(raw, lwhere, ("thresholds", "periods", "delta"))
+        thresholds = _get(raw, "thresholds", lwhere, _items(_rational), [60])
         periods = _get(raw, "periods", lwhere, _items(_int), [50])
         if raw.get("delta") is not None:
             raise ValidationError(
                 f"{lwhere}.delta: no longer used (orientations are a node order); remove it or set it to null"
             )
-        # Accepted for older files and ignored: orientations need no rescaling.
-        if _get(raw, "rescale_every", lwhere, _int, 0) < 0:
-            raise ValidationError(f"{lwhere}.rescale_every: must be nonnegative")
         lfbp_params = _build(lwhere, LfbpParams, tuple(thresholds), tuple(periods))
 
     topology = None
     raw = data.get("topology")
     if raw is not None:
         twhere = f"{where}.topology"
-        fail_prob = _get(_object(raw, twhere), "fail_prob", twhere, _number)
+        _object(raw, twhere, ("fail_prob", "recover_prob"))
+        fail_prob = _get(raw, "fail_prob", twhere, _number)
         topology = _build(twhere, TopologyProcess, fail_prob, _get(raw, "recover_prob", twhere, _number))
 
     load_factors = tuple(_get(data, "load_factors", where, _items(_number)))
@@ -257,6 +271,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         dummy_scale = _number(dummy_scale, f"{where}.dummy_scale")
         if not (math.isfinite(dummy_scale) and dummy_scale >= 0):
             raise ValidationError(f"{where}.dummy_scale: must be finite and nonnegative")
+        _check_dummy_scale(dummy_scale, min(load_factors), f"{where}.dummy_scale")
 
     return ScenarioConfig(
         name=name,
@@ -508,6 +523,7 @@ def main(argv=None) -> int:
             rho = config.load_factors[0] if args.rho is None else args.rho
             seed = config.seeds[0] if args.seed is None else args.seed
             _build("--rho", check_load, config.commodities, rho)
+            _check_dummy_scale(config.dummy_scale, rho, "--rho")
             cell = replace(config, load_factors=(rho,), seeds=(seed,))
             [report] = sweep(cell, (args.policy,), args.out or None, horizon=args.horizon, bucket=args.trace_bucket)
             row = report.to_row()

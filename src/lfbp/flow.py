@@ -279,13 +279,10 @@ def _blocking_flow(adj, head, res, level, s: int, t: int) -> int:
             pointer[u] += 1
 
 
-def max_flow(dag: DagOrientation, src: int | None = None, dst: int | None = None) -> FlowAllocation:
-    """Max-flow over the live directed edges of an orientation."""
-    src = dag.net.source if src is None else src
-    dst = dag.net.dest if dst is None else dst
-    if src == dst:
-        raise ValueError("source and destination must differ")
-    result, edges = _edge_flow(dag.net, src, dst, dag)
+def max_flow(dag: DagOrientation) -> FlowAllocation:
+    """Max-flow over the live directed edges of an orientation, from its
+    network's source to its destination."""
+    result, edges = _edge_flow(dag.net, dag.net.source, dag.net.dest, dag)
     flow = {(tail, head): 0 for tail, head, _ in dag.directed_edges()}
     live, rank = dag.live, dag.states
     for e, edge in enumerate(edges):
@@ -298,11 +295,10 @@ def max_flow(dag: DagOrientation, src: int | None = None, dst: int | None = None
     return FlowAllocation(flow=flow, value=result.value)
 
 
-def max_flow_undirected(net: Network, src: int | None = None, dst: int | None = None) -> Rational:
-    """Max-flow when every undirected edge is usable in either direction."""
-    src = net.source if src is None else src
-    dst = net.dest if dst is None else dst
-    return _edge_flow(net, src, dst)[0].value
+def max_flow_undirected(net: Network) -> Rational:
+    """Max-flow from the network's source to its destination when every
+    undirected edge is usable in either direction."""
+    return _edge_flow(net, net.source, net.dest)[0].value
 
 
 def smallest_min_cut(dag: DagOrientation, src: int | None = None, dst: int | None = None) -> CutPartition:

@@ -184,19 +184,15 @@ def apply_topology_event(dag: DagOrientation, action: str, edge: tuple[int, int]
     return replace(dag, live=live)
 
 
-def erdos_renyi_network(
-    n: int,
-    p: float,
-    rng: random.Random,
-    cap_low: int = 1,
-    cap_high: int = 10,
-    require_connected: bool = True,
-    max_tries: int = 1000,
-) -> Network:
-    """Sample an ER graph with uniform integer capacities; resample until the
-    source (node 0) and destination (node n-1) are connected.  Capacities are
-    drawn inline as CPython's ``rng.randint(cap_low, cap_high)`` draws them,
-    leaving the same stream and ``rng`` state."""
+ER_MAX_TRIES = 1000
+
+
+def erdos_renyi_network(n: int, p: float, rng: random.Random, cap_low: int = 1, cap_high: int = 10) -> Network:
+    """Sample an ER graph with uniform integer capacities; resample, up to
+    ``ER_MAX_TRIES`` times, until the source (node 0) and destination
+    (node n-1) are connected.  Capacities are drawn inline as CPython's
+    ``rng.randint(cap_low, cap_high)`` draws them, leaving the same stream
+    and ``rng`` state."""
     if n < 2:
         raise ValueError("need at least two nodes")
     if cap_low > cap_high:
@@ -204,7 +200,7 @@ def erdos_renyi_network(
     draw, getrandbits = rng.random, rng.getrandbits
     width = cap_high - cap_low + 1
     bits = width.bit_length()
-    for _ in range(max_tries):
+    for _ in range(ER_MAX_TRIES):
         edges = []
         adj: list[list[int]] = [[] for _ in range(n)]
         for i in range(n):
@@ -224,6 +220,6 @@ def erdos_renyi_network(
                 if not seen[v]:
                     seen[v] = True
                     queue.append(v)
-        if not require_connected or seen[n - 1]:
+        if seen[n - 1]:
             return net
-    raise SamplingError(f"no s-d connected sample of n={n} at p={p} after {max_tries} tries")
+    raise SamplingError(f"no s-d connected sample of n={n} at p={p} after {ER_MAX_TRIES} tries")

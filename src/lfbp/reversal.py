@@ -110,11 +110,7 @@ def default_max_iters(dag: DagOrientation, fmax: Rational | None = None) -> int:
         fmax = max_flow_undirected(dag.net)
     if fmax == 0:
         return n
-    try:
-        delta = delta_bound(dag.net)
-    except ValueError:
-        return n
-    return math.ceil(Fraction(n) * Fraction(fmax) / delta) + n
+    return math.ceil(Fraction(n) * Fraction(fmax) / delta_bound(dag.net)) + n
 
 
 def converge(

@@ -191,11 +191,9 @@ class SimState:
         if policy == "lfbp" and not initial_dags:
             raise ValueError("lfbp policy requires per-commodity initial orientations")
         check_load(commodities, rho)
-        self.net = net
         self.commodities = commodities
         self.policy = policy
-        self.rho = rho
-        self.seed = seed
+        self.two_way = policy == "bp"
         self.topology = topology
 
         self.node_of = sorted(net.nodes)
@@ -270,13 +268,12 @@ class SimState:
         commodity's DAG direction only, from its lower-ranked end to its
         higher (every commodity's DAG has the live set of ``live_order``).
         With one commodity the arcs are grouped by tail as
-        ``(u, ((v, cap, node id of v), ...))``, a two-way link under both
-        endpoints; with several, each link keeps its options
+        ``(u, ((v, cap), ...))``, a two-way link under both endpoints; with
+        several, each link keeps its options
         ``(queues[y], a, b, y)``, commodity ascending, as ``(cap, options)``.
         A zero-capacity link never sends, so it is left out.
         """
-        idx, node_of = self.idx, self.node_of
-        two_way = self.policy == "bp"
+        idx, two_way = self.idx, self.two_way
         links = []
         for e_idx in self.live_order:
             cap = self.cap_int[e_idx]
@@ -293,14 +290,13 @@ class SimState:
                 ]
             if arcs:
                 links.append((cap, arcs))
-        self.two_way = two_way
         if len(self.commodities) == 1:
             by_tail: dict[int, list] = {}
             for cap, arcs in links:
                 for _y, u, v in arcs:
-                    by_tail.setdefault(u, []).append((v, cap, node_of[v]))
+                    by_tail.setdefault(u, []).append((v, cap))
                     if two_way:
-                        by_tail.setdefault(v, []).append((u, cap, node_of[u]))
+                        by_tail.setdefault(v, []).append((u, cap))
             self.plans = [(u, tuple(by_tail[u])) for u in sorted(by_tail)]
         else:
             queues = self.queues
@@ -366,20 +362,20 @@ def _step_one(state: SimState) -> SimState:
         if not qu:
             continue
         total = 0
-        for v, cap, _vid in arcs:
+        for v, cap in arcs:
             if q0[v] < qu:
                 total += cap
         if not total:
             continue
         if total <= qu:
-            for v, cap, _vid in arcs:
+            for v, cap in arcs:
                 if q0[v] < qu:
                     q[v] += cap
         else:
-            # The winners overdraw the backlog, so all of it goes, in
-            # descending differential (ascending neighbour queue) order.
+            # The winners overdraw the backlog, so all of it goes, in descending
+            # differential order, ties to the lower node (indices follow IDs).
             total = avail = qu
-            for _qv, _vid, v, cap in sorted([(q0[v], vid, v, cap) for v, cap, vid in arcs if q0[v] < qu]):
+            for _qv, v, cap in sorted([(q0[v], v, cap) for v, cap in arcs if q0[v] < qu]):
                 if cap < avail:
                     q[v] += cap
                     avail -= cap
@@ -399,7 +395,7 @@ def _step_one(state: SimState) -> SimState:
 
 
 def _step_many(state: SimState) -> SimState:
-    two_way, node_of = state.two_way, state.node_of
+    two_way = state.two_way
     wins = []
     for cap, options in state.plans:
         best_d = 0
@@ -410,13 +406,13 @@ def _step_many(state: SimState) -> SimState:
             elif two_way and -d > best_d:
                 best_d, u, v, best_y = -d, b, a, y
         if best_d:
-            wins.append((u, -best_d, node_of[v], best_y, v, cap))
-    # One sort groups the winners by tail, each tail's in serving order.
+            wins.append((u, -best_d, v, best_y, cap))
+    # One sort groups the winners by tail, in serving order (indices follow IDs).
     wins.sort()
     queues = state.queues
     avail = [q[:] for q in queues]
     dst_idx, delivered = state.dst_idx, state.delivered
-    for u, _negd, _vid, y, v, cap in wins:
+    for u, _negd, v, y, cap in wins:
         left = avail[y]
         a = left[u]
         send = cap if cap < a else a
@@ -501,7 +497,6 @@ def run(
     arrival streams depend only on (seed, commodity), so bp and lfbp runs
     consume the same arrival sample paths.
     """
-    policy = policy.lower()
     horizon = config.horizon if horizon is None else horizon
     rho = config.load_factors[0] if rho is None else rho
     seed = config.seeds[0] if seed is None else seed
@@ -559,13 +554,14 @@ def run(
         live_integral += len(state.live_order)
         if bucket:
             bucket_backlog += backlog
-            if (t + 1) % bucket == 0:
+            # A bucket ends every ``bucket`` slots, and the last at the horizon.
+            if (t + 1) % bucket == 0 or t + 1 == horizon:
                 buckets.append(
                     {
                         "slot_bucket": t + 1,
                         "policy": policy,
                         "load": repr(rho),
-                        "total_backlog_avg": repr(bucket_backlog / bucket),
+                        "total_backlog_avg": repr(bucket_backlog / (t % bucket + 1)),
                         "delivered": sum(delivered),
                         "reversals": state.edges_reversed,
                         "live_edges": len(state.live_order),

@@ -25,7 +25,7 @@ from lfbp.cli import (
 )
 from lfbp.flow import max_flow_undirected
 from lfbp.graph import InvariantViolation
-from lfbp.sim import SUMMARY_FIELDS
+from lfbp.sim import SUMMARY_FIELDS, run
 
 from conftest import bundled_scenario_names, scenario_to_dict, write_scenario
 
@@ -164,6 +164,30 @@ class TestScenarioParsing:
         with pytest.raises(ValidationError, match="dummy_scale: must be finite and nonnegative"):
             scenario_from_dict(minimal_doc(dummy_scale=scale))
 
+    def test_dummy_scale_beyond_float_range_at_smallest_load_rejected(self):
+        # floor(dummy_scale / load) startup packets: 1e308 / 0.5 is no float
+        with pytest.raises(ValidationError, match=r"^scenario\.dummy_scale: .* / 0\.5 is beyond the float range$"):
+            scenario_from_dict(minimal_doc(dummy_scale=1e308, load_factors=[1.0, 0.5]))
+
+    @pytest.mark.parametrize(
+        ("overrides", "field"),
+        [
+            ({"lfbp": {"threshold": [10]}}, r"lfbp\.threshold"),
+            ({"topolgy": {"fail_prob": 1e-4, "recover_prob": 1e-3}}, "topolgy"),
+            ({"initial_DAG": "optimal"}, "initial_DAG"),
+            (
+                {"commodities": [{"id": 0, "source": 0, "dest": 2, "rate": 1.0, "dummy_packet": 5000}]},
+                r"commodities\[0\]\.dummy_packet",
+            ),
+        ],
+        ids=["lfbp.threshold", "topolgy", "initial_DAG", "dummy_packet"],
+    )
+    def test_misspelled_field_rejected(self, overrides, field):
+        # Each object accepts only the fields it reads, so a typo is not
+        # simulated as the field's default.
+        with pytest.raises(ValidationError, match=rf"^scenario\.{field}: unknown field$"):
+            scenario_from_dict(minimal_doc(**overrides))
+
     @pytest.mark.parametrize(("rate", "factors"), [(800.0, [0.5, 1.0]), (100.0, [0.5, 7.5])])
     def test_poisson_mean_above_limit_rejected(self, rate, factors):
         # rate x the largest load factor is the largest per-slot Poisson mean
@@ -287,7 +311,7 @@ class TestSchemaFuzz:
             (("lfbp",), "x", r"lfbp: expected an object"),
             (("lfbp", "periods", 0), float("inf"), r"periods\[0\]: expected an integer"),
             (("lfbp", "thresholds", 0), "x", r"thresholds\[0\]"),
-            (("lfbp", "rescale_every"), -1, r"rescale_every: must be nonnegative"),
+            (("lfbp", "rescale_every"), -1, r"lfbp\.rescale_every: unknown field"),
             (("topology",), 5, r"topology: expected an object"),
             (("load_factors", 0), "x", r"load_factors\[0\]"),
             (("seeds", 0), "x", r"seeds\[0\]: expected an integer"),
@@ -307,8 +331,8 @@ class TestSchemaFuzz:
 
 class TestLfbpDelta:
     """Orientations are a node order with nothing numeric to size, so
-    ``lfbp.delta`` must be null, and ``lfbp.rescale_every`` is checked and
-    then ignored; neither is written back."""
+    ``lfbp.delta`` must be null and is not written back, and
+    ``lfbp.rescale_every`` is an unknown field."""
 
     @pytest.mark.parametrize("name", ["sixnode_fixed.scn", "grid4x4.scn"])
     def test_non_null_delta_rejected(self, name):
@@ -319,13 +343,16 @@ class TestLfbpDelta:
                 scenario_from_dict(doc)
 
     @pytest.mark.parametrize("name", ["sixnode_fixed.scn", "grid4x4.scn"])
-    def test_null_delta_and_rescale_every_ignored(self, name):
+    def test_null_delta_accepted_and_rescale_every_rejected(self, name):
         config = load_scenario(name)
         doc = scenario_to_dict(config)
         assert "delta" not in doc["lfbp"] and "rescale_every" not in doc["lfbp"]
+        doc["lfbp"]["delta"] = None
+        assert scenario_from_dict(doc) == config
         for every in (0, 1, 32):
-            doc["lfbp"].update(delta=None, rescale_every=every)
-            assert scenario_from_dict(doc) == config
+            doc["lfbp"]["rescale_every"] = every
+            with pytest.raises(ValidationError, match=r"lfbp\.rescale_every: unknown field"):
+                scenario_from_dict(doc)
 
     def test_delta_on_by_id_orientation(self):
         with pytest.raises(ValidationError, match=r"lfbp\.delta: no longer used .* set it to null"):
@@ -386,6 +413,19 @@ class TestSweep:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "seed,slot_bucket,policy,load,total_backlog_avg,delivered,reversals,live_edges"
         assert len(lines) == 3  # two buckets for one run
+
+    def test_last_partial_bucket_written(self, tmp_path, capsys):
+        # The last bucket ends at the horizon and averages its own 50 slots.
+        out = tmp_path / "p.csv"
+        argv = ["run", "--scenario", "sixnode_fixed.scn", "--horizon", "250", "--trace-bucket", "100"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        rows = out.with_suffix(".trace.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["100", "200", "250"]
+        assert rows[-1] == "1,250,lfbp,0.5,1724.46,0,6,8"
+        # A bucket longer than the run is the whole run.
+        report = run(load_scenario("sixnode_fixed.scn"), "lfbp", 250, bucket=1000)
+        assert [row["slot_bucket"] for row in report.buckets] == [250]
+        assert report.buckets[0]["total_backlog_avg"] == repr(report.avg_backlog)
 
     def test_reversal_events_csv(self, tmp_path):
         config = load_scenario("sixnode_detect.scn")
@@ -532,6 +572,13 @@ class TestMainVerbs:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ",".join(SUMMARY_FIELDS)
         assert len(lines) == 2
+
+    def test_run_rho_overflowing_dummy_scale_exits_one(self, capsys):
+        # grid4x4_multi's dummy_scale 500 / 1e-307 is beyond the float range
+        code = cli.main(["run", "--scenario", "grid4x4_multi.scn", "--rho", "1e-307", "--horizon", "10", "--out", ""])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error: --rho: dummy_scale / load = 500") and captured.out == ""
 
     @pytest.mark.parametrize("rho", ["60", "nan", "inf", "-1", "0"])
     def test_run_bad_rho_exits_one_naming_rho(self, rho, tmp_path, capsys):

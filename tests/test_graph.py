@@ -6,11 +6,13 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lfbp import graph
 from lfbp.flow import max_flow, max_flow_undirected, smallest_min_cut
 from lfbp.graph import (
     DagOrientation,
@@ -441,7 +443,7 @@ class TestErdosRenyiStream:
     def sample(sampler, n, p, rng, **kwargs):
         try:
             net = sampler(n, p, rng, **kwargs)
-        except RuntimeError:  # no connected sample within max_tries
+        except RuntimeError:  # no connected sample within the tries allowed
             return None
         return list(net.capacity.items()), net
 
@@ -450,15 +452,15 @@ class TestErdosRenyiStream:
         p=st.floats(0, 1, exclude_min=True),
         cap_low=st.integers(0, 6),
         width=st.sampled_from([1, 8, 9, 16]),
-        connected=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_same_networks_and_state_as_randint(self, n, p, cap_low, width, connected, seed):
-        kwargs = dict(cap_low=cap_low, cap_high=cap_low + width - 1, require_connected=connected, max_tries=20)
+    def test_same_networks_and_state_as_randint(self, n, p, cap_low, width, seed):
+        caps = dict(cap_low=cap_low, cap_high=cap_low + width - 1)
         ours, theirs = random.Random(seed), random.Random(seed)
-        got = self.sample(erdos_renyi_network, n, p, ours, **kwargs)
-        want = self.sample(oracles.erdos_renyi_network, n, p, theirs, **kwargs)
+        with mock.patch.object(graph, "ER_MAX_TRIES", 20):
+            got = self.sample(erdos_renyi_network, n, p, ours, **caps)
+        want = self.sample(oracles.erdos_renyi_network, n, p, theirs, max_tries=20, **caps)
         assert got == want
         assert ours.getstate() == theirs.getstate()
 

@@ -294,7 +294,7 @@ def has_contended_tail(state):
     """Whether some tail of a one-commodity plan has winners whose
     capacities overdraw its backlog (the sorted case of ``bp_step``)."""
     q = state.queues[0]
-    return any(sum(cap for v, cap, _vid in arcs if q[v] < q[u]) > q[u] > 0 for u, arcs in state.plans)
+    return any(sum(cap for v, cap in arcs if q[v] < q[u]) > q[u] > 0 for u, arcs in state.plans)
 
 
 class TestBpStepAgainstReference:
@@ -529,7 +529,8 @@ class TestRun:
         specs = [CommoditySpec(0, 1, 9, 2.0), CommoditySpec(1, 9, 1, 2.0)]
         config = make_config(net, specs, initial_dag="optimal")
         for dag, c in zip(build_initial_dags(config, "lfbp"), specs):
-            assert max_flow(dag, c.source, c.dest).value == max_flow_undirected(net, c.source, c.dest) == 8
+            assert (dag.net.source, dag.net.dest) == (c.source, c.dest)
+            assert max_flow(dag).value == max_flow_undirected(dag.net) == 8
 
     def test_dummy_scale_applies_to_lfbp_only(self):
         net = Network.build([0, 1], [(0, 1, 30)], 0, 1)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 
 import lfbp
@@ -140,3 +141,93 @@ def test_package_defines_only_what_it_or_the_benchmark_reads():
     bench = sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
     found = unread_definitions(package, package + bench)
     assert sorted(f"{file} {name}" for file, _line, name in found) == sorted(UNREAD_ALLOWED)
+
+
+# Defaulted parameters kept although no call in the package or the benchmark
+# passes them, each with its reason.
+UNPASSED_ALLOWED: dict[str, str] = {}
+
+
+def unpassed_parameters(defining: list[Path], reading: list[Path]) -> list[tuple[str, int, str]]:
+    """``(file, line, "function.parameter")`` for each defaulted parameter of a
+    top-level function or method in ``defining`` that no call in ``reading``
+    passes, by position or by keyword.
+
+    Calls are matched by name: ``f(...)`` and ``x.f(...)`` call ``f``, and
+    ``C(...)`` calls class ``C``'s ``__init__``.  A call that hands ``f`` to
+    another callable, as ``tracer.call(name, f, *args)`` does, also passes
+    ``f`` the arguments after it and the keywords.  A starred or ``**``
+    argument passes everything."""
+    passes: dict[str, list[tuple[float, set]]] = {}
+
+    def record(func, args, keywords) -> None:
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        count = math.inf if any(isinstance(arg, ast.Starred) for arg in args) else len(args)
+        passes.setdefault(name, []).append((count, {keyword.arg for keyword in keywords}))
+
+    for path in reading:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                record(node.func, node.args, node.keywords)
+                for pos, arg in enumerate(node.args):
+                    record(arg, node.args[pos + 1 :], node.keywords)
+    found = []
+    for path in defining:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node.name, node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [
+                    (node.name if item.name == "__init__" else item.name, f"{node.name}.{item.name}", item, 1)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+            else:
+                continue
+            for called, qualname, func, bound in functions:
+                spec = func.args
+                positional = spec.posonlyargs + spec.args
+                first = len(positional) - len(spec.defaults)
+                defaulted = [(param, pos - bound) for pos, param in enumerate(positional[first:], first)]
+                defaulted += [(param, math.inf) for param, default in zip(spec.kwonlyargs, spec.kw_defaults) if default]
+                for param, pos in defaulted:
+                    if not any(
+                        pos < count or param.arg in names or None in names for count, names in passes.get(called, ())
+                    ):
+                        found.append((path.name, param.lineno, f"{qualname}.{param.arg}"))
+    return found
+
+
+def test_unpassed_parameters_flagged(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(a=1): pass\n"
+        "def h(a=1, b=2): pass\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, kind=None): pass\n"
+        "    def put(self, item, where=0): pass\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text(
+        "f(0, 1, e=5)\n"
+        "run(label, g, *args)\n"
+        "h(**options)\n"
+        "box = Box(2)\n"
+        "box.put(3)\n"
+    )
+    assert unpassed_parameters([module], [reader]) == [
+        ("module.py", 1, "f.c"),
+        ("module.py", 1, "f.d"),
+        ("module.py", 5, "Box.__init__.kind"),
+        ("module.py", 6, "Box.put.where"),
+    ]
+
+
+def test_package_parameters_are_all_passed():
+    """Every defaulted parameter in the package is passed by some call in the
+    package or the benchmark: an option no caller sets is a constant."""
+    package = sorted(PACKAGE.glob("*.py"))
+    bench = sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
+    found = unpassed_parameters(package, package + bench)
+    assert sorted(f"{file} {name}" for file, _line, name in found) == sorted(UNPASSED_ALLOWED)
