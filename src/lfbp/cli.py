@@ -168,10 +168,21 @@ def _build(where: str, make, *args):
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _check_dummy_scale(dummy_scale, rho: float, where: str) -> None:
-    """Reject a load at which ``dummy_scale / rho`` is beyond the float range."""
-    if dummy_scale and math.isinf(dummy_scale / rho):
+def _check_dummy_scale(commodities, dummy_scale, rho: float, where: str) -> None:
+    """Reject a load at which ``dummy_scale / rho`` is beyond the float range,
+    or the startup packets are: each commodity's ``dummy_packets`` plus
+    ``floor(dummy_scale / rho)``, summed over the commodities.  A run's
+    average backlog is about that sum, so it would be beyond the range too."""
+    if not dummy_scale:
+        return
+    if math.isinf(dummy_scale / rho):
         raise ValidationError(f"{where}: dummy_scale / load = {dummy_scale} / {rho} is beyond the float range")
+    startup = sum(c.dummy_packets for c in commodities) + len(commodities) * int(dummy_scale / rho)
+    if startup > sys.float_info.max:
+        raise ValidationError(
+            f"{where}: the startup packets summed over the commodities, dummy_packets plus "
+            f"floor({dummy_scale} / {rho}) each, are beyond the float range"
+        )
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
@@ -217,6 +228,14 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     commodities = _get(data, "commodities", where, _items(commodity))
     if not commodities:
         raise ValidationError(f"{where}.commodities: at least one commodity required")
+    startup = 0
+    for pos, c in enumerate(commodities):
+        startup += c.dummy_packets
+        if startup > sys.float_info.max:
+            raise ValidationError(
+                f"{where}.commodities[{pos}].dummy_packets: the startup packets summed up to this commodity "
+                "are beyond the float range"
+            )
     network = _build(f"{where}.edges", Network.build, nodes, edges, commodities[0].source, commodities[0].dest)
 
     def pair(item, pwhere: str):
@@ -271,7 +290,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         dummy_scale = _number(dummy_scale, f"{where}.dummy_scale")
         if not (math.isfinite(dummy_scale) and dummy_scale >= 0):
             raise ValidationError(f"{where}.dummy_scale: must be finite and nonnegative")
-        _check_dummy_scale(dummy_scale, min(load_factors), f"{where}.dummy_scale")
+        _check_dummy_scale(commodities, dummy_scale, min(load_factors), f"{where}.dummy_scale")
 
     return ScenarioConfig(
         name=name,
@@ -523,7 +542,7 @@ def main(argv=None) -> int:
             rho = config.load_factors[0] if args.rho is None else args.rho
             seed = config.seeds[0] if args.seed is None else args.seed
             _build("--rho", check_load, config.commodities, rho)
-            _check_dummy_scale(config.dummy_scale, rho, "--rho")
+            _check_dummy_scale(config.commodities, config.dummy_scale, rho, "--rho")
             cell = replace(config, load_factors=(rho,), seeds=(seed,))
             [report] = sweep(cell, (args.policy,), args.out or None, horizon=args.horizon, bucket=args.trace_bucket)
             row = report.to_row()

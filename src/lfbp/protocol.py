@@ -47,8 +47,9 @@ class LfbpParams:
             raise ValueError("thresholds must be positive")
         if any(p < 1 for p in self.periods):
             raise ValueError("periods must be at least one slot")
-        # The epoch from which the last threshold repeats; not a field.
-        object.__setattr__(self, "last_threshold_epoch", len(self.thresholds) - 1)
+
+    def threshold(self, epoch: int):
+        return self.thresholds[min(epoch, len(self.thresholds) - 1)]
 
     def period(self, epoch: int) -> int:
         return self.periods[min(epoch, len(self.periods) - 1)]
@@ -56,8 +57,7 @@ class LfbpParams:
 
 def mark_step(state: SimState, params: LfbpParams) -> SimState:
     """Mark queues above the current threshold; marks stick until epoch end."""
-    epoch = state.epoch
-    limit = params.thresholds[epoch if epoch < params.last_threshold_epoch else -1]
+    limit = params.threshold(state.epoch)
     for queue, marks in zip(state.queues, state.marks):
         if max(queue) <= limit:
             continue

@@ -18,6 +18,13 @@ those moments, not every slot.  With several commodities a link offers one
 option per commodity; under ``bp`` the contest computes its differential
 once and takes whichever direction it favours.  Poisson arrivals come from a
 CDF table built once per commodity.
+
+``run`` is one slot loop: it draws the arrivals and marks the queues above
+the threshold inline, and forwards one commodity through ``_forward_one`` and
+several through ``_step_many``.  ``arrivals_step``, ``bp_step``,
+``protocol.mark_step`` and ``topology_step`` are the step-by-step API for code
+that drives a ``SimState`` itself, as the benchmark's traced replay and the
+tests do; ``bp_step`` forwards through the same two functions as ``run``.
 """
 from __future__ import annotations
 
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .graph import DagOrientation, Network, apply_topology_event, initial_dag, orient_explicit
-from .protocol import LfbpParams, epoch_reversal, mark_step
+from .protocol import LfbpParams, epoch_reversal
 from .reversal import optimal_dag
 
 
@@ -259,7 +266,8 @@ class SimState:
         self.rebuild_plans()
 
     def rebuild_plans(self) -> None:
-        """Compile the forwarding plan ``bp_step`` reads.
+        """Compile the forwarding plan that ``run``'s slot loop and ``bp_step``
+        read.
 
         Run at init and whenever the orientation or the live mask changes.
         Each live link offers one arc ``(y, a, b)`` per commodity it may
@@ -349,15 +357,23 @@ def bp_step(state: SimState) -> SimState:
     """
     if len(state.commodities) == 1:
         return _step_one(state)
-    return _step_many(state)
+    state.backlog_now -= _step_many(state)
+    return state
 
 
 def _step_one(state: SimState) -> SimState:
-    q = state.queues[0]
+    gone = _forward_one(state.queues[0], state.plans, state.dst_idx[0])
+    state.delivered[0] += gone
+    state.backlog_now -= gone
+    return state
+
+
+def _forward_one(q: list[int], plans: list, dst: int) -> int:
+    """One commodity's transmission round over the queues ``q`` by the
+    one-commodity ``plans``; returns the packets delivered at ``dst``."""
     q0 = q[:]
-    dst = state.dst_idx[0]
     dst_sent = 0
-    for u, arcs in state.plans:
+    for u, arcs in plans:
         qu = q0[u]
         if not qu:
             continue
@@ -389,12 +405,12 @@ def _step_one(state: SimState) -> SimState:
     kept = q0[dst] - dst_sent
     gone = q[dst] - kept
     q[dst] = kept
-    state.delivered[0] += gone
-    state.backlog_now -= gone
-    return state
+    return gone
 
 
-def _step_many(state: SimState) -> SimState:
+def _step_many(state: SimState) -> int:
+    """The several-commodity round of ``bp_step``; returns the packets
+    delivered."""
     two_way = state.two_way
     wins = []
     for cap, options in state.plans:
@@ -412,6 +428,7 @@ def _step_many(state: SimState) -> SimState:
     queues = state.queues
     avail = [q[:] for q in queues]
     dst_idx, delivered = state.dst_idx, state.delivered
+    gone = 0
     for u, _negd, v, y, cap in wins:
         left = avail[y]
         a = left[u]
@@ -422,10 +439,10 @@ def _step_many(state: SimState) -> SimState:
             queue[u] -= send
             if v == dst_idx[y]:
                 delivered[y] += send
-                state.backlog_now -= send
+                gone += send
             else:
                 queue[v] += send
-    return state
+    return gone
 
 
 def topology_step(state: SimState) -> SimState:
@@ -522,27 +539,67 @@ def run(
     if lfbp:
         state.epoch_left = params.period(0)
 
-    # The step is picked once.  ``delivered`` only rises, so once no
-    # commodity owes dummies the net backlog stays equal to the backlog.
-    step = _step_one if len(config.commodities) == 1 else _step_many
+    # One slot loop, with no call per slot into the step functions: the
+    # arrival draws and the marking run inline, and one commodity is forwarded
+    # by ``_forward_one``, several by ``_step_many``.  ``epoch_reversal`` and
+    # ``topology_step`` replace ``plans`` and the mark lists, so those are read
+    # where they are used.  The backlog is kept in a local, and ``state.t`` is
+    # set only for ``epoch_reversal``, which logs it: nothing else the loop
+    # calls reads either.  ``delivered`` only rises, so once no commodity owes
+    # dummies the net backlog stays equal to the backlog.
+    one = len(config.commodities) == 1
+    queues, arrivals, dummies, delivered = state.queues, state.arrivals, state.dummies, state.delivered
+    draws = [
+        (y, rng.random, table, len(table) - 1, queues[y], state.src_idx[y])
+        for y, (rng, table) in enumerate(zip(state.arr_rngs, state.cdfs))
+    ]
+    _y, draw0, table0, last0, queue0, src0 = draws[0]
+    dst0 = state.dst_idx[0]
+    limit = params.threshold(state.epoch) if lfbp else None
     topology = state.topology is not None
-    dummies, delivered = state.dummies, state.delivered
     owed = any(d > 0 for d in dummies)
+    backlog = state.backlog_now
     backlog_integral = backlog_net_integral = live_integral = 0
     buckets = []
     bucket_backlog = 0
     for t in range(horizon):
-        arrivals_step(state)
-        step(state)
+        if one:
+            k = bisect_left(table0, draw0(), 0, last0)
+            if k:
+                queue0[src0] += k
+                arrivals[0] += k
+                backlog += k
+            gone = _forward_one(queue0, state.plans, dst0)
+            delivered[0] += gone
+            backlog -= gone
+            if lfbp and max(queue0) > limit:
+                marks = state.marks[0]
+                for i, packets in enumerate(queue0):
+                    if packets > limit:
+                        marks[i] = True
+        else:
+            for y, draw, table, last, queue, src in draws:
+                k = bisect_left(table, draw(), 0, last)
+                if k:
+                    queue[src] += k
+                    arrivals[y] += k
+                    backlog += k
+            backlog -= _step_many(state)
+            if lfbp:
+                for queue, marks in zip(queues, state.marks):
+                    if max(queue) > limit:
+                        for i, packets in enumerate(queue):
+                            if packets > limit:
+                                marks[i] = True
         if lfbp:
-            mark_step(state, params)
             state.epoch_left -= 1
             if state.epoch_left <= 0:
+                state.t = t
                 epoch_reversal(state, params)
+                limit = params.threshold(state.epoch)
         if topology:
             topology_step(state)
-        state.t = t + 1
-        backlog = net_backlog = state.backlog_now
+        net_backlog = backlog
         backlog_integral += backlog
         if owed:
             owed = False
@@ -581,7 +638,7 @@ def run(
         delivered_net=max(0, total_del - sum(dummies)),
         avg_backlog=(backlog_integral / horizon) if horizon else 0.0,
         avg_backlog_net=(backlog_net_integral / horizon) if horizon else 0.0,
-        final_backlog=state.backlog_now,
+        final_backlog=backlog,
         reversal_events=state.reversal_events,
         edges_reversed=state.edges_reversed,
         topo_events=state.topo_events,

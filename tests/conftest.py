@@ -663,20 +663,24 @@ def reference_topology_step(state):
 
 def run_recording_arrivals(monkeypatch, *args, **kwargs) -> list[list[int]]:
     """The arrival path of ``sim.run(*args, **kwargs)``: for every slot, the
-    packets each commodity drew, read off ``state.arrivals`` around each
-    ``sim.arrivals_step`` call."""
-    step, paths = sim.arrivals_step, []
+    packets each commodity drew, recorded from each ``sim.bisect_left`` call
+    (in ``sim`` only the arrival draw calls it, once per commodity per slot,
+    in commodity order)."""
+    search, draws = sim.bisect_left, []
 
-    def recorded(state):
-        before = state.arrivals[:]
-        step(state)
-        paths.append([now - was for now, was in zip(state.arrivals, before)])
-        return state
+    def recorded(*search_args):
+        k = search(*search_args)
+        draws.append(k)
+        return k
 
     with monkeypatch.context() as patch:
-        patch.setattr(sim, "arrivals_step", recorded)
+        patch.setattr(sim, "bisect_left", recorded)
         report = sim.run(*args, **kwargs)
+    ncom = len(report.arrivals_by_commodity)
+    paths = [draws[i : i + ncom] for i in range(0, len(draws), ncom)]
     assert len(paths) == report.horizon
+    assert all(len(path) == ncom for path in paths)
+    assert [sum(counts) for counts in zip(*paths)] == list(report.arrivals_by_commodity)
     return paths
 
 

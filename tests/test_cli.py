@@ -5,6 +5,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -579,6 +580,43 @@ class TestMainVerbs:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("validation error: --rho: dummy_scale / load = 500") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        ("name", "commodity", "top", "policy", "field"),
+        [
+            # one commodity's startup packets are no float
+            ("sixnode_fixed.scn", {"dummy_packets": 10**309}, {}, "bp", "commodities[0].dummy_packets"),
+            # each commodity's floor(1.7e308 / 1.0) is a float, the three together are not
+            ("grid4x4_multi.scn", {}, {"dummy_scale": 1.7e308, "load_factors": [1.0]}, "lfbp", "dummy_scale"),
+        ],
+        ids=["dummy_packets", "dummy_scale"],
+    )
+    def test_startup_packets_beyond_float_range_rejected(self, name, commodity, top, policy, field, tmp_path, capsys):
+        doc = scenario_to_dict(load_scenario(name))
+        doc["commodities"][0].update(commodity)
+        doc.update(top)
+        path = tmp_path / "big.scn"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=rf"^big\.scn\.{re.escape(field)}: the startup packets .* are beyond the float range$"):
+            load_scenario(path)
+        for verb, *args in (["validate"], ["run", "--policy", policy, "--horizon", "10", "--out", ""]):
+            assert cli.main([verb, "--scenario", str(path), *args]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"validation error: big.scn.{field}: the startup packets")
+            assert captured.out == ""
+
+    def test_run_rho_startup_packets_beyond_float_range_exits_one(self, tmp_path, capsys):
+        # 3 x floor(5e307 / 1.0) packets fit a float; at --rho 0.5 the
+        # 3 x 1e308 do not, though 5e307 / 0.5 itself does
+        doc = scenario_to_dict(load_scenario("grid4x4_multi.scn"))
+        doc.update(dummy_scale=5e307, load_factors=[1.0])
+        path = tmp_path / "big.scn"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--scenario", str(path), "--horizon", "10", "--out", ""]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--scenario", str(path), "--rho", "0.5", "--horizon", "10", "--out", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error: --rho: the startup packets") and captured.out == ""
 
     @pytest.mark.parametrize("rho", ["60", "nan", "inf", "-1", "0"])
     def test_run_bad_rho_exits_one_naming_rho(self, rho, tmp_path, capsys):

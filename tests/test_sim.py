@@ -557,6 +557,72 @@ class TestRun:
             SimState(net, [CommoditySpec(0, 0, 1, 1.0)], "bp", 1.0, 0)
 
 
+class TestRunMatchesSteps:
+    """``run``'s slot loop draws, forwards and marks inline; stepping a
+    ``SimState`` through the step functions in the same order must give the
+    same run."""
+
+    SLOTS, BUCKET = 3_000, 1_000
+
+    @pytest.mark.parametrize("policy", ["bp", "lfbp"])
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_bundled_scenario_at_highest_load(self, name, policy):
+        config = load_scenario(name)
+        self.assert_run_matches_steps(config, policy, max(config.load_factors))
+
+    @pytest.mark.parametrize("name", ["sixnode_fixed.scn", "grid4x4_multi.scn"])
+    def test_threshold_changing_by_epoch(self, name):
+        config = replace(load_scenario(name), lfbp_params=LfbpParams(thresholds=(30, 90, 45), periods=(150, 50)))
+        self.assert_run_matches_steps(config, "lfbp", max(config.load_factors))
+
+    def assert_run_matches_steps(self, config, policy, rho, seed=7):
+        report = run(config, policy, self.SLOTS, rho=rho, seed=seed, bucket=self.BUCKET)
+
+        params = config.lfbp_params or LfbpParams()
+        extra = int(config.dummy_scale / rho) if config.dummy_scale else 0
+        state = SimState(
+            config.network,
+            config.commodities,
+            policy,
+            rho,
+            seed,
+            topology=config.topology,
+            initial_dags=build_initial_dags(config, policy),
+            dummies=[c.dummy_packets + extra for c in config.commodities] if policy == "lfbp" else None,
+        )
+        state.epoch_left = params.period(0)
+        backlogs = []
+        for t in range(self.SLOTS):
+            arrivals_step(state)
+            bp_step(state)
+            if policy == "lfbp":
+                mark_step(state, params)
+                state.epoch_left -= 1
+                if state.epoch_left <= 0:
+                    epoch_reversal(state, params)
+            topology_step(state)
+            state.t = t + 1
+            backlogs.append(state.backlog_now)
+
+        assert report.arrivals_by_commodity == tuple(state.arrivals)
+        assert report.delivered_by_commodity == tuple(state.delivered)
+        assert report.final_backlog == state.backlog_now == sum(map(sum, state.queues))
+        assert report.avg_backlog == sum(backlogs) / self.SLOTS
+        assert [row["total_backlog_avg"] for row in report.buckets] == [
+            repr(sum(backlogs[end - self.BUCKET : end]) / self.BUCKET)
+            for end in range(self.BUCKET, self.SLOTS + 1, self.BUCKET)
+        ]
+        assert (report.reversal_events, report.edges_reversed, report.topo_events) == (
+            state.reversal_events,
+            state.edges_reversed,
+            state.topo_events,
+        )
+        assert report.reversal_log == state.reversal_log
+        assert report.final_dags == (tuple(state.dags) if state.dags is not None else None)
+        if policy == "lfbp":
+            assert state.reversal_log, "no epoch marked a node, so marking went unchecked"
+
+
 # sha256 of the summary, trace and reversal CSVs that ``cli.sweep`` writes for
 # every load factor of each bundled scenario, seed 1, both policies, 5,000
 # slots, bucket 500.  A change that moves a sample path must update these
