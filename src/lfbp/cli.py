@@ -36,16 +36,21 @@ ending at the horizon):
 Reversal event CSV columns (whenever a run used lfbp, one row per marked epoch):
     rho,seed,slot,commodity,edges_reversed,marked
 Every row carries the seed needed to reproduce it exactly.
+
+Importing ``lfbp`` or this module loads no process pool.  ``concurrent.futures``
+loads its ``process`` submodule, and with it ``multiprocessing``, on first
+access to ``ProcessPoolExecutor``, and only ``sweep`` with ``jobs`` above 1
+(``lfbp sweep --jobs N``, N > 1) makes that access.
 """
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
 import json
 import math
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -352,7 +357,7 @@ def sweep(
     # The pool starts all its workers at once, so never more than the cells.
     workers = min(jobs, len(cells))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_cell, cells))
     else:
         reports = [_run_cell(cell) for cell in cells]
@@ -495,6 +500,9 @@ def _check_args(args) -> None:
     p = getattr(args, "p", None)
     if p is not None and not 0 < p <= 1:
         reject("p", "a finite number in (0, 1]", p)
+    # sweep's --policy repeats; a policy named twice would run each cell twice.
+    if args.command == "sweep" and args.policy and len(set(args.policy)) < len(args.policy):
+        raise ValidationError(f"--policy: each policy may be given once, got {' '.join(args.policy)}")
 
 
 def main(argv=None) -> int:

@@ -546,7 +546,9 @@ def run(
     # where they are used.  The backlog is kept in a local, and ``state.t`` is
     # set only for ``epoch_reversal``, which logs it: nothing else the loop
     # calls reads either.  ``delivered`` only rises, so once no commodity owes
-    # dummies the net backlog stays equal to the backlog.
+    # dummies the net backlog stays equal to the backlog.  Only
+    # ``topology_step`` changes the live set, so its size is a local refreshed
+    # after that call.
     one = len(config.commodities) == 1
     queues, arrivals, dummies, delivered = state.queues, state.arrivals, state.dummies, state.delivered
     draws = [
@@ -559,6 +561,7 @@ def run(
     topology = state.topology is not None
     owed = any(d > 0 for d in dummies)
     backlog = state.backlog_now
+    live = len(state.live_order)
     backlog_integral = backlog_net_integral = live_integral = 0
     buckets = []
     bucket_backlog = 0
@@ -599,6 +602,7 @@ def run(
                 limit = params.threshold(state.epoch)
         if topology:
             topology_step(state)
+            live = len(state.live_order)
         net_backlog = backlog
         backlog_integral += backlog
         if owed:
@@ -608,7 +612,7 @@ def run(
                     net_backlog -= d - got
                     owed = True
         backlog_net_integral += net_backlog
-        live_integral += len(state.live_order)
+        live_integral += live
         if bucket:
             bucket_backlog += backlog
             # A bucket ends every ``bucket`` slots, and the last at the horizon.
@@ -621,7 +625,7 @@ def run(
                         "total_backlog_avg": repr(bucket_backlog / (t % bucket + 1)),
                         "delivered": sum(delivered),
                         "reversals": state.edges_reversed,
-                        "live_edges": len(state.live_order),
+                        "live_edges": live,
                     }
                 )
                 bucket_backlog = 0

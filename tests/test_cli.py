@@ -1,6 +1,7 @@
 """Scenario parsing/validation, CSV emission, CLI verbs, and exit codes."""
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import hashlib
 import json
@@ -399,12 +400,30 @@ class TestSweep:
             def map(self, fn, cells):
                 return map(fn, cells)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         config = scenario_from_dict(minimal_doc(load_factors=[0.5, 1.0, 1.5], seeds=[1, 2, 3]))
         reports = sweep(config, ("bp", "lfbp"), tmp_path / "a.csv", jobs=10_000, horizon=20)
         assert len(reports) == 18 and sizes == [18]
         sweep(config, ("bp",), tmp_path / "b.csv", jobs=4, horizon=20)
         assert sizes == [18, 4]
+
+    def test_import_and_load_start_no_process_pool(self):
+        # concurrent.futures loads its process pool, and multiprocessing with
+        # it, on first access to ProcessPoolExecutor; only a sweep with
+        # jobs above 1 makes that access.
+        snippet = (
+            "import sys; import lfbp; from lfbp import cli; cli.load_scenario('grid4x4.scn'); "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {snippet}"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_trace_rows_written(self, tmp_path):
         config = scenario_from_dict(minimal_doc())
@@ -696,6 +715,15 @@ class TestMainVerbs:
         assert captured.err.startswith("validation error: --p: ")
         assert "n=30" in captured.err and "1000 tries" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_repeated_policy_exits_one(self, tmp_path, capsys):
+        # A policy named twice would simulate each of its cells twice.
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--scenario", "sixnode_fixed.scn", "--out", str(out), "--horizon", "10"]
+        assert cli.main([*argv, "--policy", "bp", "--policy", "lfbp", "--policy", "bp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "validation error: --policy: each policy may be given once, got bp lfbp bp\n"
+        assert captured.out == "" and not out.exists()
 
     def test_sweep_verb(self, tmp_path):
         src = tmp_path / "mini.scn"
