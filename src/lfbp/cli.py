@@ -33,9 +33,13 @@ Summary CSV columns (one row per run):
 Bucketed trace CSV columns (optional, one row per slot bucket, the last
 ending at the horizon):
     seed,slot_bucket,policy,load,total_backlog_avg,delivered,reversals,live_edges
+(``sim.run`` keeps each bucket as a tuple of numbers; ``write_trace_csv``
+formats the row.)
 Reversal event CSV columns (whenever a run used lfbp, one row per marked epoch):
     rho,seed,slot,commodity,edges_reversed,marked
-Every row carries the seed needed to reproduce it exactly.
+Every row carries the seed needed to reproduce it exactly.  An ``--out`` that
+is a directory or lies in a missing directory is rejected before any work
+runs; a file that still cannot be written is reported as an ``--out`` error.
 
 Importing ``lfbp`` or this module loads no process pool.  ``concurrent.futures``
 loads its ``process`` submodule, and with it ``multiprocessing``, on first
@@ -68,7 +72,6 @@ from .flow import max_flow_undirected
 from .protocol import LfbpParams
 from .reversal import converge, default_max_iters
 from .sim import (
-    BUCKET_FIELDS,
     SUMMARY_FIELDS,
     CommoditySpec,
     MetricsReport,
@@ -79,9 +82,14 @@ from .sim import (
 
 SCHEMA_VERSION = 1
 
+# The columns of the trace and reversal event CSVs.
+BUCKET_FIELDS = ["seed", "slot_bucket", "policy", "load", "total_backlog_avg", "delivered", "reversals", "live_edges"]
+REVERSAL_FIELDS = ["rho", "seed", "slot", "commodity", "edges_reversed", "marked"]
+
 
 class ValidationError(ValueError):
-    """A scenario file failed validation; the message names the field."""
+    """A scenario file or a command-line value failed validation; the message
+    names the field or the flag."""
 
 
 @dataclass(frozen=True)
@@ -378,11 +386,15 @@ def write_run_csvs(reports, out_path, bucket: int) -> None:
 
 
 def _write_csv(path, fields, rows) -> None:
-    """One CSV file: a header of ``fields``, then one line per row dict."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    """One CSV file: a header of ``fields``, then one line per row dict.  A
+    file that cannot be written is reported as an ``--out`` error."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ValidationError(f"--out: {exc}") from exc
 
 
 def write_summary_csv(reports, path) -> None:
@@ -390,11 +402,13 @@ def write_summary_csv(reports, path) -> None:
 
 
 def write_trace_csv(reports, path) -> None:
-    rows = ({"seed": report.seed, **row} for report in reports for row in report.buckets)
-    _write_csv(path, ["seed"] + BUCKET_FIELDS, rows)
-
-
-REVERSAL_FIELDS = ["rho", "seed", "slot", "commodity", "edges_reversed", "marked"]
+    """One row per slot bucket of each report, floats as their ``repr``."""
+    rows = (
+        dict(zip(BUCKET_FIELDS, (report.seed, slot, report.policy, repr(report.rho), repr(avg), got, flips, live)))
+        for report in reports
+        for slot, avg, got, flips, live in report.buckets
+    )
+    _write_csv(path, BUCKET_FIELDS, rows)
 
 
 def write_reversal_events_csv(reports, path) -> None:
@@ -428,7 +442,7 @@ def er_batch(
     """Convergence statistics over random graphs: sample connected graphs with
     uniform integer capacities, start from a random orientation, and converge
     at the network max-flow rate.  Every sample is checked against the
-    iteration bound."""
+    iteration bound: ``converge`` raises ``InvariantViolation`` past it."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(f"{seed}|er-batch")
@@ -443,10 +457,7 @@ def er_batch(
         dag0 = orient_by_ranking(net, {node: pos for node, pos in zip(sorted(net.nodes), ranking)})
         fmax = max_flow_undirected(net)
         bound = default_max_iters(dag0, fmax)
-        trace = converge(dag0, fmax, max_iters=bound, record_overload=False)
-        iters = trace.iterations
-        if iters > bound:
-            raise InvariantViolation(f"sample {k}: {iters} iterations exceeds bound {bound}")
+        iters = converge(dag0, fmax, max_iters=bound).iterations
         total_iters += iters
         max_iters_seen = max(max_iters_seen, iters)
         rows.append(
@@ -503,6 +514,12 @@ def _check_args(args) -> None:
     # sweep's --policy repeats; a policy named twice would run each cell twice.
     if args.command == "sweep" and args.policy and len(set(args.policy)) < len(args.policy):
         raise ValidationError(f"--policy: each policy may be given once, got {' '.join(args.policy)}")
+    # Every --out names a file in an existing directory, checked before any
+    # work; only run's may be empty, and then it writes nothing.
+    out = getattr(args, "out", None)
+    if out is not None and (out or args.command != "run"):
+        if Path(out).is_dir() or not Path(out).parent.is_dir():
+            raise ValidationError(f"--out: {out!r} is not a file in an existing directory")
 
 
 def main(argv=None) -> int:

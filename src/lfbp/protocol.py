@@ -63,7 +63,7 @@ def mark_step(state: SimState, params: LfbpParams) -> SimState:
             continue
         for i, backlog in enumerate(queue):
             if backlog > limit:
-                marks[i] = True
+                marks.add(i)
     return state
 
 
@@ -100,17 +100,18 @@ def _reversible_marks(dag, marked: set, source: int) -> set:
 
 def epoch_reversal(state: SimState, params: LfbpParams) -> SimState:
     """Per commodity, reverse links from unmarked nodes into the marked
-    components that pass the gate of ``_reversible_marks``, then clear marks
-    and start the next epoch.
+    components that pass the gate of ``_reversible_marks``, then start the
+    next epoch.  Each mark set is cleared in place, never rebound.
 
     The reversal log keeps one entry per commodity with marks: the slot, the
     commodity id, the flip count after the gate, and every marked node, so an
     epoch that marked nodes but flipped nothing stays visible.
     """
     changed = False
-    for y, dag in enumerate(state.dags):
-        marked = {state.node_of[i] for i, flag in enumerate(state.marks[y]) if flag}
-        if marked:
+    for y, (dag, marks) in enumerate(zip(state.dags, state.marks)):
+        if marks:
+            marked = {state.node_of[i] for i in marks}
+            marks.clear()
             commodity = state.commodities[y]
             toward = _reversible_marks(dag, marked, commodity.source)
             new_dag, flips = reverse_toward(dag, toward)
@@ -122,8 +123,6 @@ def epoch_reversal(state: SimState, params: LfbpParams) -> SimState:
                 state.edges_reversed += len(flips)
                 state.reversal_events += 1
                 changed = True
-        if any(state.marks[y]):
-            state.marks[y] = [False] * state.n
     state.epoch += 1
     state.epoch_left = params.period(state.epoch)
     if changed:

@@ -117,10 +117,11 @@ def converge(
     dag0: DagOrientation,
     rate: Rational,
     max_iters: int | None = None,
-    record_overload: bool = True,
+    record_overload: bool = False,
 ) -> ReversalTrace:
     """Iterate reversal steps until the orientation supports the rate or no
-    link qualifies.  The trace keeps one entry per visited orientation."""
+    link qualifies.  The trace keeps one entry per visited orientation, each
+    with its ``lex_min_overload`` vector when ``record_overload`` is set."""
     if max_iters is None:
         max_iters = default_max_iters(dag0)
     entries: list[TraceEntry] = []
@@ -147,4 +148,4 @@ def optimal_dag(net: Network) -> DagOrientation:
     """An orientation whose max-flow matches the undirected max-flow: the one
     link reversal reaches from the ID order at that rate."""
     dag, fmax = initial_dag(net), max_flow_undirected(net)
-    return converge(dag, fmax, default_max_iters(dag, fmax), record_overload=False).final
+    return converge(dag, fmax, default_max_iters(dag, fmax)).final

@@ -21,7 +21,9 @@ CDF table built once per commodity.
 
 ``run`` is one slot loop: it draws the arrivals and marks the queues above
 the threshold inline, and forwards one commodity through ``_forward_one`` and
-several through ``_step_many``.  ``arrivals_step``, ``bp_step``,
+several through ``_step_many``.  Its records stay raw: each commodity's
+marks are a set of node indices, and each trace bucket is a tuple of numbers
+that ``cli`` formats.  ``arrivals_step``, ``bp_step``,
 ``protocol.mark_step`` and ``topology_step`` are the step-by-step API for code
 that drives a ``SimState`` itself, as the benchmark's traced replay and the
 tests do; ``bp_step`` forwards through the same two functions as ``run``.
@@ -92,6 +94,7 @@ class MetricsReport:
     delivered_by_commodity: tuple[int, ...]
     arrivals_by_commodity: tuple[int, ...]
     reversal_log: list = field(default_factory=list)
+    # (slot, average backlog, delivered, edges reversed, live links) per bucket
     buckets: list = field(default_factory=list)
     final_dags: tuple | None = None
 
@@ -121,16 +124,6 @@ SUMMARY_FIELDS = [
     "edges_reversed",
     "topo_events",
     "live_fraction",
-]
-
-BUCKET_FIELDS = [
-    "slot_bucket",
-    "policy",
-    "load",
-    "total_backlog_avg",
-    "delivered",
-    "reversals",
-    "live_edges",
 ]
 
 
@@ -244,7 +237,8 @@ class SimState:
         if topology is not None:
             self.flip_prob = [topology.fail_prob if x else topology.recover_prob for x in self.live_mask]
 
-        self.marks = [[False] * self.n for _ in range(ncom)]
+        # Per commodity, the indices of the nodes marked this epoch.
+        self.marks = [set() for _ in range(ncom)]
         self.epoch = 0
         self.epoch_left = 0  # set by the lfbp driver
 
@@ -356,14 +350,10 @@ def bp_step(state: SimState) -> SimState:
     first, puts each tail's winners in serving order.
     """
     if len(state.commodities) == 1:
-        return _step_one(state)
-    state.backlog_now -= _step_many(state)
-    return state
-
-
-def _step_one(state: SimState) -> SimState:
-    gone = _forward_one(state.queues[0], state.plans, state.dst_idx[0])
-    state.delivered[0] += gone
+        gone = _forward_one(state.queues[0], state.plans, state.dst_idx[0])
+        state.delivered[0] += gone
+    else:
+        gone = _step_many(state)
     state.backlog_now -= gone
     return state
 
@@ -542,13 +532,13 @@ def run(
     # One slot loop, with no call per slot into the step functions: the
     # arrival draws and the marking run inline, and one commodity is forwarded
     # by ``_forward_one``, several by ``_step_many``.  ``epoch_reversal`` and
-    # ``topology_step`` replace ``plans`` and the mark lists, so those are read
-    # where they are used.  The backlog is kept in a local, and ``state.t`` is
-    # set only for ``epoch_reversal``, which logs it: nothing else the loop
-    # calls reads either.  ``delivered`` only rises, so once no commodity owes
-    # dummies the net backlog stays equal to the backlog.  Only
-    # ``topology_step`` changes the live set, so its size is a local refreshed
-    # after that call.
+    # ``topology_step`` replace ``plans``, so it is read where it is used;
+    # ``epoch_reversal`` clears the mark sets in place, so they are read once.
+    # The backlog is kept in a local, and ``state.t`` is set only for
+    # ``epoch_reversal``, which logs it: nothing else the loop calls reads
+    # either.  ``delivered`` only rises, so the startup debt (the dummies not
+    # yet delivered) is summed only until it reaches 0.  Only ``topology_step``
+    # changes the live set, so its size is a local refreshed after that call.
     one = len(config.commodities) == 1
     queues, arrivals, dummies, delivered = state.queues, state.arrivals, state.dummies, state.delivered
     draws = [
@@ -556,13 +546,13 @@ def run(
         for y, (rng, table) in enumerate(zip(state.arr_rngs, state.cdfs))
     ]
     _y, draw0, table0, last0, queue0, src0 = draws[0]
-    dst0 = state.dst_idx[0]
+    dst0, marks, marks0 = state.dst_idx[0], state.marks, state.marks[0]
     limit = params.threshold(state.epoch) if lfbp else None
     topology = state.topology is not None
-    owed = any(d > 0 for d in dummies)
+    debt = sum(dummies)
     backlog = state.backlog_now
     live = len(state.live_order)
-    backlog_integral = backlog_net_integral = live_integral = 0
+    backlog_integral = debt_integral = live_integral = 0
     buckets = []
     bucket_backlog = 0
     for t in range(horizon):
@@ -576,10 +566,9 @@ def run(
             delivered[0] += gone
             backlog -= gone
             if lfbp and max(queue0) > limit:
-                marks = state.marks[0]
                 for i, packets in enumerate(queue0):
                     if packets > limit:
-                        marks[i] = True
+                        marks0.add(i)
         else:
             for y, draw, table, last, queue, src in draws:
                 k = bisect_left(table, draw(), 0, last)
@@ -589,11 +578,11 @@ def run(
                     backlog += k
             backlog -= _step_many(state)
             if lfbp:
-                for queue, marks in zip(queues, state.marks):
+                for queue, marked in zip(queues, marks):
                     if max(queue) > limit:
                         for i, packets in enumerate(queue):
                             if packets > limit:
-                                marks[i] = True
+                                marked.add(i)
         if lfbp:
             state.epoch_left -= 1
             if state.epoch_left <= 0:
@@ -603,31 +592,16 @@ def run(
         if topology:
             topology_step(state)
             live = len(state.live_order)
-        net_backlog = backlog
         backlog_integral += backlog
-        if owed:
-            owed = False
-            for d, got in zip(dummies, delivered):
-                if d > got:
-                    net_backlog -= d - got
-                    owed = True
-        backlog_net_integral += net_backlog
+        if debt:
+            debt = sum(d - got for d, got in zip(dummies, delivered) if d > got)
+            debt_integral += debt
         live_integral += live
         if bucket:
             bucket_backlog += backlog
             # A bucket ends every ``bucket`` slots, and the last at the horizon.
             if (t + 1) % bucket == 0 or t + 1 == horizon:
-                buckets.append(
-                    {
-                        "slot_bucket": t + 1,
-                        "policy": policy,
-                        "load": repr(rho),
-                        "total_backlog_avg": repr(bucket_backlog / (t % bucket + 1)),
-                        "delivered": sum(delivered),
-                        "reversals": state.edges_reversed,
-                        "live_edges": live,
-                    }
-                )
+                buckets.append((t + 1, bucket_backlog / (t % bucket + 1), sum(delivered), state.edges_reversed, live))
                 bucket_backlog = 0
 
     total_del = sum(delivered)
@@ -641,7 +615,7 @@ def run(
         delivered=total_del,
         delivered_net=max(0, total_del - sum(dummies)),
         avg_backlog=(backlog_integral / horizon) if horizon else 0.0,
-        avg_backlog_net=(backlog_net_integral / horizon) if horizon else 0.0,
+        avg_backlog_net=((backlog_integral - debt_integral) / horizon) if horizon else 0.0,
         final_backlog=backlog,
         reversal_events=state.reversal_events,
         edges_reversed=state.edges_reversed,

@@ -208,13 +208,10 @@ def test_criterion_5_fixed_topology_backlog():
         bp, lf = reports[rho, "bp"], reports[rho, "lfbp"]
         results[rho] = (bp.avg_backlog, lf.avg_backlog)
         assert len(bp.buckets) == len(lf.buckets) == 200_000 // bucket
-        for b, l in zip(bp.buckets[1:], lf.buckets[1:]):
-            bp_avg = float(b["total_backlog_avg"])
-            lf_avg = float(l["total_backlog_avg"])
+        # A bucket is (slot, average backlog, delivered, reversals, live links).
+        for (slot, bp_avg, *_), (_slot, lf_avg, *_) in zip(bp.buckets[1:], lf.buckets[1:]):
             if lf_avg > bp_avg:
-                bad.setdefault(rho, []).append(
-                    (b["slot_bucket"], round(bp_avg, 1), round(lf_avg, 1))
-                )
+                bad.setdefault(rho, []).append((slot, round(bp_avg, 1), round(lf_avg, 1)))
     ratio_half = results[0.5][1] / results[0.5][0]
     ok_half = ratio_half <= 0.5
     ok_all = not bad
@@ -290,7 +287,7 @@ def test_criterion_8_threshold_detection():
             arrivals_step(state)
             bp_step(state)
             mark_step(state, params)
-        marked = {state.node_of[i] for i, m in enumerate(state.marks[0]) if m}
+        marked = {state.node_of[i] for i in state.marks[0]}
         if cut.source_side <= marked:
             full_detect += 1
         if marked <= cut.source_side:

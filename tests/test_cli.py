@@ -318,6 +318,15 @@ class TestSchemaFuzz:
             (("load_factors", 0), "x", r"load_factors\[0\]"),
             (("seeds", 0), "x", r"seeds\[0\]: expected an integer"),
             (("dummy_scale",), "x", r"dummy_scale"),
+            pytest.param(("nodes",), [1, 1], r"scenario\.nodes: node IDs must be unique", id="duplicate-node"),
+            pytest.param(("commodities",), [], r"scenario\.commodities: at least one commodity", id="no-commodity"),
+            pytest.param(("seeds",), [], r"scenario\.seeds: at least one seed", id="no-seed"),
+            pytest.param(
+                ("commodities", 0, "rate"),
+                10**400,
+                r"scenario\.commodities\[0\]\.rate: int too large to convert to float",
+                id="int-beyond-float-range",
+            ),
         ],
     )
     def test_holes_the_fuzz_found(self, field, value, message):
@@ -444,8 +453,8 @@ class TestSweep:
         assert rows[-1] == "1,250,lfbp,0.5,1724.46,0,6,8"
         # A bucket longer than the run is the whole run.
         report = run(load_scenario("sixnode_fixed.scn"), "lfbp", 250, bucket=1000)
-        assert [row["slot_bucket"] for row in report.buckets] == [250]
-        assert report.buckets[0]["total_backlog_avg"] == repr(report.avg_backlog)
+        assert [row[0] for row in report.buckets] == [250]
+        assert report.buckets[0][1] == report.avg_backlog
 
     def test_reversal_events_csv(self, tmp_path):
         config = load_scenario("sixnode_detect.scn")
@@ -521,19 +530,51 @@ class TestMainVerbs:
         assert cli.main(["validate", "--scenario", "sixnode_fixed.scn"]) == 0
         assert "ok: sixnode-fixed" in capsys.readouterr().out
 
-    def test_python_dash_m_lfbp(self):
-        # The package runs as a module without importing cli twice.
+    def test_python_dash_m_lfbp(self, tmp_path):
+        # The package runs as a module without importing cli twice, and an
+        # --out it cannot write exits 1 with a message, not a traceback.
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "lfbp", "validate", "--scenario", "sixnode_fixed.scn"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+
+        def lfbp(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "lfbp", *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+
+        done = lfbp("validate", "--scenario", "sixnode_fixed.scn")
         assert done.returncode == 0, done.stderr
         assert "ok: sixnode-fixed" in done.stdout
         assert "RuntimeWarning" not in done.stderr
+        out = str(tmp_path / "missing" / "x.csv")
+        done = lfbp("run", "--scenario", "sixnode_fixed.scn", "--horizon", "10", "--out", out)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == f"validation error: --out: {out!r} is not a file in an existing directory\n"
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-directory", "directory"])
+    @pytest.mark.parametrize("verb", ["run", "sweep", "er-batch"])
+    def test_unwritable_out_exits_one_before_any_work(self, verb, out, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{verb} ran before --out was checked")
+
+        monkeypatch.setattr(cli, "sweep", no_work)
+        monkeypatch.setattr(cli, "er_batch", no_work)
+        monkeypatch.chdir(tmp_path)
+        argv = ["--samples", "1"] if verb == "er-batch" else ["--scenario", "sixnode_fixed.scn", "--horizon", "10"]
+        assert cli.main([verb, *argv, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"validation error: --out: {out!r} is not a file in an existing directory\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "er-batch"])
+    def test_out_failing_at_write_time_exits_one(self, verb, tmp_path, capsys):
+        # A link into a missing directory passes the check, and opening it
+        # fails once the work is done.
+        out = tmp_path / "x.csv"
+        out.symlink_to(tmp_path / "gone" / "x.csv")
+        argv = ["--samples", "1"] if verb == "er-batch" else ["--scenario", "sixnode_fixed.scn", "--horizon", "10"]
+        assert cli.main([verb, *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"validation error: --out: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert captured.out == ""
 
     def test_unreadable_file_exits_one_naming_it(self, tmp_path, capsys):
         # A directory, and a file that is not UTF-8 text.

@@ -35,7 +35,7 @@ class TestParams:
         state.epoch = 7
         state.queues[0][:2] = [61, 60]
         mark_step(state, p)
-        assert state.marks[0] == [True, False, False]
+        assert state.marks[0] == {0}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -59,7 +59,7 @@ class TestMarking:
         state, params = self.make_state()
         state.queues[0][0] = 10  # not strictly above
         mark_step(state, params)
-        assert not any(state.marks[0])
+        assert state.marks[0] == set()
 
     def test_spike_then_drain_keeps_mark(self):
         state, params = self.make_state()
@@ -67,14 +67,14 @@ class TestMarking:
         mark_step(state, params)
         state.queues[0][0] = 0
         mark_step(state, params)
-        assert state.marks[0][state.idx[0]]
+        assert state.idx[0] in state.marks[0]
 
     def test_epoch_clears_marks_and_advances(self):
         state, params = self.make_state()
         state.queues[0][0] = 11
         mark_step(state, params)
         epoch_reversal(state, params)
-        assert not any(state.marks[0])
+        assert state.marks[0] == set()
         assert state.epoch == 1
         assert state.epoch_left == params.period(1)
 
@@ -100,8 +100,7 @@ class TestEpochReversal:
         oracle_dag, flips, _ = reversal_step(dag0, rate)
         state = SimState(net, [CommoditySpec(0, 0, 5, 15.0)], "lfbp", 0.9, 0,
                          initial_dags=[dag0])
-        for i, node in enumerate(state.node_of):
-            state.marks[0][i] = node in cut.source_side
+        state.marks[0].update(i for i, node in enumerate(state.node_of) if node in cut.source_side)
         params = LfbpParams(thresholds=(60,), periods=(10,))
         epoch_reversal(state, params)
         assert signature(state.dags[0]) == signature(oracle_dag)
@@ -130,7 +129,7 @@ class TestReversalGate:
         assert max_flow(dag).value == 15
         state = SimState(config.network, list(config.commodities), "lfbp", 0.95, 0,
                          initial_dags=[dag])
-        state.marks[0][state.idx[2]] = True
+        state.marks[0].add(state.idx[2])
         epoch_reversal(state, LfbpParams(thresholds=(60,), periods=(50,)))
         assert state.dags[0] is dag
         assert max_flow(state.dags[0]).value == 15
@@ -147,7 +146,7 @@ class TestReversalGate:
         state = SimState(net, [CommoditySpec(0, 0, 3, 3.0)], "lfbp", 1.0, 0,
                          initial_dags=[dag])
         for node in (1, 2, 4):
-            state.marks[0][state.idx[node]] = True
+            state.marks[0].add(state.idx[node])
         epoch_reversal(state, LfbpParams(thresholds=(60,), periods=(50,)))
         out = state.dags[0]
         assert direction(out, (0, 2)) == (2, 0)

@@ -168,7 +168,7 @@ class TestConverge:
         while seen < 25:
             dag = random_orientation(rng, random_network(rng, n_max=8))
             rate = rng.randint(2, 10)
-            trace = converge(dag, rate)
+            trace = converge(dag, rate, record_overload=True)
             steps = [e for e in trace.entries if e.overload is not None]
             if len(steps) < 2:
                 continue
@@ -359,7 +359,7 @@ class TestTrace:
         seen = 0
         while seen < 15:
             dag = random_orientation(rng, random_network(rng, n_max=7))
-            trace = converge(dag, rng.randint(2, 9))
+            trace = converge(dag, rng.randint(2, 9), record_overload=True)
             for e in trace.entries:
                 if e.overloaded is not None and e.overload is not None:
                     assert e.overload.support() == e.overloaded

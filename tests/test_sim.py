@@ -518,8 +518,9 @@ class TestRun:
             lfbp_params=None,
         )
         report = run(config, "lfbp", seed=6, bucket=10_000)
-        early = float(report.buckets[1]["total_backlog_avg"])
-        late = float(report.buckets[-1]["total_backlog_avg"])
+        # A bucket is (slot, average backlog, delivered, reversals, live links).
+        early = report.buckets[1][1]
+        late = report.buckets[-1][1]
         assert late < 3 * max(early, 5.0)
 
     def test_optimal_start_is_built_per_commodity(self):
@@ -591,7 +592,7 @@ class TestRunMatchesSteps:
             dummies=[c.dummy_packets + extra for c in config.commodities] if policy == "lfbp" else None,
         )
         state.epoch_left = params.period(0)
-        backlogs = []
+        backlogs, debts = [], []
         for t in range(self.SLOTS):
             arrivals_step(state)
             bp_step(state)
@@ -603,13 +604,15 @@ class TestRunMatchesSteps:
             topology_step(state)
             state.t = t + 1
             backlogs.append(state.backlog_now)
+            debts.append(sum(max(0, d - got) for d, got in zip(state.dummies, state.delivered)))
 
         assert report.arrivals_by_commodity == tuple(state.arrivals)
         assert report.delivered_by_commodity == tuple(state.delivered)
         assert report.final_backlog == state.backlog_now == sum(map(sum, state.queues))
         assert report.avg_backlog == sum(backlogs) / self.SLOTS
-        assert [row["total_backlog_avg"] for row in report.buckets] == [
-            repr(sum(backlogs[end - self.BUCKET : end]) / self.BUCKET)
+        assert report.avg_backlog_net == (sum(backlogs) - sum(debts)) / self.SLOTS
+        assert [avg for _slot, avg, *_counts in report.buckets] == [
+            sum(backlogs[end - self.BUCKET : end]) / self.BUCKET
             for end in range(self.BUCKET, self.SLOTS + 1, self.BUCKET)
         ]
         assert (report.reversal_events, report.edges_reversed, report.topo_events) == (
