@@ -514,12 +514,20 @@ def _check_args(args) -> None:
     # sweep's --policy repeats; a policy named twice would run each cell twice.
     if args.command == "sweep" and args.policy and len(set(args.policy)) < len(args.policy):
         raise ValidationError(f"--policy: each policy may be given once, got {' '.join(args.policy)}")
-    # Every --out names a file in an existing directory, checked before any
-    # work; only run's may be empty, and then it writes nothing.
+    # Every file --out writes is in an existing directory, checked before any
+    # work; only run's --out may be empty, and then it writes nothing.
+    def check_out(path):
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise ValidationError(f"--out: {path!r} is not a file in an existing directory")
+
     out = getattr(args, "out", None)
     if out is not None and (out or args.command != "run"):
-        if Path(out).is_dir() or not Path(out).parent.is_dir():
-            raise ValidationError(f"--out: {out!r} is not a file in an existing directory")
+        check_out(out)
+        if args.command != "er-batch":  # the files ``write_run_csvs`` puts beside it
+            lfbp = "lfbp" in ([args.policy] if args.command == "run" else args.policy or ["lfbp"])
+            for suffix, written in ((".trace.csv", args.trace_bucket), (".reversals.csv", lfbp)):
+                if written:
+                    check_out(str(Path(out).with_suffix(suffix)))
 
 
 def main(argv=None) -> int:

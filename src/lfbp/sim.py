@@ -14,13 +14,20 @@ orientation maintained by threshold-driven link reversals.
 
 The links a slot reads change only when the orientation or the live mask
 does, so ``SimState.rebuild_plans`` compiles them into a forwarding plan at
-those moments, not every slot.  With several commodities a link offers one
-option per commodity; under ``bp`` the contest computes its differential
-once and takes whichever direction it favours.  Poisson arrivals come from a
-CDF table built once per commodity.
+those moments, not every slot.  One commodity is forwarded by a
+straight-line kernel, ``SimState.forward``, generated and compiled once per
+(node count, destination, links) and kept in the bounded cache of
+``_kernel``: a local per queue and one test per arc, both directions of
+every link.  Its source holds only node and arc indices; the plan is its
+data, a capacity per arc, 0 where the arc may not send.  To read it:
+``print(_kernel_source(state.n, state.dst_idx[0], state.edge_nodes))``.
+With several commodities a link offers one option per commodity; under
+``bp`` the contest computes its differential once and takes whichever
+direction it favours.  Poisson arrivals come from a CDF table built once per
+commodity.
 
 ``run`` is one slot loop: it draws the arrivals and marks the queues above
-the threshold inline, and forwards one commodity through ``_forward_one`` and
+the threshold inline, and forwards one commodity through the kernel and
 several through ``_step_many``.  Its records stay raw: each commodity's
 marks are a set of node indices, and each trace bucket is a tuple of numbers
 that ``cli`` formats.  ``arrivals_step``, ``bp_step``,
@@ -30,6 +37,7 @@ tests do; ``bp_step`` forwards through the same two functions as ``run``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_left
@@ -257,6 +265,10 @@ class SimState:
         self.topo_events = 0
         self.reversal_log: list = []
 
+        # One commodity is forwarded by a kernel compiled for the links and the
+        # destination; ``rebuild_plans`` gives it each arc's capacity.
+        self.edge_nodes = tuple((self.idx[a], self.idx[b]) for a, b in self.edge_list)
+        self.forward = _kernel(self.n, self.dst_idx[0], self.edge_nodes) if ncom == 1 else None
         self.rebuild_plans()
 
     def rebuild_plans(self) -> None:
@@ -264,47 +276,37 @@ class SimState:
         read.
 
         Run at init and whenever the orientation or the live mask changes.
-        Each live link offers one arc ``(y, a, b)`` per commodity it may
-        carry: under ``bp`` every commodity, oriented as the link is listed,
-        and the link may send either way (``two_way``); under ``lfbp`` each
-        commodity's DAG direction only, from its lower-ranked end to its
+        Each live link carries every commodity one way: under ``bp`` as the
+        link is listed, and the link may also send back (``two_way``); under
+        ``lfbp`` along each commodity's DAG, from its lower-ranked end to its
         higher (every commodity's DAG has the live set of ``live_order``).
-        With one commodity the arcs are grouped by tail as
-        ``(u, ((v, cap), ...))``, a two-way link under both endpoints; with
-        several, each link keeps its options
-        ``(queues[y], a, b, y)``, commodity ascending, as ``(cap, options)``.
-        A zero-capacity link never sends, so it is left out.
+        With one commodity the plan is the capacity of each arc of
+        ``forward``, edge ``e`` listed as arcs ``2e`` and ``2e + 1`` (its
+        reverse), 0 where the arc may not send.  With several, each link
+        keeps its options ``(queues[y], a, b, y)``, commodity ascending, as
+        ``(cap, options)``.  A zero-capacity link never sends, so it is left
+        out.
         """
-        idx, two_way = self.idx, self.two_way
+        idx, ncom = self.idx, len(self.commodities)
         links = []
         for e_idx in self.live_order:
             cap = self.cap_int[e_idx]
-            if not cap:
-                continue
-            a, b = self.edge_list[e_idx]
-            ia, ib = idx[a], idx[b]
-            if two_way:
-                arcs = [(y, ia, ib) for y in range(len(self.commodities))]
-            else:
-                arcs = [
-                    (y, ia, ib) if dag.states[a] < dag.states[b] else (y, ib, ia)
-                    for y, dag in enumerate(self.dags)
-                ]
-            if arcs:
-                links.append((cap, arcs))
-        if len(self.commodities) == 1:
-            by_tail: dict[int, list] = {}
-            for cap, arcs in links:
-                for _y, u, v in arcs:
-                    by_tail.setdefault(u, []).append((v, cap))
-                    if two_way:
-                        by_tail.setdefault(v, []).append((u, cap))
-            self.plans = [(u, tuple(by_tail[u])) for u in sorted(by_tail)]
+            if cap:
+                a, b = self.edge_list[e_idx]
+                ahead = [True] * ncom if self.two_way else [dag.states[a] < dag.states[b] for dag in self.dags]
+                links.append((e_idx, cap, idx[a], idx[b], ahead))
+        if ncom == 1:
+            caps = [0] * (2 * self.m)
+            for e_idx, cap, _a, _b, (ahead,) in links:
+                caps[2 * e_idx + (not ahead)] = cap
+                if self.two_way:
+                    caps[2 * e_idx + 1] = cap
+            self.plans = tuple(caps)
         else:
             queues = self.queues
             self.plans = [
-                (cap, tuple((queues[y], a, b, y) for y, a, b in arcs))
-                for cap, arcs in links
+                (cap, tuple((queues[y], a, b, y) if fwd else (queues[y], b, a, y) for y, fwd in enumerate(ahead)))
+                for _e, cap, a, b, ahead in links
             ]
 
 
@@ -350,7 +352,7 @@ def bp_step(state: SimState) -> SimState:
     first, puts each tail's winners in serving order.
     """
     if len(state.commodities) == 1:
-        gone = _forward_one(state.queues[0], state.plans, state.dst_idx[0])
+        gone = state.forward(state.queues[0], state.plans)
         state.delivered[0] += gone
     else:
         gone = _step_many(state)
@@ -358,44 +360,52 @@ def bp_step(state: SimState) -> SimState:
     return state
 
 
-def _forward_one(q: list[int], plans: list, dst: int) -> int:
-    """One commodity's transmission round over the queues ``q`` by the
-    one-commodity ``plans``; returns the packets delivered at ``dst``."""
-    q0 = q[:]
-    dst_sent = 0
-    for u, arcs in plans:
-        qu = q0[u]
-        if not qu:
-            continue
-        total = 0
-        for v, cap in arcs:
-            if q0[v] < qu:
-                total += cap
-        if not total:
-            continue
-        if total <= qu:
-            for v, cap in arcs:
-                if q0[v] < qu:
-                    q[v] += cap
+@functools.lru_cache(maxsize=16)
+def _kernel(n: int, dst: int, edges: tuple):
+    """The one-commodity round ``forward(q, caps)`` for nodes ``0..n-1`` and
+    the links ``edges`` (index pairs), compiled from ``_kernel_source``."""
+    scope = {"_overdrawn": _overdrawn}
+    exec(compile(_kernel_source(n, dst, edges), f"<lfbp kernel n={n} dst={dst}>", "exec"), scope)
+    return scope["forward"]
+
+
+def _kernel_source(n: int, dst: int, edges: tuple) -> str:
+    """Straight-line Python for one commodity's transmission round: the
+    start-of-slot queues in locals ``q0..``, the arc capacities in ``c0..``,
+    and per tail ``u`` one test per arc ``k`` to ``v``: it sends when
+    ``q[v] < q[u]``.  A tail whose winners fit its backlog sends each in
+    full, an overdrawn one leaves the split to ``_overdrawn``.  What lands at
+    ``dst`` is delivered, and the count returned."""
+    out: list[list] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(edges):
+        out[a].append((2 * e, b))
+        out[b].append((2 * e + 1, a))
+    lines = ["def forward(q, c):", "    " + "".join(f"q{u}, " for u in range(n)) + "= q", "    s = 0"]
+    lines += ["    " + "".join(f"c{k}, " for k in range(2 * len(edges))) + "= c"] if edges else []
+    for u, arcs in enumerate(out):
+        if arcs:
+            lines += [f"    if q{u}:", "        t = " + " + ".join(f"(c{k} if q{v} < q{u} else 0)" for k, v in arcs)]
+            lines += ["        if t:", f"            if t <= q{u}:"]
+            lines += [f"                if q{v} < q{u}: q[{v}] += c{k}" for k, v in arcs]
+            winners = "".join(f"(q{v}, {v}, c{k}), " for k, v in arcs)
+            lines += ["            else:", f"                t = q{u}", f"                _overdrawn(q, t, ({winners}))"]
+            lines += [f"            q[{u}] -= t"] + (["            s = t"] if u == dst else [])
+    lines += [f"    k = q{dst} - s", f"    g = q[{dst}] - k", f"    q[{dst}] = k", "    return g"]
+    return "\n".join(lines) + "\n"
+
+
+def _overdrawn(q: list[int], avail: int, arcs: tuple) -> None:
+    """Spend a tail's whole backlog ``avail`` on its arcs ``(q0[v], v, cap)``
+    in descending differential order, ties to the lower node (indices follow
+    IDs).  The winners (``q0[v] < avail``) sort first and their capacities
+    overdraw ``avail``, so the losers are never reached."""
+    for _qv, v, cap in sorted(arcs):
+        if cap < avail:
+            q[v] += cap
+            avail -= cap
         else:
-            # The winners overdraw the backlog, so all of it goes, in descending
-            # differential order, ties to the lower node (indices follow IDs).
-            total = avail = qu
-            for _qv, v, cap in sorted([(q0[v], v, cap) for v, cap in arcs if q0[v] < qu]):
-                if cap < avail:
-                    q[v] += cap
-                    avail -= cap
-                else:
-                    q[v] += avail
-                    break
-        q[u] -= total
-        if u == dst:
-            dst_sent = total
-    # Whatever reached the destination this slot is delivered.
-    kept = q0[dst] - dst_sent
-    gone = q[dst] - kept
-    q[dst] = kept
-    return gone
+            q[v] += avail
+            return
 
 
 def _step_many(state: SimState) -> int:
@@ -531,7 +541,7 @@ def run(
 
     # One slot loop, with no call per slot into the step functions: the
     # arrival draws and the marking run inline, and one commodity is forwarded
-    # by ``_forward_one``, several by ``_step_many``.  ``epoch_reversal`` and
+    # by ``state.forward``, several by ``_step_many``.  ``epoch_reversal`` and
     # ``topology_step`` replace ``plans``, so it is read where it is used;
     # ``epoch_reversal`` clears the mark sets in place, so they are read once.
     # The backlog is kept in a local, and ``state.t`` is set only for
@@ -546,7 +556,7 @@ def run(
         for y, (rng, table) in enumerate(zip(state.arr_rngs, state.cdfs))
     ]
     _y, draw0, table0, last0, queue0, src0 = draws[0]
-    dst0, marks, marks0 = state.dst_idx[0], state.marks, state.marks[0]
+    forward, marks, marks0 = state.forward, state.marks, state.marks[0]
     limit = params.threshold(state.epoch) if lfbp else None
     topology = state.topology is not None
     debt = sum(dummies)
@@ -562,7 +572,7 @@ def run(
                 queue0[src0] += k
                 arrivals[0] += k
                 backlog += k
-            gone = _forward_one(queue0, state.plans, dst0)
+            gone = forward(queue0, state.plans)
             delivered[0] += gone
             backlog -= gone
             if lfbp and max(queue0) > limit:

@@ -564,6 +564,28 @@ class TestMainVerbs:
         assert captured.err == f"validation error: --out: {out!r} is not a file in an existing directory\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "sibling, argv",
+        [(".trace.csv", ["--policy", "bp", "--trace-bucket", "5"]), (".reversals.csv", [])],
+        ids=["trace", "reversals"],
+    )
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_unwritable_sibling_exits_one_before_any_work(self, verb, sibling, argv, tmp_path, monkeypatch, capsys):
+        # The trace and reversal-event files beside the summary are checked
+        # too, each only when the run writes it.
+        monkeypatch.chdir(tmp_path)
+        Path("s" + sibling).mkdir()
+        scenario = ["--scenario", "sixnode_fixed.scn", "--horizon", "10"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "sweep", lambda *args, **kwargs: pytest.fail(f"{verb} ran before --out was checked"))
+            assert cli.main([verb, *scenario, *argv, "--out", "s.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"validation error: --out: 's{sibling}' is not a file in an existing directory\n"
+        assert captured.out == "" and not Path("s.csv").exists()
+        unwritten = ["--policy", "bp"] if sibling == ".reversals.csv" else []
+        assert cli.main([verb, *scenario, *unwritten, "--out", "s.csv"]) == 0
+        assert Path("s.csv").exists()
+
     @pytest.mark.parametrize("verb", ["run", "sweep", "er-batch"])
     def test_out_failing_at_write_time_exits_one(self, verb, tmp_path, capsys):
         # A link into a missing directory passes the check, and opening it

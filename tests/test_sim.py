@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfbp import sim
 from lfbp.cli import ScenarioConfig, load_scenario, sweep
 from lfbp.flow import max_flow, max_flow_undirected
 from lfbp.graph import Network, apply_topology_event, initial_dag, orient_explicit
@@ -291,10 +292,15 @@ def twin_states(seed, ncom, policy, qmax):
 
 
 def has_contended_tail(state):
-    """Whether some tail of a one-commodity plan has winners whose
-    capacities overdraw its backlog (the sorted case of ``bp_step``)."""
-    q = state.queues[0]
-    return any(sum(cap for v, cap in arcs if q[v] < q[u]) > q[u] > 0 for u, arcs in state.plans)
+    """Whether some tail of a one-commodity plan (a capacity per arc) has
+    winners whose capacities overdraw its backlog (the sorted case of
+    ``bp_step``)."""
+    q, caps, wins = state.queues[0], state.plans, [0] * state.n
+    # Edge e is arc 2e from a to b and arc 2e + 1 back.
+    for e, (a, b) in enumerate(state.edge_nodes):
+        wins[a] += caps[2 * e] if q[b] < q[a] else 0
+        wins[b] += caps[2 * e + 1] if q[a] < q[b] else 0
+    return any(won > qu > 0 for won, qu in zip(wins, q))
 
 
 class TestBpStepAgainstReference:
@@ -319,6 +325,31 @@ class TestBpStepAgainstReference:
         # backlog (the sorted case); large ones mostly do not.
         contended = sum(has_contended_tail(twin_states(seed, 1, "bp", qmax)[0]) for seed in range(200))
         assert (contended > 100) if qmax == 2 else (contended < 50)
+
+
+class TestForwardingKernel:
+    """One commodity is forwarded by a kernel compiled per network structure
+    and destination; capacities, live links and orientation are its data."""
+
+    @pytest.mark.parametrize("policy", ["bp", "lfbp"])
+    def test_source_holds_no_capacity(self, policy):
+        net = Network.build([0, 1, 2], [(0, 1, 987654321), (1, 2, 987654321)], 0, 2)
+        dags = [initial_dag(net)] if policy == "lfbp" else None
+        state = SimState(net, [CommoditySpec(0, 0, 2, 0.0)], policy, 1.0, 0, initial_dags=dags)
+        assert "987654321" not in sim._kernel_source(state.n, state.dst_idx[0], state.edge_nodes)
+        assert 987654321 in state.plans
+        state.queues[0][:] = [5, 0, 0]
+        state.backlog_now = 5
+        bp_step(state)
+        assert state.queues[0] == [0, 5, 0]
+
+    def test_sweep_compiles_one_kernel(self):
+        # Every cell of both policies shares the network and destination.
+        config = replace(load_scenario("sixnode_fixed.scn"), load_factors=tuple(k / 10 for k in range(1, 11)))
+        sim._kernel.cache_clear()
+        reports = sweep(config, ("bp", "lfbp"), horizon=100)
+        assert len(reports) == 20 * len(config.seeds)
+        assert sim._kernel.cache_info().misses == 1
 
 
 def lockstep_with_churn(commodities, policy, slots):

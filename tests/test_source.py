@@ -76,6 +76,48 @@ def test_no_imports_inside_functions_in_package():
     assert found == []
 
 
+# Calls that run code built from strings, each with its reason.
+DYNAMIC_CODE_ALLOWED = {
+    "sim.py _kernel compile": "compiles the one-commodity forwarding kernel that _kernel_source writes",
+    "sim.py _kernel exec": "defines that kernel's function",
+}
+
+
+def dynamic_code_calls(path: Path) -> list[str]:
+    """``file owner name`` for each call of the builtin ``exec``, ``eval`` or
+    ``compile``, where ``owner`` is the top-level function or class holding
+    the call, or ``<module>``.  A method such as ``re.compile`` is not one."""
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(top, "name", "<module>")
+        found += [
+            f"{path.name} {owner} {node.func.id}"
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval", "compile")
+        ]
+    return found
+
+
+def test_dynamic_code_flagged(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import re\n"
+        "exec('x = 1')\n"
+        "def build(src):\n"
+        "    return eval(compile(src, '<s>', 'eval'))\n"
+        "class Box:\n"
+        "    pattern = re.compile('x')\n"
+    )
+    assert dynamic_code_calls(probe) == ["probe.py <module> exec", "probe.py build eval", "probe.py build compile"]
+
+
+def test_no_code_built_from_strings_outside_the_kernel_generator():
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in dynamic_code_calls(path)]
+    assert sorted(found) == sorted(DYNAMIC_CODE_ALLOWED)
+
+
 # Definitions kept although nothing in the package or the benchmark reads
 # them, each with its reason.
 UNREAD_ALLOWED = {
