@@ -14,26 +14,24 @@ orientation maintained by threshold-driven link reversals.
 
 The links a slot reads change only when the orientation or the live mask
 does, so ``SimState.rebuild_plans`` compiles them into a forwarding plan at
-those moments, not every slot.  One commodity is forwarded by a
+those moments, not every slot.  Every commodity count is forwarded by one
 straight-line kernel, ``SimState.forward``, generated and compiled once per
-(node count, destination, links) and kept in the bounded cache of
-``_kernel``: a local per queue and one test per arc, both directions of
+(node count, destinations, links) and kept in the bounded cache of
+``_kernel``: a local per (commodity, queue), with several commodities a
+contest per link, and one test per (commodity, arc), both directions of
 every link.  Its source holds only node and arc indices; the plan is its
-data, a capacity per arc, 0 where the arc may not send.  To read it:
-``print(_kernel_source(state.n, state.dst_idx[0], state.edge_nodes))``.
-With several commodities a link offers one option per commodity; under
-``bp`` the contest computes its differential once and takes whichever
-direction it favours.  Poisson arrivals come from a CDF table built once per
-commodity.
+data, a capacity per (arc, commodity), 0 where that commodity may not send
+on that arc.  To read it: ``print(_kernel_source(state.n,
+tuple(state.dst_idx), state.edge_nodes))``.  Poisson arrivals come from a
+CDF table built once per commodity.
 
 ``run`` is one slot loop: it draws the arrivals and marks the queues above
-the threshold inline, and forwards one commodity through the kernel and
-several through ``_step_many``.  Its records stay raw: each commodity's
-marks are a set of node indices, and each trace bucket is a tuple of numbers
-that ``cli`` formats.  ``arrivals_step``, ``bp_step``,
+the threshold inline, and forwards through the kernel.  Its records stay
+raw: each commodity's marks are a set of node indices, and each trace bucket
+is a tuple of numbers that ``cli`` formats.  ``arrivals_step``, ``bp_step``,
 ``protocol.mark_step`` and ``topology_step`` are the step-by-step API for code
 that drives a ``SimState`` itself, as the benchmark's traced replay and the
-tests do; ``bp_step`` forwards through the same two functions as ``run``.
+tests do; ``bp_step`` forwards through the same kernel as ``run``.
 """
 from __future__ import annotations
 
@@ -265,49 +263,35 @@ class SimState:
         self.topo_events = 0
         self.reversal_log: list = []
 
-        # One commodity is forwarded by a kernel compiled for the links and the
-        # destination; ``rebuild_plans`` gives it each arc's capacity.
+        # Forwarding runs through a kernel compiled for the links and the
+        # destinations; ``rebuild_plans`` gives it each capacity.
         self.edge_nodes = tuple((self.idx[a], self.idx[b]) for a, b in self.edge_list)
-        self.forward = _kernel(self.n, self.dst_idx[0], self.edge_nodes) if ncom == 1 else None
+        self.forward = _kernel(self.n, tuple(self.dst_idx), self.edge_nodes)
         self.rebuild_plans()
 
     def rebuild_plans(self) -> None:
-        """Compile the forwarding plan that ``run``'s slot loop and ``bp_step``
-        read.
+        """Compile the forwarding plan that ``forward`` reads.
 
         Run at init and whenever the orientation or the live mask changes.
-        Each live link carries every commodity one way: under ``bp`` as the
-        link is listed, and the link may also send back (``two_way``); under
-        ``lfbp`` along each commodity's DAG, from its lower-ranked end to its
-        higher (every commodity's DAG has the live set of ``live_order``).
-        With one commodity the plan is the capacity of each arc of
-        ``forward``, edge ``e`` listed as arcs ``2e`` and ``2e + 1`` (its
-        reverse), 0 where the arc may not send.  With several, each link
-        keeps its options ``(queues[y], a, b, y)``, commodity ascending, as
-        ``(cap, options)``.  A zero-capacity link never sends, so it is left
-        out.
+        The plan is one capacity per (arc, commodity), 0 where that commodity
+        may not send on that arc: edge ``e`` is arcs ``2e`` and ``2e + 1``
+        (its reverse), and commodity ``y`` of ``ncom`` is entry
+        ``k * ncom + y`` of arc ``k``.  Under ``bp`` every live link sends
+        both ways (``two_way``); under ``lfbp`` each commodity sends along its
+        DAG, from the lower-ranked end to the higher (every commodity's DAG
+        has the live set of ``live_order``).
         """
-        idx, ncom = self.idx, len(self.commodities)
-        links = []
-        for e_idx in self.live_order:
-            cap = self.cap_int[e_idx]
-            if cap:
-                a, b = self.edge_list[e_idx]
-                ahead = [True] * ncom if self.two_way else [dag.states[a] < dag.states[b] for dag in self.dags]
-                links.append((e_idx, cap, idx[a], idx[b], ahead))
-        if ncom == 1:
-            caps = [0] * (2 * self.m)
-            for e_idx, cap, _a, _b, (ahead,) in links:
-                caps[2 * e_idx + (not ahead)] = cap
-                if self.two_way:
-                    caps[2 * e_idx + 1] = cap
-            self.plans = tuple(caps)
-        else:
-            queues = self.queues
-            self.plans = [
-                (cap, tuple((queues[y], a, b, y) if fwd else (queues[y], b, a, y) for y, fwd in enumerate(ahead)))
-                for _e, cap, a, b, ahead in links
-            ]
+        ncom = len(self.commodities)
+        caps = [0] * (2 * self.m * ncom)
+        for e in self.live_order:
+            cap = self.cap_int[e]
+            if self.two_way:
+                caps[2 * e * ncom : (2 * e + 2) * ncom] = [cap] * (2 * ncom)
+                continue
+            a, b = self.edge_list[e]
+            for y, dag in enumerate(self.dags):
+                caps[(2 * e + (not dag.states[a] < dag.states[b])) * ncom + y] = cap
+        self.plans = tuple(caps)
 
 
 def arrivals_step(state: SimState) -> SimState:
@@ -338,67 +322,112 @@ def bp_step(state: SimState) -> SimState:
     decided from the queues as they stood before the step; a packet sent to
     its destination is delivered.
 
-    With one commodity there is no contest on a link.  A tail whose winning
-    capacities sum to at most its backlog sends each in full; a contended
-    tail sorts its winners and stops once its backlog is spent.  What lands
-    at the destination is delivered; the destination keeps what it held and
-    did not send (a hand-built state may leave packets there).
+    A tail whose winning capacities of a commodity sum to at most its
+    backlog of that commodity sends each in full; a contended one sorts its
+    winners and stops once its backlog is spent.  Each commodity is served
+    from its own backlog, so the order across commodities at one tail does
+    not matter.  What lands at the destination is delivered; the destination
+    keeps what it held and did not send (a hand-built state may leave packets
+    there).
 
-    With several commodities, a commodity's option on a link yields
-    ``d = q[a] - q[b]``: ``a -> b`` wins when ``d`` beats the best so far,
-    and on a two-way (``bp``) link ``b -> a`` when ``-d`` does.  At most one
-    of the two is positive, so a strict comparison in commodity order keeps
-    the lower commodity on a tie.  One sort over all winners, keyed by tail
-    first, puts each tail's winners in serving order.
+    With one commodity there is no contest on a link.  With several, a
+    commodity's turn on a link yields ``d = q[a] - q[b]``: ``a -> b`` wins
+    when ``d`` beats the best so far and the commodity may send that way,
+    ``b -> a`` when ``-d`` does.  At most one of the two is positive, so a
+    strict comparison in commodity order keeps the lower commodity on a tie.
     """
-    if len(state.commodities) == 1:
-        gone = state.forward(state.queues[0], state.plans)
-        state.delivered[0] += gone
-    else:
-        gone = _step_many(state)
-    state.backlog_now -= gone
+    state.backlog_now -= state.forward(state.queues, state.plans, state.delivered)
     return state
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel(n: int, dst: int, edges: tuple):
-    """The one-commodity round ``forward(q, caps)`` for nodes ``0..n-1`` and
-    the links ``edges`` (index pairs), compiled from ``_kernel_source``."""
-    scope = {"_overdrawn": _overdrawn}
-    exec(compile(_kernel_source(n, dst, edges), f"<lfbp kernel n={n} dst={dst}>", "exec"), scope)
+def _kernel(n: int, dsts: tuple, edges: tuple):
+    """The transmission round ``forward(queues, caps, delivered)`` for nodes
+    ``0..n-1``, one commodity per destination in ``dsts`` and the links
+    ``edges`` (index pairs), compiled from ``_kernel_source``."""
+    scope = {"_overdrawn": _overdrawn, "_LOST": _LOST}
+    exec(compile(_kernel_source(n, dsts, edges), f"<lfbp kernel n={n} dsts={dsts}>", "exec"), scope)
     return scope["forward"]
 
 
-def _kernel_source(n: int, dst: int, edges: tuple) -> str:
-    """Straight-line Python for one commodity's transmission round: the
-    start-of-slot queues in locals ``q0..``, the arc capacities in ``c0..``,
-    and per tail ``u`` one test per arc ``k`` to ``v``: it sends when
-    ``q[v] < q[u]``.  A tail whose winners fit its backlog sends each in
-    full, an overdrawn one leaves the split to ``_overdrawn``.  What lands at
-    ``dst`` is delivered, and the count returned."""
+def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
+    """Straight-line Python for one transmission round of the commodities
+    whose destinations are ``dsts``.  Commodity ``y``'s queue list is
+    ``q_{y}`` and its start-of-slot queue at node ``u`` the local
+    ``q{y * n + u}``; arc ``k``'s capacity for it is ``c{k * ncom + y}``.
+
+    With several commodities each link ``e`` first runs its contest in
+    commodity order and keeps a winner code ``w{e}``.  Then per (commodity,
+    tail ``u``) one test per arc ``k`` to ``v``: it sends when it won, with
+    one commodity when ``q[v] < q[u]``.  A tail whose winners fit its backlog
+    sends each in full, an overdrawn one leaves the split to ``_overdrawn``.
+    The winning capacities are summed in chains of at most 256 terms, since
+    CPython's compiler recurses once per term.  What lands at a destination
+    is delivered, added to ``delivered`` and to the count returned."""
+    ncom = len(dsts)
+    one = ncom == 1
     out: list[list] = [[] for _ in range(n)]
     for e, (a, b) in enumerate(edges):
         out[a].append((2 * e, b))
         out[b].append((2 * e + 1, a))
-    lines = ["def forward(q, c):", "    " + "".join(f"q{u}, " for u in range(n)) + "= q", "    s = 0"]
-    lines += ["    " + "".join(f"c{k}, " for k in range(2 * len(edges))) + "= c"] if edges else []
-    for u, arcs in enumerate(out):
-        if arcs:
-            lines += [f"    if q{u}:", "        t = " + " + ".join(f"(c{k} if q{v} < q{u} else 0)" for k, v in arcs)]
-            lines += ["        if t:", f"            if t <= q{u}:"]
-            lines += [f"                if q{v} < q{u}: q[{v}] += c{k}" for k, v in arcs]
-            winners = "".join(f"(q{v}, {v}, c{k}), " for k, v in arcs)
-            lines += ["            else:", f"                t = q{u}", f"                _overdrawn(q, t, ({winners}))"]
-            lines += [f"            q[{u}] -= t"] + (["            s = t"] if u == dst else [])
-    lines += [f"    k = q{dst} - s", f"    g = q[{dst}] - k", f"    q[{dst}] = k", "    return g"]
-    return "\n".join(lines) + "\n"
+    lines = ["def forward(Q, c, D):", "    " + "".join(f"q_{y}, " for y in range(ncom)) + "= Q"]
+    for y in range(ncom):
+        lines += ["    " + "".join(f"q{y * n + u}, " for u in range(n)) + f"= q_{y}", f"    s{y} = 0"]
+    lines += ["    " + "".join(f"c{k}, " for k in range(2 * len(edges) * ncom)) + "= c"] if edges else []
+    for e, (a, b) in enumerate([] if one else edges):
+        for y in range(ncom):
+            qa, qb, ab, ba = f"q{y * n + a}", f"q{y * n + b}", f"c{2 * e * ncom + y}", f"c{(2 * e + 1) * ncom + y}"
+            fwd, rev = (f"{qa} > {qb}", f"{qb} > {qa}") if y == 0 else (f"{qa} - {qb} > b", f"{qb} - {qa} > b")
+            # No commodity after the last compares against its difference.
+            if y < ncom - 1:
+                won_fwd, won_rev = f"b, w{e} = {qa} - {qb}, ", f"b, w{e} = {qb} - {qa}, "
+            else:
+                won_fwd = won_rev = f"w{e} = "
+            lines += [f"    if {ab} and {fwd}: {won_fwd}{2 * y + 1}", f"    elif {ba} and {rev}: {won_rev}{2 * y + 2}"]
+            lines += [] if y else [f"    else: b = w{e} = 0"]
+    for y, dst in enumerate(dsts):
+        for u, arcs in enumerate(out):
+            if not arcs:
+                continue
+            qu = f"q{y * n + u}"
+            won = [
+                (f"q{y * n + v} < {qu}" if one else f"w{k >> 1} == {2 * y + 1 + (k & 1)}", f"c{k * ncom + y}", v)
+                for k, v in arcs
+            ]
+            terms = [f"({c} if {test} else 0)" for test, c, _v in won]
+            lines += [f"    if {qu}:"]
+            chunks = [" + ".join(terms[i : i + 256]) for i in range(0, len(terms), 256)]
+            lines += [f"        t {'+=' if i else '='} {chunk}" for i, chunk in enumerate(chunks)]
+            lines += ["        if t:", f"            if t <= {qu}:"]
+            lines += [f"                if {test}: q_{y}[{v}] += {c}" for test, c, v in won]
+            # With several commodities an arc may lose the contest whatever
+            # q[v]; with one, an arc that may send and lost has q[v] >= q[u].
+            split = "".join(f"(q{y * n + v}, {v}, {c}) if {c if one else test} else _LOST, " for test, c, v in won)
+            lines += ["            else:", f"                t = {qu}"]
+            lines += [f"                _overdrawn(q_{y}, t, ({split}))", f"            q_{y}[{u}] -= t"]
+            lines += [f"            s{y} = t"] if u == dst else []
+        lines += [f"    k = q{y * n + dst} - s{y}", f"    g = q_{y}[{dst}] - k", f"    q_{y}[{dst}] = k"]
+        lines += [f"    D[{y}] += g", f"    r {'+=' if y else '='} g"]
+    return "\n".join(lines + ["    return r"]) + "\n"
+
+
+# What an arc that may not send, or lost its link's contest to another
+# commodity, passes to ``_overdrawn``: it sorts after every winner.
+_LOST = (math.inf, 0, 0)
 
 
 def _overdrawn(q: list[int], avail: int, arcs: tuple) -> None:
     """Spend a tail's whole backlog ``avail`` on its arcs ``(q0[v], v, cap)``
     in descending differential order, ties to the lower node (indices follow
-    IDs).  The winners (``q0[v] < avail``) sort first and their capacities
-    overdraw ``avail``, so the losers are never reached."""
+    IDs).  The winners sort first: an arc that may not send or lost its link
+    to another commodity comes as ``_LOST``, and any other losing arc has
+    ``q0[v] >= avail``.  The winners' capacities overdraw ``avail``, so no
+    loser is reached.  Most often the first winner takes it all, so it is
+    looked at before any sort."""
+    _qv, v, cap = min(arcs)
+    if avail <= cap:
+        q[v] += avail
+        return
     for _qv, v, cap in sorted(arcs):
         if cap < avail:
             q[v] += cap
@@ -406,43 +435,6 @@ def _overdrawn(q: list[int], avail: int, arcs: tuple) -> None:
         else:
             q[v] += avail
             return
-
-
-def _step_many(state: SimState) -> int:
-    """The several-commodity round of ``bp_step``; returns the packets
-    delivered."""
-    two_way = state.two_way
-    wins = []
-    for cap, options in state.plans:
-        best_d = 0
-        for q, a, b, y in options:
-            d = q[a] - q[b]
-            if d > best_d:
-                best_d, u, v, best_y = d, a, b, y
-            elif two_way and -d > best_d:
-                best_d, u, v, best_y = -d, b, a, y
-        if best_d:
-            wins.append((u, -best_d, v, best_y, cap))
-    # One sort groups the winners by tail, in serving order (indices follow IDs).
-    wins.sort()
-    queues = state.queues
-    avail = [q[:] for q in queues]
-    dst_idx, delivered = state.dst_idx, state.delivered
-    gone = 0
-    for u, _negd, v, y, cap in wins:
-        left = avail[y]
-        a = left[u]
-        send = cap if cap < a else a
-        if send > 0:
-            left[u] = a - send
-            queue = queues[y]
-            queue[u] -= send
-            if v == dst_idx[y]:
-                delivered[y] += send
-                gone += send
-            else:
-                queue[v] += send
-    return gone
 
 
 def topology_step(state: SimState) -> SimState:
@@ -540,10 +532,11 @@ def run(
         state.epoch_left = params.period(0)
 
     # One slot loop, with no call per slot into the step functions: the
-    # arrival draws and the marking run inline, and one commodity is forwarded
-    # by ``state.forward``, several by ``_step_many``.  ``epoch_reversal`` and
-    # ``topology_step`` replace ``plans``, so it is read where it is used;
-    # ``epoch_reversal`` clears the mark sets in place, so they are read once.
+    # arrival draws and the marking run inline, with a branch for one
+    # commodity, and both branches forward by ``state.forward``.
+    # ``epoch_reversal`` and ``topology_step`` replace ``plans``, so it is read
+    # where it is used; ``epoch_reversal`` clears the mark sets in place, so
+    # they are read once.
     # The backlog is kept in a local, and ``state.t`` is set only for
     # ``epoch_reversal``, which logs it: nothing else the loop calls reads
     # either.  ``delivered`` only rises, so the startup debt (the dummies not
@@ -572,9 +565,7 @@ def run(
                 queue0[src0] += k
                 arrivals[0] += k
                 backlog += k
-            gone = forward(queue0, state.plans)
-            delivered[0] += gone
-            backlog -= gone
+            backlog -= forward(queues, state.plans, delivered)
             if lfbp and max(queue0) > limit:
                 for i, packets in enumerate(queue0):
                     if packets > limit:
@@ -586,7 +577,7 @@ def run(
                     queue[src] += k
                     arrivals[y] += k
                     backlog += k
-            backlog -= _step_many(state)
+            backlog -= forward(queues, state.plans, delivered)
             if lfbp:
                 for queue, marked in zip(queues, marks):
                     if max(queue) > limit:

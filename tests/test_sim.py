@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +42,7 @@ from conftest import (
     reference_poisson_draws,
     reference_topology_step,
     run_recording_arrivals,
+    scenario_to_dict,
 )
 from oracles import is_acyclic
 
@@ -292,15 +298,24 @@ def twin_states(seed, ncom, policy, qmax):
 
 
 def has_contended_tail(state):
-    """Whether some tail of a one-commodity plan (a capacity per arc) has
-    winners whose capacities overdraw its backlog (the sorted case of
-    ``bp_step``)."""
-    q, caps, wins = state.queues[0], state.plans, [0] * state.n
-    # Edge e is arc 2e from a to b and arc 2e + 1 back.
+    """Whether some (tail, commodity) pair has winners whose capacities
+    overdraw its backlog (the sorted case of ``bp_step``).  The plan holds a
+    capacity per (arc, commodity): edge ``e`` is arc ``2e`` from ``a`` to
+    ``b`` and ``2e + 1`` back, and commodity ``y`` of arc ``k`` is entry
+    ``k * ncom + y``.  Each link goes to the largest positive differential,
+    the lower commodity on a tie."""
+    q, caps, ncom = state.queues, state.plans, len(state.queues)
+    wins = [[0] * state.n for _ in q]
     for e, (a, b) in enumerate(state.edge_nodes):
-        wins[a] += caps[2 * e] if q[b] < q[a] else 0
-        wins[b] += caps[2 * e + 1] if q[a] < q[b] else 0
-    return any(won > qu > 0 for won, qu in zip(wins, q))
+        best, winner = 0, None
+        for y in range(ncom):
+            for k, u, v in ((2 * e, a, b), (2 * e + 1, b, a)):
+                if caps[k * ncom + y] and q[y][u] - q[y][v] > best:
+                    best, winner = q[y][u] - q[y][v], (y, u, caps[k * ncom + y])
+        if winner:
+            y, u, cap = winner
+            wins[y][u] += cap
+    return any(won > qu > 0 for won_y, q_y in zip(wins, q) for won, qu in zip(won_y, q_y))
 
 
 class TestBpStepAgainstReference:
@@ -334,22 +349,58 @@ class TestForwardingKernel:
     @pytest.mark.parametrize("policy", ["bp", "lfbp"])
     def test_source_holds_no_capacity(self, policy):
         net = Network.build([0, 1, 2], [(0, 1, 987654321), (1, 2, 987654321)], 0, 2)
-        dags = [initial_dag(net)] if policy == "lfbp" else None
-        state = SimState(net, [CommoditySpec(0, 0, 2, 0.0)], policy, 1.0, 0, initial_dags=dags)
-        assert "987654321" not in sim._kernel_source(state.n, state.dst_idx[0], state.edge_nodes)
-        assert 987654321 in state.plans
-        state.queues[0][:] = [5, 0, 0]
-        state.backlog_now = 5
-        bp_step(state)
-        assert state.queues[0] == [0, 5, 0]
+        specs = [CommoditySpec(0, 0, 2, 0.0), CommoditySpec(1, 2, 0, 0.0), CommoditySpec(2, 1, 2, 0.0)]
+        for ncom in (1, 3):
+            dags = [initial_dag(net)] * ncom if policy == "lfbp" else None
+            state = SimState(net, specs[:ncom], policy, 1.0, 0, initial_dags=dags)
+            assert "987654321" not in sim._kernel_source(state.n, tuple(state.dst_idx), state.edge_nodes)
+            assert 987654321 in state.plans
+            state.queues[0][:] = [5, 0, 0]
+            state.backlog_now = 5
+            bp_step(state)
+            assert state.queues[0] == [0, 5, 0]
 
     def test_sweep_compiles_one_kernel(self):
-        # Every cell of both policies shares the network and destination.
-        config = replace(load_scenario("sixnode_fixed.scn"), load_factors=tuple(k / 10 for k in range(1, 11)))
-        sim._kernel.cache_clear()
-        reports = sweep(config, ("bp", "lfbp"), horizon=100)
-        assert len(reports) == 20 * len(config.seeds)
-        assert sim._kernel.cache_info().misses == 1
+        # Every cell of both policies shares the network and destinations.
+        for name in ("sixnode_fixed.scn", "grid4x4_multi.scn"):
+            config = replace(load_scenario(name), load_factors=tuple(k / 10 for k in range(1, 11)))
+            sim._kernel.cache_clear()
+            reports = sweep(config, ("bp", "lfbp"), horizon=100)
+            assert len(reports) == 20 * len(config.seeds)
+            assert sim._kernel.cache_info().misses == 1, name
+
+    @pytest.mark.parametrize("ncom", [1, 3])
+    def test_high_degree_sums_stay_short(self, ncom):
+        # CPython's compiler recurses once per term of a + chain, and fails
+        # near 3,000 terms; the hub of this star has 5,000 arcs.
+        edges = tuple((0, leaf) for leaf in range(1, 5001))
+        lines = sim._kernel_source(5001, (2, 4, 6)[:ncom], edges).splitlines()
+        assert any(line.lstrip().startswith("t += ") for line in lines)
+        assert max(line.count(" + ") for line in lines) <= 255
+
+    def test_high_degree_star_runs(self, tmp_path):
+        # One commodity through the hub of a 5,001-node star, end to end.
+        doc = scenario_to_dict(load_scenario("sixnode_fixed.scn"))
+        doc.update(
+            name="star",
+            nodes=list(range(5001)),
+            edges=[[0, leaf, 1] for leaf in range(1, 5001)],
+            commodities=[{"id": 0, "source": 1, "dest": 2, "rate": 0.5, "dummy_packets": 0}],
+            initial_dag="by_id",
+        )
+        path = tmp_path / "star.scn"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "lfbp", "run", "--scenario", str(path), "--policy", "bp"]
+            + ["--horizon", "10", "--out", ""],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].startswith("star,bp,0.5,1,10,")
 
 
 def lockstep_with_churn(commodities, policy, slots):
@@ -358,8 +409,7 @@ def lockstep_with_churn(commodities, policy, slots):
     by ``bp_step`` and ``topology_step``, one by ``reference_bp_step`` and
     ``reference_topology_step``.  Every slot, both must agree on queues,
     deliveries, backlog, live mask and the topology stream's position.
-    Returns the engine state and how many slots began with a contended tail
-    (one-commodity plans only)."""
+    Returns the engine state and how many slots began with a contended tail."""
     net = grid_network(4, 4, 6)
     dags = [initial_dag(net) for _ in commodities] if policy == "lfbp" else None
     params = LfbpParams(thresholds=(50,))
@@ -374,7 +424,7 @@ def lockstep_with_churn(commodities, policy, slots):
     for t in range(slots):
         for state, (step, churn) in zip(states, steps):
             arrivals_step(state)
-            if step is bp_step and len(commodities) == 1:
+            if step is bp_step:
                 contended += has_contended_tail(state)
             step(state)
             if policy == "lfbp":
@@ -400,7 +450,10 @@ class TestLockstepWithChurn:
     @pytest.mark.parametrize("policy", ["bp", "lfbp"])
     def test_several_commodities_match_reference_every_slot(self, policy):
         commodities = [CommoditySpec(0, 1, 16, 3.6), CommoditySpec(1, 4, 13, 3.5), CommoditySpec(2, 5, 8, 4.9)]
-        lockstep_with_churn(commodities, policy, 2_000)
+        # Some slots start with a (tail, commodity) pair whose winners
+        # overdraw its backlog (the sorted case).
+        _, contended = lockstep_with_churn(commodities, policy, 2_000)
+        assert contended >= 500
 
     @pytest.mark.parametrize("policy", ["bp", "lfbp"])
     def test_one_commodity_matches_reference_every_slot(self, policy):

@@ -78,7 +78,7 @@ def test_no_imports_inside_functions_in_package():
 
 # Calls that run code built from strings, each with its reason.
 DYNAMIC_CODE_ALLOWED = {
-    "sim.py _kernel compile": "compiles the one-commodity forwarding kernel that _kernel_source writes",
+    "sim.py _kernel compile": "compiles the forwarding kernel that _kernel_source writes",
     "sim.py _kernel exec": "defines that kernel's function",
 }
 
