@@ -41,15 +41,14 @@ Every row carries the seed needed to reproduce it exactly.  An ``--out`` that
 is a directory or lies in a missing directory is rejected before any work
 runs; a file that still cannot be written is reported as an ``--out`` error.
 
-Importing ``lfbp`` or this module loads no process pool.  ``concurrent.futures``
-loads its ``process`` submodule, and with it ``multiprocessing``, on first
-access to ``ProcessPoolExecutor``, and only ``sweep`` with ``jobs`` above 1
-(``lfbp sweep --jobs N``, N > 1) makes that access.
+Importing ``lfbp`` or this module loads neither ``concurrent.futures`` (and
+the ``logging`` it imports) nor a process pool: only ``sweep`` with ``jobs``
+above 1 (``lfbp sweep --jobs N``, N > 1) imports that package and starts its
+``ProcessPoolExecutor``.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
@@ -365,6 +364,8 @@ def sweep(
     # The pool starts all its workers at once, so never more than the cells.
     workers = min(jobs, len(cells))
     if workers > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_cell, cells))
     else:

@@ -25,13 +25,21 @@ on that arc.  To read it: ``print(_kernel_source(state.n,
 tuple(state.dst_idx), state.edge_nodes))``.  Poisson arrivals come from a
 CDF table built once per commodity.
 
-``run`` is one slot loop: it draws the arrivals and marks the queues above
-the threshold inline, and forwards through the kernel.  Its records stay
-raw: each commodity's marks are a set of node indices, and each trace bucket
-is a tuple of numbers that ``cli`` formats.  ``arrivals_step``, ``bp_step``,
-``protocol.mark_step`` and ``topology_step`` are the step-by-step API for code
-that drives a ``SimState`` itself, as the benchmark's traced replay and the
-tests do; ``bp_step`` forwards through the same kernel as ``run``.
+Link churn draws one uniform per edge per slot, as ``random()`` would, but
+reads all of a slot's from one ``getrandbits(64 * m)``: edge ``i``'s is the
+two Mersenne Twister words of 64-bit lane ``i``.  A filter over the whole
+integer flags every lane whose draw may fall below its bound, and only
+flagged lanes get the exact integer check (``topology_step``).
+
+``run`` is one slot loop: it draws the arrivals, marks the queues above the
+threshold and filters the churn draw inline, and forwards through the
+kernel.  Its records stay raw: each commodity's marks are a set of node
+indices, and each trace bucket is a tuple of numbers that ``cli`` formats.
+``arrivals_step``, ``bp_step``, ``protocol.mark_step`` and ``topology_step``
+are the step-by-step API for code that drives a ``SimState`` itself, as the
+benchmark's traced replay and the tests do; ``bp_step`` forwards through the
+same kernel as ``run``, and ``topology_step`` churns through the same
+``_churn``.
 """
 from __future__ import annotations
 
@@ -237,11 +245,15 @@ class SimState:
         else:
             self.live_mask = [True] * self.m
         self.live_order = [i for i in range(self.m) if self.live_mask[i]]
-        # With a topology process, each edge's chance of changing state this
-        # slot: fail while live, recover while dead.  ``topology_step`` keeps
-        # it in step with ``live_mask``.
+        # With a topology process: the bounds a 53-bit draw must fall below
+        # to fail a live edge or revive a dead one, and the lane filter's
+        # masks and floor (``topology_step``).
         if topology is not None:
-            self.flip_prob = [topology.fail_prob if x else topology.recover_prob for x in self.live_mask]
+            self.fail_bound = _draw_bound(topology.fail_prob)
+            self.recover_bound = _draw_bound(topology.recover_prob)
+            self.churn_lanes = int.from_bytes(b"\0\0\xff\xff\0\0\0\0" * self.m, "little")
+            self.churn_signs = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * self.m, "little")
+            self.churn_floor = _churn_floor(self)
 
         # Per commodity, the indices of the nodes marked this epoch.
         self.marks = [set() for _ in range(ncom)]
@@ -437,35 +449,68 @@ def _overdrawn(q: list[int], avail: int, arcs: tuple) -> None:
             return
 
 
+def _draw_bound(p: float) -> int:
+    """The least integer ``T`` with ``N / 2**53 < p`` exactly when ``N < T``,
+    for every 53-bit ``N``: ``p * 2**53`` is exact for a probability."""
+    return math.ceil(p * 2**53)
+
+
+def _churn_floor(state: SimState) -> int:
+    """The filter's floor: in edge ``i``'s lane, ``((T - 1) >> 37) + 1`` at
+    bit ``64i + 16``, ``T`` its fail bound while live, else its recover
+    bound."""
+    fail, recover = ((((bound - 1) >> 37) + 1) << 16 for bound in (state.fail_bound, state.recover_bound))
+    fail, recover = fail.to_bytes(8, "little"), recover.to_bytes(8, "little")
+    return int.from_bytes(b"".join(fail if x else recover for x in state.live_mask), "little")
+
+
 def topology_step(state: SimState) -> SimState:
     """Fail live links / revive dead ones; one uniform draw per edge per slot
     regardless of state, so sample paths are comparable across runs.
 
-    The draws are taken first, in edge order, each against that edge's entry
-    of ``state.flip_prob``; then the events are applied in the same order,
-    each updating its edge's entry."""
-    proc = state.topology
-    if proc is None:
+    Edge ``i``'s uniform is read, as ``random()`` reads it, from two
+    Mersenne Twister words, here words ``2i`` and ``2i + 1`` of one
+    ``getrandbits(64 * m)``: with ``a`` and ``b`` the lane's low and high
+    32 bits, it is ``N / 2**53`` for ``N = (a >> 5) << 26 | b >> 6``.  The
+    stream advances exactly as ``m`` calls of ``random()`` would, and the
+    edge changes state when ``N`` is below its integer bound.
+
+    A filter tests every lane at once: ``a``'s top 16 bits are ``N >> 37``,
+    and less the floor ``((T - 1) >> 37) + 1`` they borrow into the lane's
+    top bit whenever ``N < T``.  A borrow out of a lane can flag the lane
+    above it too, so ``_churn`` checks only the flagged lanes exactly, in
+    edge order, and applies each event as it finds it."""
+    if state.topology is None:
         return state
-    rng_random = state.topo_rng.random
-    flip_prob = state.flip_prob
-    events = [i for i, p in enumerate(flip_prob) if rng_random() < p]
-    if not events:
-        return state
-    live = state.live_mask
-    dags, edge_list, apply = state.dags, state.edge_list, apply_topology_event
-    for e_idx in events:
-        kind = "remove" if live[e_idx] else "add"
-        live[e_idx] = not live[e_idx]
-        flip_prob[e_idx] = proc.fail_prob if live[e_idx] else proc.recover_prob
-        if dags is not None:
-            edge = edge_list[e_idx]
-            for y in range(len(dags)):
-                dags[y] = apply(dags[y], kind, edge)
-    state.topo_events += len(events)
-    state.live_order = [i for i in range(state.m) if live[i]]
-    state.rebuild_plans()
+    bits = state.topo_rng.getrandbits(64 * state.m)
+    flags = ((bits & state.churn_lanes) - state.churn_floor) & state.churn_signs
+    if flags:
+        _churn(state, bits, flags)
     return state
+
+
+def _churn(state: SimState, bits: int, flags: int) -> None:
+    """Check each lane whose top bit ``flags`` sets against its edge's
+    bound and apply the events in edge order, then rebuild the live set,
+    the floor and the plans."""
+    live, dags, events = state.live_mask, state.dags, 0
+    while flags:
+        low = flags & -flags
+        flags ^= low
+        i = low.bit_length() // 64 - 1
+        lane = bits >> 64 * i
+        draw = ((lane & 0xFFFFFFFF) >> 5) << 26 | ((lane >> 32) & 0xFFFFFFFF) >> 6
+        if draw < (state.fail_bound if live[i] else state.recover_bound):
+            kind = "remove" if live[i] else "add"
+            live[i] = not live[i]
+            events += 1
+            for y, dag in enumerate(dags or ()):
+                dags[y] = apply_topology_event(dag, kind, state.edge_list[i])
+    if events:
+        state.topo_events += events
+        state.live_order = [i for i in range(state.m) if live[i]]
+        state.churn_floor = _churn_floor(state)
+        state.rebuild_plans()
 
 
 def initial_orientation(net: Network, mode) -> DagOrientation:
@@ -540,8 +585,9 @@ def run(
     # The backlog is kept in a local, and ``state.t`` is set only for
     # ``epoch_reversal``, which logs it: nothing else the loop calls reads
     # either.  ``delivered`` only rises, so the startup debt (the dummies not
-    # yet delivered) is summed only until it reaches 0.  Only ``topology_step``
-    # changes the live set, so its size is a local refreshed after that call.
+    # yet delivered) is summed only until it reaches 0.  The churn draw and
+    # its filter are ``topology_step``'s; only ``_churn`` changes the live set
+    # and the filter's floor, so both are locals refreshed after that call.
     one = len(config.commodities) == 1
     queues, arrivals, dummies, delivered = state.queues, state.arrivals, state.dummies, state.delivered
     draws = [
@@ -552,6 +598,9 @@ def run(
     forward, marks, marks0 = state.forward, state.marks, state.marks[0]
     limit = params.threshold(state.epoch) if lfbp else None
     topology = state.topology is not None
+    if topology:
+        churn_draw, churn_width = state.topo_rng.getrandbits, 64 * state.m
+        churn_lanes, churn_signs, churn_floor = state.churn_lanes, state.churn_signs, state.churn_floor
     debt = sum(dummies)
     backlog = state.backlog_now
     live = len(state.live_order)
@@ -591,8 +640,11 @@ def run(
                 epoch_reversal(state, params)
                 limit = params.threshold(state.epoch)
         if topology:
-            topology_step(state)
-            live = len(state.live_order)
+            bits = churn_draw(churn_width)
+            flags = ((bits & churn_lanes) - churn_floor) & churn_signs
+            if flags:
+                _churn(state, bits, flags)
+                live, churn_floor = len(state.live_order), state.churn_floor
         backlog_integral += backlog
         if debt:
             debt = sum(d - got for d, got in zip(dummies, delivered) if d > got)

@@ -417,12 +417,12 @@ class TestSweep:
         assert sizes == [18, 4]
 
     def test_import_and_load_start_no_process_pool(self):
-        # concurrent.futures loads its process pool, and multiprocessing with
-        # it, on first access to ProcessPoolExecutor; only a sweep with
-        # jobs above 1 makes that access.
+        # Only a sweep with jobs above 1 imports concurrent.futures (and the
+        # logging it loads) and starts its process pool, which loads
+        # multiprocessing.
         snippet = (
             "import sys; import lfbp; from lfbp import cli; cli.load_scenario('grid4x4.scn'); "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'concurrent.futures.process'} & set(sys.modules)))"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         done = subprocess.run(

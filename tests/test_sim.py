@@ -403,7 +403,7 @@ class TestForwardingKernel:
         assert done.stdout.splitlines()[-1].startswith("star,bp,0.5,1,10,")
 
 
-def lockstep_with_churn(commodities, policy, slots):
+def lockstep_with_churn(commodities, policy, slots, topology=TopologyProcess(0.05, 0.3)):
     """Run two identical states through ``slots`` slots of arrivals,
     forwarding, marking, reversals and link churn on a 4x4 grid: one stepped
     by ``bp_step`` and ``topology_step``, one by ``reference_bp_step`` and
@@ -413,10 +413,7 @@ def lockstep_with_churn(commodities, policy, slots):
     net = grid_network(4, 4, 6)
     dags = [initial_dag(net) for _ in commodities] if policy == "lfbp" else None
     params = LfbpParams(thresholds=(50,))
-    states = [
-        SimState(net, commodities, policy, 1.0, 3, topology=TopologyProcess(0.05, 0.3), initial_dags=dags)
-        for _ in range(2)
-    ]
+    states = [SimState(net, commodities, policy, 1.0, 3, topology=topology, initial_dags=dags) for _ in range(2)]
     for state in states:
         state.epoch_left = params.period(0)
     contended = 0
@@ -440,9 +437,6 @@ def lockstep_with_churn(commodities, policy, slots):
         assert state.backlog_now == reference.backlog_now
         assert state.live_mask == reference.live_mask
         assert state.topo_rng.getstate() == reference.topo_rng.getstate()
-    assert state.topo_events >= 20
-    if policy == "lfbp":
-        assert state.reversal_events >= 1
     return state, contended
 
 
@@ -452,19 +446,86 @@ class TestLockstepWithChurn:
         commodities = [CommoditySpec(0, 1, 16, 3.6), CommoditySpec(1, 4, 13, 3.5), CommoditySpec(2, 5, 8, 4.9)]
         # Some slots start with a (tail, commodity) pair whose winners
         # overdraw its backlog (the sorted case).
-        _, contended = lockstep_with_churn(commodities, policy, 2_000)
+        state, contended = lockstep_with_churn(commodities, policy, 2_000)
         assert contended >= 500
+        assert state.topo_events >= 20
+        assert policy == "bp" or state.reversal_events >= 1
 
     @pytest.mark.parametrize("policy", ["bp", "lfbp"])
     def test_one_commodity_matches_reference_every_slot(self, policy):
         # The source is the by-ID orientation's sink, so lfbp must reverse,
         # and the rate keeps queues short enough that most slots start with
         # a tail whose winners overdraw its backlog (the sorted case).
-        _, contended = lockstep_with_churn([CommoditySpec(0, 16, 1, 6.0)], policy, 2_000)
+        state, contended = lockstep_with_churn([CommoditySpec(0, 16, 1, 6.0)], policy, 2_000)
         assert contended >= 500
+        assert state.topo_events >= 20
+        assert policy == "bp" or state.reversal_events >= 1
+
+    @pytest.mark.parametrize("policy", ["bp", "lfbp"])
+    @pytest.mark.parametrize(
+        "fail,recover,events",
+        [(0.5, 0.5, None), (0.75, 0.9999, None), (1.0, 0.0, 24), (0.0, 1.0, 0)],
+    )
+    def test_extreme_probabilities_match_reference_every_slot(self, fail, recover, events, policy):
+        # Probabilities at and above one half: a lane's floor reaches 2**16,
+        # and certain or impossible changes must still draw their words.
+        commodities = [CommoditySpec(0, 1, 16, 3.6), CommoditySpec(1, 4, 13, 3.5)]
+        state, _ = lockstep_with_churn(commodities, policy, 300, TopologyProcess(fail, recover))
+        if events is None:
+            assert state.topo_events >= 1_000
+        else:
+            assert state.topo_events == events
+
+
+class TestTopologyDraw:
+    """``topology_step`` reads edge ``i``'s uniform from words ``2i`` and
+    ``2i + 1`` of one ``getrandbits(64 * m)`` and compares it with an
+    integer bound; that must be ``random() < p`` on the same stream."""
+
+    PROBS = [0.0, 2**-53, 1.5 * 2**-37, 1e-4, 0.3, 0.5, 0.5000001, 0.75, 0.9999, 1 - 2**-53, 1.0]
+
+    @pytest.mark.parametrize("m", [0, 1, 24, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 22, "grid|topology"])
+    def test_word_block_decisions_equal_random_calls(self, seed, m):
+        rng, twin = random.Random(seed), random.Random(seed)
+        probs = [self.PROBS[(i + m) % len(self.PROBS)] for i in range(m)]
+        bits = rng.getrandbits(64 * m)
+        lanes = [(bits >> 64 * i) & (2**64 - 1) for i in range(m)]
+        draws = [((lane & 0xFFFFFFFF) >> 5) << 26 | (lane >> 32) >> 6 for lane in lanes]
+        uniforms = [twin.random() for _ in range(m)]
+        assert draws == [int(u * 2**53) for u in uniforms]
+        assert [n < sim._draw_bound(p) for n, p in zip(draws, probs)] == [u < p for u, p in zip(uniforms, probs)]
+        assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("p", PROBS)
+    def test_bound_is_exact(self, p):
+        # The bound T is the least 53-bit draw that does not fire.
+        bound = sim._draw_bound(p)
+        assert 0 <= bound <= 2**53
+        assert bound == 0 or (bound - 1) / 2**53 < p
+        assert bound == 2**53 or not bound / 2**53 < p
 
 
 class TestTopology:
+    @pytest.mark.parametrize(
+        "name,topology,slots",
+        [("grid4x4.scn", None, 20_000), ("grid4x4_multi.scn", TopologyProcess(0.05, 0.3), 500)],
+    )
+    def test_every_event_calls_apply_topology_event_once_per_commodity(self, name, topology, slots, monkeypatch):
+        # The benchmark counts these calls by patching sim.apply_topology_event.
+        calls = []
+
+        def counted(dag, action, edge):
+            calls.append(action)
+            return apply_topology_event(dag, action, edge)
+
+        monkeypatch.setattr(sim, "apply_topology_event", counted)
+        config = load_scenario(name)
+        config = config if topology is None else replace(config, topology=topology)
+        report = run(config, "lfbp", slots, rho=0.6, seed=1)
+        assert report.topo_events >= 10
+        assert len(calls) == report.topo_events * len(config.commodities)
+
     def test_zero_probabilities_keep_topology(self):
         net = grid_network(3, 3, 2)
         state = SimState(
@@ -655,6 +716,14 @@ class TestRunMatchesSteps:
         config = load_scenario(name)
         self.assert_run_matches_steps(config, policy, max(config.load_factors))
 
+    @pytest.mark.parametrize("policy", ["bp", "lfbp"])
+    def test_grid_with_frequent_link_events(self, policy):
+        # The bundled grid sees a handful of events in these slots; here
+        # links fail and recover about once a slot.
+        config = replace(load_scenario("grid4x4.scn"), topology=TopologyProcess(0.05, 0.3))
+        report = self.assert_run_matches_steps(config, policy, max(config.load_factors))
+        assert report.topo_events >= 2_000
+
     @pytest.mark.parametrize("name", ["sixnode_fixed.scn", "grid4x4_multi.scn"])
     def test_threshold_changing_by_epoch(self, name):
         config = replace(load_scenario(name), lfbp_params=LfbpParams(thresholds=(30, 90, 45), periods=(150, 50)))
@@ -708,6 +777,7 @@ class TestRunMatchesSteps:
         assert report.final_dags == (tuple(state.dags) if state.dags is not None else None)
         if policy == "lfbp":
             assert state.reversal_log, "no epoch marked a node, so marking went unchecked"
+        return report
 
 
 # sha256 of the summary, trace and reversal CSVs that ``cli.sweep`` writes for

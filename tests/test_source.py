@@ -51,29 +51,38 @@ def test_no_unused_imports_in_package():
 
 
 def function_imports(path: Path) -> list[str]:
-    """``file:line`` for each ``import`` statement inside a function."""
+    """``file owner module`` for each module imported inside a function,
+    where ``owner`` is the top-level function or class holding it."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += [
-                f"{path.name}:{inner.lineno}"
-                for inner in ast.walk(node)
-                if isinstance(inner, (ast.Import, ast.ImportFrom))
-            ]
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.Import):
+                        found += [f"{path.name} {top.name} {alias.name}" for alias in inner.names]
+                    elif isinstance(inner, ast.ImportFrom):
+                        found.append(f"{path.name} {top.name} {inner.module}")
     return sorted(set(found))
 
 
 def test_function_imports_flagged(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import json\ndef load():\n    from math import lcm\n    def inner():\n        import os\n")
-    assert function_imports(probe) == ["probe.py:3", "probe.py:5"]
+    assert function_imports(probe) == ["probe.py load math", "probe.py load os"]
+
+
+# Imports inside a function, each with its reason.
+FUNCTION_IMPORTS_ALLOWED = {
+    "cli.py sweep concurrent.futures": "only a sweep with jobs above 1 pays for the package and the logging it loads",
+}
 
 
 def test_no_imports_inside_functions_in_package():
     """Every module imports at its top, so the import graph is what the
-    module headers say: graph, flow, overload, reversal, protocol, sim, cli."""
+    module headers say: graph, flow, overload, reversal, protocol, sim, cli.
+    The exceptions are ``FUNCTION_IMPORTS_ALLOWED``."""
     found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in function_imports(path)]
-    assert found == []
+    assert found == sorted(FUNCTION_IMPORTS_ALLOWED)
 
 
 # Calls that run code built from strings, each with its reason.
