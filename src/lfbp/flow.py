@@ -30,12 +30,6 @@ from .graph import (
     edge_key,
 )
 
-# Exhaustive subset enumeration stays tractable only at desk scale; it also
-# stops at MAX_SUBSET_SUMS distinct sums.  20 edges of capacity 1-10 have at
-# most 201.
-MAX_EXHAUSTIVE_EDGES = 20
-MAX_SUBSET_SUMS = 4096
-
 
 @dataclass(frozen=True)
 class FlowAllocation:
@@ -311,25 +305,15 @@ def smallest_min_cut(dag: DagOrientation, src: int | None = None, dst: int | Non
 
 
 def delta_bound(net: Network) -> Fraction:
-    """Smallest positive difference between capacities of any two cuts.
-
-    Enumerates all subset sums of the edge capacities, scaled to integers by
-    their least common denominator D, while the edge count and the number of
-    distinct sums permit; past ``MAX_EXHAUSTIVE_EDGES`` edges or
-    ``MAX_SUBSET_SUMS`` sums it returns the 1/D lower bound instead.
-    """
-    caps = list(net.capacity.values())
-    if not caps or all(c == 0 for c in caps):
+    """A lower bound on the smallest positive difference between any two cut
+    capacities: ``g/D``, for ``D`` the LCM of the positive capacities'
+    denominators and ``g`` the GCD of those capacities times ``D``.  Every
+    cut capacity is a sum of edge capacities, hence a whole multiple of
+    ``g/D``, so two that differ do so by at least ``g/D``."""
+    _, _, caps, whole = _edge_layout(net)
+    if not caps:
         raise ValueError("degenerate network: no positive capacity, delta undefined")
+    if whole:
+        return Fraction(math.gcd(*caps))
     scale = math.lcm(*(c.denominator for c in caps))
-    if len(caps) > MAX_EXHAUSTIVE_EDGES:
-        return Fraction(1, scale)
-    sums = {0}
-    for c in caps:
-        c = c.numerator * (scale // c.denominator)
-        sums |= {s + c for s in sums}
-        if len(sums) > MAX_SUBSET_SUMS:
-            return Fraction(1, scale)
-    # Some capacity is positive, so there are at least two distinct sums.
-    ordered = sorted(sums)
-    return Fraction(min(b - a for a, b in zip(ordered, ordered[1:])), scale)
+    return Fraction(math.gcd(*(c.numerator * (scale // c.denominator) for c in caps)), scale)

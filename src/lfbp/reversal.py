@@ -99,11 +99,10 @@ def default_max_iters(dag: DagOrientation, fmax: Rational | None = None) -> int:
     """Iteration budget: ceil(|N| f_max / delta) plus |N| slack.
 
     The cut-granularity bound covers the iterations needed to reach a
-    max-flow-achieving orientation (delta from the analytic 1/D bound when
-    exhaustive enumeration is infeasible); an infeasible rate can then grow
-    the overloaded side for up to |N| further reversals before no usable
-    link remains.  ``fmax`` is the network's undirected max-flow, computed
-    here when the caller does not already hold it.
+    max-flow-achieving orientation; an infeasible rate can then grow the
+    overloaded side for up to |N| further reversals before no usable link
+    remains.  ``fmax`` is the network's undirected max-flow, computed here
+    when the caller does not already hold it.
     """
     n = len(dag.net.nodes)
     if fmax is None:

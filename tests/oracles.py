@@ -12,8 +12,8 @@ the same stream inline.  ``HeadsOrientation`` and the ``reference_*``
 constructors, reversal and topology event keep every direction in a
 ``heads`` map, as the package did before it derived each direction from the
 node order; they are the reference for the derived one.  ``exhaustive_delta``
-is the cut granularity by full subset-sum enumeration, the reference for
-``delta_bound``.
+is the cut granularity by full subset-sum enumeration, the upper reference
+for ``delta_bound``'s lower bound.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from lfbp.flow import MAX_EXHAUSTIVE_EDGES, FlowAllocation, smallest_min_cut
+from lfbp.flow import FlowAllocation, smallest_min_cut
 from lfbp.graph import (
     DagOrientation,
     Edge,
@@ -38,6 +38,9 @@ from lfbp.graph import (
 from lfbp.overload import OverloadVector
 
 LESS, EQUAL, GREATER = -1, 0, 1
+
+# Subset enumeration stays tractable only at desk scale.
+MAX_EXHAUSTIVE_EDGES = 20
 
 
 def lex_key(values: Iterable[Rational]) -> tuple:

@@ -327,9 +327,45 @@ class TestSchemaFuzz:
                 r"scenario\.commodities\[0\]\.rate: int too large to convert to float",
                 id="int-beyond-float-range",
             ),
+            pytest.param(
+                ("topology", "fail_prob"),
+                1.5,
+                r"^scenario\.topology: fail_prob must be in \[0,1\], got 1\.5$",
+                id="fail-prob-above-one",
+            ),
+            pytest.param(
+                ("topology", "recover_prob"),
+                -0.1,
+                r"^scenario\.topology: recover_prob must be in \[0,1\], got -0\.1$",
+                id="recover-prob-negative",
+            ),
+            pytest.param(
+                ("topology", "fail_prob"),
+                float("nan"),
+                r"^scenario\.topology: fail_prob must be in \[0,1\], got nan$",
+                id="fail-prob-nan",
+            ),
+            pytest.param(
+                ("commodities", 0, "source"),
+                16,
+                r"^scenario\.commodities\[0\]: commodity 0: source equals destination$",
+                id="source-is-dest",
+            ),
+            pytest.param(
+                ("initial_dag", 0),
+                [1, 16],
+                r"^scenario\.initial_dag: directed pair \(1,16\) is not one of the network's edges$",
+                id="pair-not-an-edge",
+            ),
+            pytest.param(
+                ("initial_dag", 0),
+                [1, 5],
+                r"^scenario\.initial_dag: edge \{5,1\} oriented twice$",
+                id="edge-oriented-twice",
+            ),
         ],
     )
-    def test_holes_the_fuzz_found(self, field, value, message):
+    def test_holes_the_fuzz_found(self, field, value, message, tmp_path, capsys):
         doc = scenario_to_dict(load_scenario("grid4x4.scn"))
         doc["lfbp"]["delta"] = None
         parent = doc
@@ -338,6 +374,14 @@ class TestSchemaFuzz:
         parent[field[-1]] = value
         with pytest.raises(ValidationError, match=message):
             scenario_from_dict(doc)
+        # The same document from a file named ``scenario``, whose name is
+        # the message's prefix.
+        path = tmp_path / "scenario"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error: ") and captured.out == ""
+        assert re.search(message, captured.err.removeprefix("validation error: "))
 
 
 class TestLfbpDelta:

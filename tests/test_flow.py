@@ -419,7 +419,7 @@ class TestDeltaBound:
             range(3), [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 3))], 0, 2
         )
         assert delta_bound(net) == exhaustive_delta(net) == Fraction(1, 6)
-        # past MAX_EXHAUSTIVE_EDGES edges the bound is 1/D for D = lcm(2, 3)
+        # a 24-edge path: g = gcd(3, 2) = 1 over D = lcm(2, 3)
         path = [(i, i + 1, Fraction(1, 2 + i % 2)) for i in range(24)]
         assert delta_bound(Network.build(range(25), path, 0, 24)) == Fraction(1, 6)
 
@@ -438,30 +438,47 @@ class TestDeltaBound:
             delta_bound(net)
 
     def test_analytic_never_exceeds_exhaustive(self, rng):
+        # 1/D <= g/D <= the smallest subset-sum gap, which is a multiple of g/D
         for _ in range(20):
             net = random_network(rng, n_max=5, cap_max=6, max_edges=8)
             analytic = Fraction(1, math.lcm(*(c.denominator for c in net.capacity.values())))
-            assert analytic <= exhaustive_delta(net) == delta_bound(net)
+            delta, exact = delta_bound(net), exhaustive_delta(net)
+            assert analytic <= delta <= exact
+            assert (exact / delta).denominator == 1
 
-    def test_auto_mode_switches_on_edge_count(self):
+    def test_gcd_bound_on_fixed_networks(self):
         small = Network.build(range(3), [(0, 1, 3), (1, 2, 5)], 0, 2)
-        assert delta_bound(small) == exhaustive_delta(small)
-        big = grid_network(4, 4, 6)  # 24 edges: exhaustive would be rejected
-        assert delta_bound(big) == 1
+        assert delta_bound(small) == 1 and exhaustive_delta(small) == 2
+        big = grid_network(4, 4, 6)  # 24 edges: past the exhaustive oracle's reach
+        assert delta_bound(big) == 6
         with pytest.raises(ValueError, match="limited"):
             exhaustive_delta(big)
 
+    def test_every_cut_is_a_multiple(self, rng):
+        for trial in range(30):
+            net = random_network(rng, n_max=7, cap_max=12)
+            if trial % 2:
+                edges = [(i, j, Fraction(c, rng.choice((1, 2, 3, 4)))) for (i, j), c in net.capacity.items()]
+                net = Network.build(net.nodes, edges, net.source, net.dest)
+            dag, delta = random_orientation(rng, net), delta_bound(net)
+            inner = [v for v in net.nodes if v not in (net.source, net.dest)]
+            for mask in range(1 << len(inner)):
+                side = {net.source} | {v for k, v in enumerate(inner) if mask >> k & 1}
+                cap = cut_capacity(dag, side, set(net.nodes) - side)
+                assert (cap / delta).denominator == 1, (net, side, cap, delta)
+
     def test_auto_is_exact_at_small_capacities(self):
-        # 20 edges of capacity 1-10 have at most 201 subset sums.
+        # Capacities 2-10, even: the gcd is 2, and so is the smallest gap
+        # between subset sums.
         rng = random.Random(11)
         for _ in range(20):
             path = [(i, i + 1, rng.choice([2, 4, 6, 8, 10])) for i in range(20)]
             net = Network.build(range(21), path, 0, 20)
             assert delta_bound(net) == exhaustive_delta(net) == 2
 
-    def test_auto_falls_back_on_large_capacities(self):
-        # 20 edges of capacity 10^6-10^7: about 2^20 distinct subset sums,
-        # once enumerated in 18 CPU seconds and 173 MB.
+    def test_large_capacities_cost_one_gcd(self):
+        # 20 edges of capacity 10^6-10^7 have about 2^20 distinct subset
+        # sums; the bound enumerates none of them.
         rng = random.Random(7)
         path = [(i, i + 1, rng.randint(10**6, 10**7)) for i in range(20)]
         net = Network.build(range(21), path, 0, 20)

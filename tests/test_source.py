@@ -136,11 +136,11 @@ UNREAD_ALLOWED = {
 
 
 def unread_definitions(defining: list[Path], reading: list[Path]) -> list[tuple[str, int, str]]:
-    """``(file, line, name)`` for each top-level function or class in ``defining``
-    never read as a name in ``reading``, and each method or property of such
-    a class never read as an attribute there.  A module attribute such as
-    ``sim.bp_step`` counts as a read of the name; dunder methods are left
-    out."""
+    """``(file, line, name)`` for each top-level function, class or assigned
+    name in ``defining`` never read as a name in ``reading``, and each method
+    or property of such a class never read as an attribute there.  A module
+    attribute such as ``sim.bp_step`` counts as a read of the name; dunder
+    names and methods are left out."""
     names: set[str] = set()
     attributes: set[str] = set()
     for path in reading:
@@ -153,6 +153,15 @@ def unread_definitions(defining: list[Path], reading: list[Path]) -> list[tuple[
     found = []
     for path in defining:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [
+                    (path.name, node.lineno, name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and not name.id.startswith("__") and name.id not in read
+                ]
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name not in read:
@@ -179,15 +188,25 @@ def test_unread_definitions_flagged(tmp_path):
         "    @property\n"
         "    def size(self): pass\n"
         "    def dropped(self): pass\n"
+        "__version__ = '1'\n"
+        "LIMIT, SPARE = 1, 2\n"
+        "kept: int = LIMIT\n"
+        "ORPHAN = 3\n"
     )
     reader = tmp_path / "reader.py"
-    reader.write_text("import module\nmodule.used()\nbox = module.Box()\nbox.read()\nbox.size\ndropped = 1\n")
-    assert unread_definitions([module], [module, reader]) == [("module.py", 2, "unused"), ("module.py", 8, "dropped")]
+    reader.write_text("import module\nmodule.used()\nbox = module.Box()\nbox.read()\nbox.size\ndropped = 1\nmodule.kept\n")
+    assert unread_definitions([module], [module, reader]) == [
+        ("module.py", 2, "unused"),
+        ("module.py", 8, "dropped"),
+        ("module.py", 10, "SPARE"),
+        ("module.py", 12, "ORPHAN"),
+    ]
 
 
 def test_package_defines_only_what_it_or_the_benchmark_reads():
-    """Every function, class and method in the package has a reader in the
-    package or the benchmark: code that only tests call lives in ``tests/``."""
+    """Every function, class, method and module-level constant in the package
+    has a reader in the package or the benchmark: code and limits that only
+    tests use live in ``tests/``."""
     package = sorted(PACKAGE.glob("*.py"))
     bench = sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
     found = unread_definitions(package, package + bench)
