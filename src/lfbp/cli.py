@@ -22,7 +22,8 @@ Scenario files are versioned JSON documents (conventionally ``.scn``):
 ``load_scenario`` reads a file, or else the bundled scenario of that name.
 Each object accepts only the fields shown (and ``lfbp.delta``, which must be
 null).  Capacities and lfbp thresholds may be integers or fraction strings;
-every other number must be a JSON number, and ``horizon`` at least 1.
+every other number must be a JSON number, and ``horizon`` at least 1.  A
+load factor or a seed given twice is rejected, as it would run cells twice.
 ``dummy_scale`` S adds floor(S / rho) startup packets to every commodity
 source, lfbp runs only; S / rho must be within the float range.
 
@@ -286,6 +287,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     load_factors = tuple(_get(data, "load_factors", where, _items(_number)))
     if not load_factors or not all(math.isfinite(r) and r > 0 for r in load_factors):
         raise ValidationError(f"{where}.load_factors: all load factors must be finite and > 0")
+    if len(set(load_factors)) < len(load_factors):
+        raise ValidationError(f"{where}.load_factors: each load factor may be given once, got {list(load_factors)}")
     for pos, c in enumerate(commodities):
         try:
             check_load([c], max(load_factors))
@@ -297,6 +300,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     seeds = tuple(_get(data, "seeds", where, _items(_int)))
     if not seeds:
         raise ValidationError(f"{where}.seeds: at least one seed required")
+    if len(set(seeds)) < len(seeds):
+        raise ValidationError(f"{where}.seeds: each seed may be given once, got {list(seeds)}")
     dummy_scale = data.get("dummy_scale")
     if dummy_scale is not None:
         dummy_scale = _number(dummy_scale, f"{where}.dummy_scale")
@@ -372,18 +377,20 @@ def sweep(
         reports = [_run_cell(cell) for cell in cells]
     reports.sort(key=lambda r: (r.rho, r.policy, r.seed))
     if out_path is not None:
-        write_run_csvs(reports, out_path, bucket)
+        for path, write in _out_files(out_path, bucket, "lfbp" in policies):
+            write(reports, path)
     return reports
 
 
-def write_run_csvs(reports, out_path, bucket: int) -> None:
-    """The summary CSV at ``out_path`` and beside it ``.trace.csv`` when
-    ``bucket`` is above 0 and ``.reversals.csv`` when any report ran lfbp."""
-    write_summary_csv(reports, out_path)
+def _out_files(out, bucket: int, lfbp: bool):
+    """Each file a run's ``--out`` names, with its writer: the summary CSV at
+    ``out``, then beside it ``.trace.csv`` when ``bucket`` is above 0 and
+    ``.reversals.csv`` when a run uses lfbp."""
+    yield out, write_summary_csv
     if bucket:
-        write_trace_csv(reports, Path(out_path).with_suffix(".trace.csv"))
-    if any(report.policy == "lfbp" for report in reports):
-        write_reversal_events_csv(reports, Path(out_path).with_suffix(".reversals.csv"))
+        yield str(Path(out).with_suffix(".trace.csv")), write_trace_csv
+    if lfbp:
+        yield str(Path(out).with_suffix(".reversals.csv")), write_reversal_events_csv
 
 
 def _write_csv(path, fields, rows) -> None:
@@ -448,8 +455,6 @@ def er_batch(
         raise ValueError("need at least one sample")
     rng = random.Random(f"{seed}|er-batch")
     rows = []
-    total_iters = 0
-    max_iters_seen = 0
     for k in range(samples):
         n = rng.randint(*n_range)
         net = erdos_renyi_network(n, p, rng, cap_low=cap_range[0], cap_high=cap_range[1])
@@ -459,8 +464,6 @@ def er_batch(
         fmax = max_flow_undirected(net)
         bound = default_max_iters(dag0, fmax)
         iters = converge(dag0, fmax, max_iters=bound).iterations
-        total_iters += iters
-        max_iters_seen = max(max_iters_seen, iters)
         rows.append(
             {
                 "sample": k,
@@ -471,10 +474,11 @@ def er_batch(
                 "bound": bound,
             }
         )
+    iterations = [row["iterations"] for row in rows]
     stats = {
         "samples": samples,
-        "mean_iterations": total_iters / samples,
-        "max_iterations": max_iters_seen,
+        "mean_iterations": sum(iterations) / samples,
+        "max_iterations": max(iterations),
         "rows": rows,
     }
     if out_path is not None:
@@ -517,18 +521,12 @@ def _check_args(args) -> None:
         raise ValidationError(f"--policy: each policy may be given once, got {' '.join(args.policy)}")
     # Every file --out writes is in an existing directory, checked before any
     # work; only run's --out may be empty, and then it writes nothing.
-    def check_out(path):
-        if Path(path).is_dir() or not Path(path).parent.is_dir():
-            raise ValidationError(f"--out: {path!r} is not a file in an existing directory")
-
     out = getattr(args, "out", None)
     if out is not None and (out or args.command != "run"):
-        check_out(out)
-        if args.command != "er-batch":  # the files ``write_run_csvs`` puts beside it
-            lfbp = "lfbp" in ([args.policy] if args.command == "run" else args.policy or ["lfbp"])
-            for suffix, written in ((".trace.csv", args.trace_bucket), (".reversals.csv", lfbp)):
-                if written:
-                    check_out(str(Path(out).with_suffix(suffix)))
+        policies = (args.policy or ["lfbp"]) if args.command == "sweep" else [getattr(args, "policy", None)]
+        for path, _ in _out_files(out, getattr(args, "trace_bucket", 0), "lfbp" in policies):
+            if Path(path).is_dir() or not Path(path).parent.is_dir():
+                raise ValidationError(f"--out: {path!r} is not a file in an existing directory")
 
 
 def main(argv=None) -> int:

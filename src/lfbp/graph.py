@@ -8,7 +8,7 @@ link that comes back to life is directed without any recomputation.
 """
 from __future__ import annotations
 
-import heapq
+import graphlib
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -126,7 +126,10 @@ def initial_dag(net: Network) -> DagOrientation:
 
 
 def orient_explicit(net: Network, directed_pairs: Iterable[tuple[int, int]]) -> DagOrientation:
-    """Build an orientation from explicit (tail, head) pairs covering all edges."""
+    """Build an orientation from explicit (tail, head) pairs covering all edges.
+
+    Its ranks are one topological order of the pairs, as ``graphlib`` sorts
+    them: link reversal reads only each link's direction, not which order."""
     pairs: dict[Edge, tuple[int, int]] = {}
     for tail, head in directed_pairs:
         key = edge_key(tail, head)
@@ -138,31 +141,14 @@ def orient_explicit(net: Network, directed_pairs: Iterable[tuple[int, int]]) -> 
     missing = set(net.capacity) - set(pairs)
     if missing:
         raise ValueError(f"missing direction for edges {sorted(missing)}")
-    order = topological_order(net.nodes, pairs.values())
-    if order is None:
-        raise ValueError("explicit orientation contains a directed cycle")
+    preds: dict[int, list[int]] = {n: [] for n in net.nodes}
+    for tail, head in pairs.values():
+        preds[head].append(tail)
+    try:
+        order = list(graphlib.TopologicalSorter(preds).static_order())
+    except graphlib.CycleError:
+        raise ValueError("explicit orientation contains a directed cycle") from None
     return DagOrientation(net=net, live=frozenset(pairs), states={n: pos for pos, n in enumerate(order)})
-
-
-def topological_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[int] | None:
-    """Kahn's algorithm with lowest-ID-first tie breaking; None if cyclic."""
-    nodes = set(nodes)
-    out: dict[int, list[int]] = {n: [] for n in nodes}
-    indeg = {n: 0 for n in nodes}
-    for tail, head in pairs:
-        out[tail].append(head)
-        indeg[head] += 1
-    ready = [n for n in nodes if indeg[n] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        n = heapq.heappop(ready)
-        order.append(n)
-        for m in out[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                heapq.heappush(ready, m)
-    return order if len(order) == len(nodes) else None
 
 
 def apply_topology_event(dag: DagOrientation, action: str, edge: tuple[int, int]) -> DagOrientation:

@@ -54,7 +54,7 @@ from lfbp.graph import (
 from lfbp.overload import OverloadVector, lex_min_overload
 from lfbp.reversal import ReversalTrace, TraceEntry, default_max_iters, reverse_toward
 
-from oracles import _fluid_arcs
+from oracles import _fluid_arcs, topological_order
 
 
 # Network, orientation and scenario-file helpers that only the tests use.
@@ -515,8 +515,6 @@ def brute_force_max_flow(dag, src=None, dst=None, cap_limit=200_000):
     subject to conservation (no node ships more than it received), and keeps
     the best terminal delivery.  Independent of the residual-graph solver.
     """
-    from lfbp.graph import topological_order
-
     net = dag.net
     src = net.source if src is None else src
     dst = net.dest if dst is None else dst

@@ -4,7 +4,8 @@
 vector on small instances, ``lex_key``/``lex_compare`` order vectors by
 their sorted-descending components, ``overloaded_set`` is the smallest
 min-cut when a rate exceeds an orientation's max-flow, ``is_acyclic``
-checks an orientation by topological sort, and ``check_state_consistency``
+checks an orientation by the oracles' own topological sort
+(``topological_order``, over ``graphlib``), and ``check_state_consistency``
 checks that the states are a node order that every live link climbs.
 ``erdos_renyi_network`` is the random-graph sampler as it was while it drew
 each capacity with ``rng.randint``, the reference for the sampler that draws
@@ -17,6 +18,7 @@ for ``delta_bound``'s lower bound.
 """
 from __future__ import annotations
 
+import graphlib
 import math
 import random
 from collections import deque
@@ -33,7 +35,6 @@ from lfbp.graph import (
     Rational,
     as_rational,
     edge_key,
-    topological_order,
 )
 from lfbp.overload import OverloadVector
 
@@ -303,6 +304,18 @@ def exhaustive_delta(net: Network) -> Fraction:
     # Some capacity is positive, so there are at least two distinct sums.
     ordered = sorted(sums)
     return Fraction(min(b - a for a, b in zip(ordered, ordered[1:])), scale)
+
+
+def topological_order(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[int] | None:
+    """``nodes`` in an order that every (tail, head) pair climbs, by
+    ``graphlib``'s sort; None if the pairs hold a directed cycle."""
+    sorter = graphlib.TopologicalSorter({n: () for n in nodes})
+    for tail, head in pairs:
+        sorter.add(head, tail)
+    try:
+        return list(sorter.static_order())
+    except graphlib.CycleError:
+        return None
 
 
 def is_acyclic(dag: DagOrientation) -> bool:

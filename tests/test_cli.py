@@ -322,6 +322,21 @@ class TestSchemaFuzz:
             pytest.param(("commodities",), [], r"scenario\.commodities: at least one commodity", id="no-commodity"),
             pytest.param(("seeds",), [], r"scenario\.seeds: at least one seed", id="no-seed"),
             pytest.param(
+                ("load_factors",),
+                [0.5, 0.5],
+                r"^scenario\.load_factors: each load factor may be given once, got \[0\.5, 0\.5\]$",
+                id="repeated-load-factor",
+            ),
+            pytest.param(
+                ("load_factors",),
+                [0.5, float("nan")],
+                r"^scenario\.load_factors: all load factors must be finite and > 0$",
+                id="nan-load-factor",
+            ),
+            pytest.param(
+                ("seeds",), [1, 1], r"^scenario\.seeds: each seed may be given once, got \[1, 1\]$", id="repeated-seed"
+            ),
+            pytest.param(
                 ("commodities", 0, "rate"),
                 10**400,
                 r"scenario\.commodities\[0\]\.rate: int too large to convert to float",
@@ -544,6 +559,9 @@ class TestErBatch:
         rows = out.read_text().strip().splitlines()
         assert rows[0] == "sample,n,edges,fmax,iterations,bound"
         assert len(rows) == 26
+        iterations = [int(row.split(",")[4]) for row in rows[1:]]
+        assert stats["mean_iterations"] == sum(iterations) / 25
+        assert stats["max_iterations"] == max(iterations)
 
     def test_every_sample_respects_bound(self):
         stats = er_batch(40, (5, 15), 0.5, (1, 8), seed=23)

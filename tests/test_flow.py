@@ -344,6 +344,11 @@ class TestSmallestMinCut:
         assert cut.source_side == frozenset({0})
         assert cut.capacity == 1
 
+    @pytest.mark.parametrize("node", [0, 1, 5])
+    def test_equal_endpoints_rejected(self, node):
+        with pytest.raises(ValueError, match="^source and sink must differ$"):
+            smallest_min_cut(initial_dag(sixnode()), node, node)
+
     def test_matches_exhaustive_enumeration(self, rng):
         for _ in range(120):
             dag = random_orientation(rng, random_network(rng, n_min=4, n_max=9, cap_max=5))

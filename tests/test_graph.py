@@ -24,7 +24,6 @@ from lfbp.graph import (
     initial_dag,
     orient_by_ranking,
     orient_explicit,
-    topological_order,
 )
 from lfbp.reversal import converge, optimal_dag, reverse_toward
 
@@ -41,7 +40,7 @@ from conftest import (
     signature,
     update_states_after_reversal,
 )
-from oracles import check_state_consistency, is_acyclic
+from oracles import check_state_consistency, is_acyclic, topological_order
 
 
 def triangle():
@@ -69,6 +68,14 @@ class TestNetwork:
     def test_rejects_same_source_dest(self):
         with pytest.raises(ValueError, match="must differ"):
             Network.build([1, 2], [(1, 2, 1)], 1, 1)
+
+    @pytest.mark.parametrize(
+        ("nodes", "dest", "message"),
+        [([1, 1, 2], 2, "node IDs must be unique"), ([1, 2], 3, "source/destination must be network nodes")],
+    )
+    def test_rejects_bad_node_set(self, nodes, dest, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Network.build(nodes, [], 1, dest)
 
     def test_rejects_unknown_node(self):
         with pytest.raises(ValueError, match="unknown node"):
@@ -145,6 +152,15 @@ class TestTopologyEvents:
         dag = apply_topology_event(dag, "remove", (1, 2))
         with pytest.raises(ValueError, match="dead edge"):
             apply_topology_event(dag, "remove", (1, 2))
+
+    @pytest.mark.parametrize(
+        ("action", "edge", "message"),
+        [("remove", (1, 3), "edge {1,3} is not part of the network"), ("toggle", (1, 2), "unknown topology action 'toggle'")],
+    )
+    def test_bad_event_rejected(self, action, edge, message):
+        dag = initial_dag(Network.build([1, 2, 3], [(1, 2, 1), (2, 3, 1)], 1, 3))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_topology_event(dag, action, edge)
 
     def test_add_live_edge_rejected(self):
         dag = initial_dag(triangle())
@@ -416,6 +432,11 @@ class TestOrientExplicit:
         with pytest.raises(ValueError, match="missing direction"):
             orient_explicit(triangle(), [(1, 2), (2, 3)])
 
+    @pytest.mark.parametrize("ranking", [{1: 0, 2: 0, 3: 1}, {1: 5, 2: 4, 3: 5}])
+    def test_tied_ranking_rejected(self, ranking):
+        with pytest.raises(ValueError, match="^ranking values must be distinct$"):
+            orient_by_ranking(triangle(), ranking)
+
     def test_valid_orientation_state_consistent(self):
         dag = orient_explicit(triangle(), [(2, 1), (3, 2), (3, 1)])
         assert is_acyclic(dag)
@@ -463,6 +484,11 @@ class TestErdosRenyiStream:
         want = self.sample(oracles.erdos_renyi_network, n, p, theirs, max_tries=20, **caps)
         assert got == want
         assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_fewer_than_two_nodes_rejected(self, n):
+        with pytest.raises(ValueError, match="^need at least two nodes$"):
+            erdos_renyi_network(n, 0.5, random.Random(1))
 
     def test_empty_capacity_range_rejected_up_front(self):
         rng = random.Random(1)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -69,6 +70,11 @@ def draws(state, slots) -> list[int]:
         arrivals_step(state)
         out.append(state.arrivals[0] - before)
     return out
+
+
+# A path 0-1-2 and one commodity across it, for the engine's input checks.
+PATH = Network.build([0, 1, 2], [(0, 1, 1), (1, 2, 1)], 0, 2)
+ONE = CommoditySpec(0, 0, 2, 1.0)
 
 
 def make_config(net, commodities, **kw):
@@ -694,6 +700,38 @@ class TestRun:
         config = make_config(net, [CommoditySpec(0, 0, 1, 1.0)])
         with pytest.raises(ValueError, match="policy"):
             run(config, "qp")
+
+    @pytest.mark.parametrize(
+        ("attempt", "message"),
+        [
+            pytest.param(lambda: CommoditySpec(0, 1, 3, 1.0, -1), "commodity 0: negative dummy packet count", id="dummies"),
+            pytest.param(
+                lambda: SimState(PATH, [ONE], "lfbp", 1.0, 0),
+                "lfbp policy requires per-commodity initial orientations",
+                id="no-orientations",
+            ),
+            pytest.param(
+                lambda: SimState(
+                    PATH,
+                    [ONE, replace(ONE, id=1)],
+                    "lfbp",
+                    1.0,
+                    0,
+                    initial_dags=[initial_dag(PATH), apply_topology_event(initial_dag(PATH), "remove", (0, 1))],
+                ),
+                "all commodity orientations must share one live mask",
+                id="two-live-sets",
+            ),
+            pytest.param(
+                lambda: run(make_config(PATH, [ONE], initial_dag="bogus"), "lfbp"),
+                "unknown initial orientation mode 'bogus'",
+                id="unknown-initial-dag",
+            ),
+        ],
+    )
+    def test_bad_engine_input_rejected(self, attempt, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            attempt()
 
     def test_fractional_capacity_rejected_by_engine(self):
         from fractions import Fraction

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import lfbp
@@ -47,6 +48,44 @@ def test_unused_imports_flagged(tmp_path):
 
 def test_no_unused_imports_in_package():
     found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in unused_imports(path)]
+    assert found == []
+
+
+def non_stdlib_imports(path: Path) -> list[str]:
+    """``file:line module`` for each absolute import of a module outside the
+    standard library (``sys.stdlib_module_names``); a relative import is the
+    package's own."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {module}" for module in modules
+                  if module.partition(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_non_stdlib_imports_flagged(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os.path, numpy\n"
+        "from json import dumps\n"
+        "from . import graph\n"
+        "from .flow import max_flow\n"
+        "from networkx.algorithms import flow\n"
+        "import graphlib\n"
+    )
+    assert non_stdlib_imports(probe) == ["probe.py:2 numpy", "probe.py:6 networkx.algorithms"]
+
+
+def test_package_imports_only_the_standard_library():
+    """``dependencies = []`` in ``pyproject.toml`` promises that the package
+    runs on the standard library alone."""
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in non_stdlib_imports(path)]
     assert found == []
 
 
