@@ -21,11 +21,14 @@ Scenario files are versioned JSON documents (conventionally ``.scn``):
 
 ``load_scenario`` reads a file, or else the bundled scenario of that name.
 Each object accepts only the fields shown (and ``lfbp.delta``, which must be
-null).  Capacities and lfbp thresholds may be integers or fraction strings;
-every other number must be a JSON number, and ``horizon`` at least 1.  A
-load factor or a seed given twice is rejected, as it would run cells twice.
-``dummy_scale`` S adds floor(S / rho) startup packets to every commodity
-source, lfbp runs only; S / rho must be within the float range.
+null), each once.  Capacities and lfbp thresholds may be integers or fraction
+strings; every other number must be a JSON number, and ``horizon`` at least 1.
+A load factor or a seed given twice is rejected, as it would run cells twice.
+``initial_dag`` is built at load; any other value is rejected with ``expected
+'by_id', 'optimal' or pair list``.  ``dummy_scale`` S adds floor(S / rho)
+startup packets to every commodity source, lfbp runs only; S / rho and the
+startup packets summed over the commodities (with or without S) must be
+within the float range.
 
 Summary CSV columns (one row per run):
     scenario,policy,rho,seed,horizon,arrivals,delivered,delivered_net,
@@ -34,8 +37,8 @@ Summary CSV columns (one row per run):
 Bucketed trace CSV columns (optional, one row per slot bucket, the last
 ending at the horizon):
     seed,slot_bucket,policy,load,total_backlog_avg,delivered,reversals,live_edges
-(``sim.run`` keeps each bucket as a tuple of numbers; ``write_trace_csv``
-formats the row.)
+The ``csv`` module writes every row, a float as its ``repr``; ``lfbp run``
+prints its summary row the same way.
 Reversal event CSV columns (whenever a run used lfbp, one row per marked epoch):
     rho,seed,slot,commodity,edges_reversed,marked
 Every row carries the seed needed to reproduce it exactly.  An ``--out`` that
@@ -66,7 +69,6 @@ from .graph import (
     as_rational,
     erdos_renyi_network,
     orient_by_ranking,
-    orient_explicit,
 )
 from .flow import max_flow_undirected
 from .protocol import LfbpParams
@@ -77,6 +79,7 @@ from .sim import (
     MetricsReport,
     TopologyProcess,
     check_load,
+    initial_orientation,
     run,
 )
 
@@ -181,20 +184,21 @@ def _build(where: str, make, *args):
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _check_dummy_scale(commodities, dummy_scale, rho: float, where: str) -> None:
+def _check_startup(commodities, dummy_scale, rho: float, where: str) -> None:
     """Reject a load at which ``dummy_scale / rho`` is beyond the float range,
-    or the startup packets are: each commodity's ``dummy_packets`` plus
-    ``floor(dummy_scale / rho)``, summed over the commodities.  A run's
-    average backlog is about that sum, so it would be beyond the range too."""
-    if not dummy_scale:
-        return
-    if math.isinf(dummy_scale / rho):
-        raise ValidationError(f"{where}: dummy_scale / load = {dummy_scale} / {rho} is beyond the float range")
-    startup = sum(c.dummy_packets for c in commodities) + len(commodities) * int(dummy_scale / rho)
-    if startup > sys.float_info.max:
+    or the startup packets are: each commodity's ``dummy_packets``, plus
+    ``floor(dummy_scale / rho)`` when ``dummy_scale`` is set, summed over the
+    commodities.  A run's average backlog is about that sum, so it would be
+    beyond the range too."""
+    each = 0
+    if dummy_scale:
+        if math.isinf(dummy_scale / rho):
+            raise ValidationError(f"{where}: dummy_scale / load = {dummy_scale} / {rho} is beyond the float range")
+        each = int(dummy_scale / rho)
+    if sum(c.dummy_packets for c in commodities) + len(commodities) * each > sys.float_info.max:
         raise ValidationError(
             f"{where}: the startup packets summed over the commodities, dummy_packets plus "
-            f"floor({dummy_scale} / {rho}) each, are beyond the float range"
+            "floor(dummy_scale / load) each, are beyond the float range"
         )
 
 
@@ -241,14 +245,6 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     commodities = _get(data, "commodities", where, _items(commodity))
     if not commodities:
         raise ValidationError(f"{where}.commodities: at least one commodity required")
-    startup = 0
-    for pos, c in enumerate(commodities):
-        startup += c.dummy_packets
-        if startup > sys.float_info.max:
-            raise ValidationError(
-                f"{where}.commodities[{pos}].dummy_packets: the startup packets summed up to this commodity "
-                "are beyond the float range"
-            )
     network = _build(f"{where}.edges", Network.build, nodes, edges, commodities[0].source, commodities[0].dest)
 
     def pair(item, pwhere: str):
@@ -259,9 +255,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     initial = data.get("initial_dag", "by_id")
     if isinstance(initial, list):
         initial = tuple(_items(pair)(initial, f"{where}.initial_dag"))
-        _build(f"{where}.initial_dag", orient_explicit, network, initial)  # acyclicity / coverage check
-    elif initial not in ("by_id", "optimal"):
-        raise ValidationError(f"{where}.initial_dag: expected 'by_id', 'optimal' or pair list")
+    _build(f"{where}.initial_dag", initial_orientation, network, initial)
 
     lfbp_params = None
     raw = data.get("lfbp")
@@ -307,7 +301,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         dummy_scale = _number(dummy_scale, f"{where}.dummy_scale")
         if not (math.isfinite(dummy_scale) and dummy_scale >= 0):
             raise ValidationError(f"{where}.dummy_scale: must be finite and nonnegative")
-        _check_dummy_scale(commodities, dummy_scale, min(load_factors), f"{where}.dummy_scale")
+    field = "dummy_scale" if dummy_scale else "commodities"
+    _check_startup(commodities, dummy_scale, min(load_factors), f"{where}.{field}")
 
     return ScenarioConfig(
         name=name,
@@ -332,8 +327,17 @@ def load_scenario(path) -> ScenarioConfig:
         found = resources.files("lfbp").joinpath("scenarios", str(path))
         if not found.is_file():
             raise ValidationError(f"scenario not found (no file or bundled name): {path}")
+
+    def unique_keys(pairs) -> dict:
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ValidationError(f"{found.name}: field {key!r} given twice")
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(found.read_text(encoding="utf-8"))
+        data = json.loads(found.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -410,9 +414,9 @@ def write_summary_csv(reports, path) -> None:
 
 
 def write_trace_csv(reports, path) -> None:
-    """One row per slot bucket of each report, floats as their ``repr``."""
+    """One row per slot bucket of each report."""
     rows = (
-        dict(zip(BUCKET_FIELDS, (report.seed, slot, report.policy, repr(report.rho), repr(avg), got, flips, live)))
+        dict(zip(BUCKET_FIELDS, (report.seed, slot, report.policy, report.rho, avg, got, flips, live)))
         for report in reports
         for slot, avg, got, flips, live in report.buckets
     )
@@ -426,7 +430,7 @@ def write_reversal_events_csv(reports, path) -> None:
         REVERSAL_FIELDS,
         (
             {
-                "rho": repr(report.rho),
+                "rho": report.rho,
                 "seed": report.seed,
                 "slot": slot,
                 "commodity": commodity,
@@ -464,16 +468,7 @@ def er_batch(
         fmax = max_flow_undirected(net)
         bound = default_max_iters(dag0, fmax)
         iters = converge(dag0, fmax, max_iters=bound).iterations
-        rows.append(
-            {
-                "sample": k,
-                "n": n,
-                "edges": len(net.capacity),
-                "fmax": str(fmax),
-                "iterations": iters,
-                "bound": bound,
-            }
-        )
+        rows.append(dict(sample=k, n=n, edges=len(net.capacity), fmax=str(fmax), iterations=iters, bound=bound))
     iterations = [row["iterations"] for row in rows]
     stats = {
         "samples": samples,
@@ -482,7 +477,7 @@ def er_batch(
         "rows": rows,
     }
     if out_path is not None:
-        _write_csv(out_path, ["sample", "n", "edges", "fmax", "iterations", "bound"], rows)
+        _write_csv(out_path, list(rows[0]), rows)
     return stats
 
 
@@ -574,11 +569,10 @@ def main(argv=None) -> int:
             rho = config.load_factors[0] if args.rho is None else args.rho
             seed = config.seeds[0] if args.seed is None else args.seed
             _build("--rho", check_load, config.commodities, rho)
-            _check_dummy_scale(config.commodities, config.dummy_scale, rho, "--rho")
+            _check_startup(config.commodities, config.dummy_scale, rho, "--rho")
             cell = replace(config, load_factors=(rho,), seeds=(seed,))
             [report] = sweep(cell, (args.policy,), args.out or None, horizon=args.horizon, bucket=args.trace_bucket)
-            row = report.to_row()
-            print(",".join(str(row[k]) for k in SUMMARY_FIELDS))
+            csv.DictWriter(sys.stdout, SUMMARY_FIELDS, lineterminator="\n").writerow(report.to_row())
         elif args.command == "sweep":
             config = _load_arg_scenario(args.scenario)
             policies = tuple(args.policy) if args.policy else ("bp", "lfbp")

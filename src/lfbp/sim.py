@@ -113,13 +113,8 @@ class MetricsReport:
     final_dags: tuple | None = None
 
     def to_row(self) -> dict:
-        """One summary CSV row: the ``SUMMARY_FIELDS`` attributes, floats as
-        their ``repr``."""
-        row = {}
-        for name in SUMMARY_FIELDS:
-            value = getattr(self, name)
-            row[name] = repr(value) if isinstance(value, float) else value
-        return row
+        """One summary CSV row: the ``SUMMARY_FIELDS`` attributes, unchanged."""
+        return {name: getattr(self, name) for name in SUMMARY_FIELDS}
 
 
 SUMMARY_FIELDS = [
@@ -515,14 +510,15 @@ def _churn(state: SimState, bits: int, flags: int) -> None:
 
 def initial_orientation(net: Network, mode) -> DagOrientation:
     """The starting orientation a scenario's ``initial_dag`` names: "by_id",
-    "optimal" or explicit (tail, head) pairs."""
+    "optimal" or explicit (tail, head) pairs; ``ValueError`` for any other
+    mode, or for pairs that do not orient ``net`` acyclically."""
     if mode == "by_id":
         return initial_dag(net)
     if mode == "optimal":
         return optimal_dag(net)
     if isinstance(mode, (list, tuple)):
         return orient_explicit(net, mode)
-    raise ValueError(f"unknown initial orientation mode {mode!r}")
+    raise ValueError(f"expected 'by_id', 'optimal' or pair list, got {mode!r}")
 
 
 def build_initial_dags(config, policy: str) -> list[DagOrientation] | None:

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import copy
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -378,6 +380,18 @@ class TestSchemaFuzz:
                 r"^scenario\.initial_dag: edge \{5,1\} oriented twice$",
                 id="edge-oriented-twice",
             ),
+            pytest.param(
+                ("initial_dag",),
+                "x",
+                r"^scenario\.initial_dag: expected 'by_id', 'optimal' or pair list, got 'x'$",
+                id="unknown-initial-dag",
+            ),
+            pytest.param(
+                ("initial_dag",),
+                5,
+                r"^scenario\.initial_dag: expected 'by_id', 'optimal' or pair list, got 5$",
+                id="initial-dag-not-a-mode",
+            ),
         ],
     )
     def test_holes_the_fuzz_found(self, field, value, message, tmp_path, capsys):
@@ -718,6 +732,50 @@ class TestMainVerbs:
         assert lines[0] == ",".join(SUMMARY_FIELDS)
         assert len(lines) == 2
 
+    def test_run_prints_the_summary_files_row(self, tmp_path, capsys):
+        # A name with a comma and a quote is quoted on stdout as in the file.
+        doc = scenario_to_dict(load_scenario("sixnode_detect.scn"))
+        doc["name"] = 'six, "detect"'
+        path, out = tmp_path / "q.scn", tmp_path / "q.csv"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--scenario", str(path), "--horizon", "200", "--out", str(out)]) == 0
+        [printed] = csv.reader(io.StringIO(capsys.readouterr().out))
+        with open(out, newline="") as fh:
+            [header, row] = csv.reader(fh)
+        assert header == SUMMARY_FIELDS and printed == row and row[0] == 'six, "detect"'
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_run_stdout_is_the_summary_line(self, name, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(["run", "--scenario", name, "--horizon", "100", "--out", str(out)]) == 0
+        data_line = out.read_bytes().decode().split("\r\n")[1]
+        assert capsys.readouterr().out == data_line + "\n"
+
+    def test_optimal_initial_dag_validates(self, tmp_path, capsys):
+        doc = scenario_to_dict(load_scenario("sixnode_fixed.scn"))
+        doc["initial_dag"] = "optimal"
+        path = tmp_path / "opt.scn"
+        path.write_text(json.dumps(doc))
+        assert load_scenario(path).initial_dag == "optimal"
+        assert cli.main(["validate", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("ok: sixnode-fixed")
+
+    @pytest.mark.parametrize(
+        ("field", "repeat"),
+        [("horizon", '"horizon": 50, "seeds": [2], '), ("rate", '"rate": 1.0, ')],
+        ids=["top-level", "in-a-commodity"],
+    )
+    def test_repeated_key_rejected(self, field, repeat, tmp_path, capsys):
+        # json.loads alone keeps a repeated key's last value and runs it.
+        text = json.dumps(scenario_to_dict(load_scenario("sixnode_detect.scn")))
+        path = tmp_path / "dup.scn"
+        path.write_text(text.replace(f'"{field}": ', repeat + f'"{field}": ', 1))
+        message = f"dup.scn: field {field!r} given twice"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_scenario(path)
+        assert cli.main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"validation error: {message}\n")
+
     def test_run_rho_overflowing_dummy_scale_exits_one(self, capsys):
         # grid4x4_multi's dummy_scale 500 / 1e-307 is beyond the float range
         code = cli.main(["run", "--scenario", "grid4x4_multi.scn", "--rho", "1e-307", "--horizon", "10", "--out", ""])
@@ -728,8 +786,8 @@ class TestMainVerbs:
     @pytest.mark.parametrize(
         ("name", "commodity", "top", "policy", "field"),
         [
-            # one commodity's startup packets are no float
-            ("sixnode_fixed.scn", {"dummy_packets": 10**309}, {}, "bp", "commodities[0].dummy_packets"),
+            # one commodity's startup packets are no float, with no dummy_scale
+            ("sixnode_fixed.scn", {"dummy_packets": 10**309}, {}, "bp", "commodities"),
             # each commodity's floor(1.7e308 / 1.0) is a float, the three together are not
             ("grid4x4_multi.scn", {}, {"dummy_scale": 1.7e308, "load_factors": [1.0]}, "lfbp", "dummy_scale"),
         ],
@@ -747,7 +805,7 @@ class TestMainVerbs:
             assert cli.main([verb, "--scenario", str(path), *args]) == 1
             captured = capsys.readouterr()
             assert captured.err.startswith(f"validation error: big.scn.{field}: the startup packets")
-            assert captured.out == ""
+            assert "None" not in captured.err and captured.out == ""
 
     def test_run_rho_startup_packets_beyond_float_range_exits_one(self, tmp_path, capsys):
         # 3 x floor(5e307 / 1.0) packets fit a float; at --rho 0.5 the

@@ -1,6 +1,7 @@
 """Slot engine: arrivals, backpressure transmissions, topology, metrics."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfbp import sim
-from lfbp.cli import ScenarioConfig, load_scenario, sweep
+from lfbp.cli import ScenarioConfig, load_scenario, sweep, write_summary_csv
 from lfbp.flow import max_flow, max_flow_undirected
 from lfbp.graph import Network, apply_topology_event, initial_dag, orient_explicit
 from lfbp.protocol import LfbpParams, epoch_reversal, mark_step
@@ -642,14 +643,22 @@ class TestRun:
         b = run(config, "lfbp", seed=4)
         assert a.to_row() == b.to_row()
 
-    def test_summary_row_follows_summary_fields(self):
+    def test_summary_row_follows_summary_fields(self, tmp_path):
+        # to_row keeps the attributes as they are; the csv module writes a
+        # float as its repr.
         config = make_config(grid_network(3, 3, 3), [CommoditySpec(0, 1, 9, 2.0)], horizon=300)
         report = run(config, "lfbp", rho=0.5, seed=2)
         row = report.to_row()
         assert list(row) == SUMMARY_FIELDS
-        for name in ("rho", "avg_backlog", "avg_backlog_net", "live_fraction"):
-            assert row[name] == repr(getattr(report, name))
+        assert row == {name: getattr(report, name) for name in SUMMARY_FIELDS}
+        floats = ("rho", "avg_backlog", "avg_backlog_net", "live_fraction")
+        assert all(type(row[name]) is float for name in floats)
         assert row["arrivals"] == report.arrivals and type(row["arrivals"]) is int
+        out = tmp_path / "summary.csv"
+        write_summary_csv([report], out)
+        with open(out, newline="") as fh:
+            [written] = csv.DictReader(fh)
+        assert {name: written[name] for name in floats} == {name: repr(row[name]) for name in floats}
 
     def test_policies_share_arrival_paths(self, monkeypatch):
         net = grid_network(3, 3, 3)
@@ -724,7 +733,7 @@ class TestRun:
             ),
             pytest.param(
                 lambda: run(make_config(PATH, [ONE], initial_dag="bogus"), "lfbp"),
-                "unknown initial orientation mode 'bogus'",
+                "expected 'by_id', 'optimal' or pair list, got 'bogus'",
                 id="unknown-initial-dag",
             ),
         ],

@@ -166,6 +166,40 @@ def test_no_code_built_from_strings_outside_the_kernel_generator():
     assert sorted(found) == sorted(DYNAMIC_CODE_ALLOWED)
 
 
+def json_parses_without_hook(path: Path) -> list[str]:
+    """``file:line`` for each ``json.load`` or ``json.loads`` call that passes
+    no ``object_pairs_hook``: without one, a key given twice keeps its last
+    value silently."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("load", "loads")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and not any(keyword.arg == "object_pairs_hook" for keyword in node.keywords)
+    ]
+
+
+def test_json_parses_without_hook_flagged(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import json, pickle\n"
+        "json.loads('{}')\n"
+        "data = json.load(open('f'), object_pairs_hook=dict)\n"
+        "def read(text):\n"
+        "    return json.loads(text, parse_float=float)\n"
+        "pickle.loads(b'')\n"
+    )
+    assert json_parses_without_hook(probe) == ["probe.py:2", "probe.py:5"]
+
+
+def test_every_json_parse_in_package_rejects_repeated_keys():
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in json_parses_without_hook(path)]
+    assert found == []
+
+
 # Definitions kept although nothing in the package or the benchmark reads
 # them, each with its reason.
 UNREAD_ALLOWED = {
