@@ -321,7 +321,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     """The scenario in the file at ``path``, or else the bundled scenario of
-    that name (``sixnode_fixed.scn``)."""
+    that name (``sixnode_fixed.scn``).  Every error in a file found names it
+    by its base name, as in ``bad.scn: invalid JSON: ...``."""
     found = Path(path)
     if not found.exists():
         found = resources.files("lfbp").joinpath("scenarios", str(path))
@@ -339,9 +340,9 @@ def load_scenario(path) -> ScenarioConfig:
     try:
         data = json.loads(found.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+        raise ValidationError(f"{found.name}: invalid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path}: cannot read: {exc}") from exc
+        raise ValidationError(f"{found.name}: cannot read: {exc}") from exc
     return scenario_from_dict(data, where=found.name)
 
 

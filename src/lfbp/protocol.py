@@ -23,6 +23,7 @@ reverses.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,8 +44,8 @@ class LfbpParams:
     def __post_init__(self):
         if not self.thresholds or not self.periods:
             raise ValueError("thresholds and periods must be non-empty")
-        if any(t <= 0 for t in self.thresholds):
-            raise ValueError("thresholds must be positive")
+        if any(not 0 < t < math.inf for t in self.thresholds):
+            raise ValueError("thresholds must be positive and finite")
         if any(p < 1 for p in self.periods):
             raise ValueError("periods must be at least one slot")
 
@@ -56,8 +57,10 @@ class LfbpParams:
 
 
 def mark_step(state: SimState, params: LfbpParams) -> SimState:
-    """Mark queues above the current threshold; marks stick until epoch end."""
-    limit = params.threshold(state.epoch)
+    """Mark queues above the current threshold; marks stick until epoch end.
+    Queues hold integer packets, so ``q > R`` exactly when ``q > floor(R)``,
+    and each queue is compared with that integer."""
+    limit = math.floor(params.threshold(state.epoch))
     for queue, marks in zip(state.queues, state.marks):
         if max(queue) <= limit:
             continue

@@ -17,13 +17,15 @@ does, so ``SimState.rebuild_plans`` compiles them into a forwarding plan at
 those moments, not every slot.  Every commodity count is forwarded by one
 straight-line kernel, ``SimState.forward``, generated and compiled once per
 (node count, destinations, links) and kept in the bounded cache of
-``_kernel``: a local per (commodity, queue), with several commodities a
-contest per link, and one test per (commodity, arc), both directions of
-every link.  Its source holds only node and arc indices; the plan is its
-data, a capacity per (arc, commodity), 0 where that commodity may not send
-on that arc.  To read it: ``print(_kernel_source(state.n,
-tuple(state.dst_idx), state.edge_nodes))``.  Poisson arrivals come from a
-CDF table built once per commodity.
+``_kernel``, with a local per (commodity, queue).  With one commodity it
+tests every arc, both directions of every link, and sums each tail's
+winners.  With several, each link's contest is followed by one dispatch
+that sends the winner at once, and each (commodity, tail) then pays one
+test that its sends fit its backlog.  Its source holds only node and arc
+indices; the plan is its data, a capacity per (arc, commodity), 0 where
+that commodity may not send on that arc.  To read it:
+``print(_kernel_source(state.n, tuple(state.dst_idx), state.edge_nodes))``.
+Poisson arrivals come from a CDF table built once per commodity.
 
 Link churn draws one uniform per edge per slot, as ``random()`` would, but
 reads all of a slot's from one ``getrandbits(64 * m)``: edge ``i``'s is the
@@ -363,14 +365,21 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
     ``q_{y}`` and its start-of-slot queue at node ``u`` the local
     ``q{y * n + u}``; arc ``k``'s capacity for it is ``c{k * ncom + y}``.
 
-    With several commodities each link ``e`` first runs its contest in
-    commodity order and keeps a winner code ``w{e}``.  Then per (commodity,
-    tail ``u``) one test per arc ``k`` to ``v``: it sends when it won, with
-    one commodity when ``q[v] < q[u]``.  A tail whose winners fit its backlog
-    sends each in full, an overdrawn one leaves the split to ``_overdrawn``.
-    The winning capacities are summed in chains of at most 256 terms, since
-    CPython's compiler recurses once per term.  What lands at a destination
-    is delivered, added to ``delivered`` and to the count returned."""
+    With one commodity, each tail ``u`` sums the capacities of its arcs to
+    a ``v`` with ``q[v] < q[u]``, in chains of at most 256 terms, since
+    CPython's compiler recurses once per term, and sends each in full when
+    the sum fits its backlog.
+
+    With several, each link ``e`` runs its contest in commodity order into
+    a winner code ``w{e}``, and one ``if w{e}:`` dispatch sends the winner's
+    capacity at once and adds it to the local ``o{y}_{u}`` of its
+    (commodity ``y``, tail ``u``).  Each (commodity, tail) then pays one
+    test: it is charged its sends, or, when they overdraw its backlog,
+    takes them back.
+
+    An overdrawn tail leaves the split to ``_overdrawn``.  What lands at a
+    destination is delivered, added to ``delivered`` and to the count
+    returned."""
     ncom = len(dsts)
     one = ncom == 1
     out: list[list] = [[] for _ in range(n)]
@@ -381,6 +390,8 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
     for y in range(ncom):
         lines += ["    " + "".join(f"q{y * n + u}, " for u in range(n)) + f"= q_{y}", f"    s{y} = 0"]
     lines += ["    " + "".join(f"c{k}, " for k in range(2 * len(edges) * ncom)) + "= c"] if edges else []
+    if not one and edges:
+        lines += ["    " + "".join(f"o{y}_{u} = " for y in range(ncom) for u, arcs in enumerate(out) if arcs) + "0"]
     for e, (a, b) in enumerate([] if one else edges):
         for y in range(ncom):
             qa, qb, ab, ba = f"q{y * n + a}", f"q{y * n + b}", f"c{2 * e * ncom + y}", f"c{(2 * e + 1) * ncom + y}"
@@ -392,27 +403,40 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
                 won_fwd = won_rev = f"w{e} = "
             lines += [f"    if {ab} and {fwd}: {won_fwd}{2 * y + 1}", f"    elif {ba} and {rev}: {won_rev}{2 * y + 2}"]
             lines += [] if y else [f"    else: b = w{e} = 0"]
+        # Winner code 2y + 1 is commodity y from a to b, 2y + 2 from b to a.
+        sends = [(y, u, v, f"c{k * ncom + y}") for y in range(ncom) for k, u, v in ((2 * e, a, b), (2 * e + 1, b, a))]
+        lines += [f"    if w{e}:"]
+        for code, (y, u, v, c) in enumerate(sends, 1):
+            arm = "else" if code == len(sends) else f"{'el' if code > 1 else ''}if w{e} == {code}"
+            lines += [f"        {arm}: q_{y}[{v}] += {c}; o{y}_{u} += {c}"]
     for y, dst in enumerate(dsts):
         for u, arcs in enumerate(out):
             if not arcs:
                 continue
             qu = f"q{y * n + u}"
             won = [
-                (f"q{y * n + v} < {qu}" if one else f"w{k >> 1} == {2 * y + 1 + (k & 1)}", f"c{k * ncom + y}", v)
+                (f"q{v} < {qu}" if one else f"w{k >> 1} == {2 * y + 1 + (k & 1)}", f"c{k * ncom + y}", v)
                 for k, v in arcs
             ]
-            terms = [f"({c} if {test} else 0)" for test, c, _v in won]
-            lines += [f"    if {qu}:"]
-            chunks = [" + ".join(terms[i : i + 256]) for i in range(0, len(terms), 256)]
-            lines += [f"        t {'+=' if i else '='} {chunk}" for i, chunk in enumerate(chunks)]
-            lines += ["        if t:", f"            if t <= {qu}:"]
-            lines += [f"                if {test}: q_{y}[{v}] += {c}" for test, c, v in won]
             # With several commodities an arc may lose the contest whatever
             # q[v]; with one, an arc that may send and lost has q[v] >= q[u].
             split = "".join(f"(q{y * n + v}, {v}, {c}) if {c if one else test} else _LOST, " for test, c, v in won)
-            lines += ["            else:", f"                t = {qu}"]
-            lines += [f"                _overdrawn(q_{y}, t, ({split}))", f"            q_{y}[{u}] -= t"]
-            lines += [f"            s{y} = t"] if u == dst else []
+            if one:
+                terms = [f"({c} if {test} else 0)" for test, c, _v in won]
+                lines += [f"    if {qu}:"]
+                chunks = [" + ".join(terms[i : i + 256]) for i in range(0, len(terms), 256)]
+                lines += [f"        t {'+=' if i else '='} {chunk}" for i, chunk in enumerate(chunks)]
+                lines += ["        if t:", f"            if t <= {qu}:"]
+                lines += [f"                if {test}: q_0[{v}] += {c}" for test, c, v in won]
+                lines += ["            else:", f"                t = {qu}"]
+                lines += [f"                _overdrawn(q_0, t, ({split}))", f"            q_0[{u}] -= t"]
+                lines += ["            s0 = t"] if u == dst else []
+                continue
+            o = f"o{y}_{u}"
+            lines += [f"    if {o}:", f"        if {o} > {qu}:"]
+            lines += [f"            if {test}: q_{y}[{v}] -= {c}" for test, c, v in won]
+            lines += [f"            {o} = {qu}", f"            _overdrawn(q_{y}, {o}, ({split}))", f"        q_{y}[{u}] -= {o}"]
+            lines += [f"        s{y} = {o}"] if u == dst else []
         lines += [f"    k = q{y * n + dst} - s{y}", f"    g = q_{y}[{dst}] - k", f"    q_{y}[{dst}] = k"]
         lines += [f"    D[{y}] += g", f"    r {'+=' if y else '='} g"]
     return "\n".join(lines + ["    return r"]) + "\n"
@@ -592,7 +616,8 @@ def run(
     ]
     _y, draw0, table0, last0, queue0, src0 = draws[0]
     forward, marks, marks0 = state.forward, state.marks, state.marks[0]
-    limit = params.threshold(state.epoch) if lfbp else None
+    # Queues are integers, so a threshold R marks them as floor(R) does.
+    limit = math.floor(params.threshold(state.epoch)) if lfbp else None
     topology = state.topology is not None
     if topology:
         churn_draw, churn_width = state.topo_rng.getrandbits, 64 * state.m
@@ -634,7 +659,7 @@ def run(
             if state.epoch_left <= 0:
                 state.t = t
                 epoch_reversal(state, params)
-                limit = params.threshold(state.epoch)
+                limit = math.floor(params.threshold(state.epoch))
         if topology:
             bits = churn_draw(churn_width)
             flags = ((bits & churn_lanes) - churn_floor) & churn_signs

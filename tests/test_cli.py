@@ -683,7 +683,21 @@ class TestMainVerbs:
         for path in (folder, binary):
             assert cli.main(["validate", "--scenario", str(path)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"validation error: {path}: cannot read: ") and "Traceback" not in err
+            assert err.startswith(f"validation error: {path.name}: cannot read: ") and "Traceback" not in err
+
+    def test_every_file_error_names_its_base_name(self, tmp_path, capsys):
+        # A parse error, a repeated key and a field error in the same folder.
+        folder = tmp_path / "sub"
+        folder.mkdir()
+        cases = [
+            ("cut.scn", '{"version": 1,', "cut.scn: invalid JSON: "),
+            ("dup.scn", '{"version": 1, "version": 1}', "dup.scn: field 'version' given twice"),
+            ("h.scn", json.dumps(minimal_doc(horizon=0)), "h.scn.horizon: "),
+        ]
+        for name, text, message in cases:
+            (folder / name).write_text(text)
+            assert cli.main(["validate", "--scenario", str(folder / name)]) == 1
+            assert capsys.readouterr().err.startswith(f"validation error: {message}")
 
     def test_zero_horizon_file_not_simulated(self, tmp_path, capsys):
         path = tmp_path / "h0.scn"

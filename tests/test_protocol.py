@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from lfbp.cli import load_scenario
+from lfbp.cli import load_scenario, scenario_from_dict
 from lfbp import sim
 from lfbp.flow import max_flow, max_flow_undirected, smallest_min_cut
 from lfbp.graph import Network, apply_topology_event, initial_dag, orient_explicit
@@ -14,7 +15,7 @@ from lfbp.protocol import LfbpParams, epoch_reversal, mark_step
 from lfbp.reversal import converge, reversal_step, reverse_toward
 from lfbp.sim import CommoditySpec, SimState, arrivals_step, bp_step, run
 
-from conftest import direction, signature
+from conftest import direction, scenario_to_dict, signature
 from test_sim import make_config
 from oracles import check_state_consistency, is_acyclic
 
@@ -45,6 +46,12 @@ class TestParams:
         with pytest.raises(ValueError):
             LfbpParams(thresholds=(-3,))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_threshold_rejected(self, bad):
+        # Marking compares queues with floor(R), which a non-finite R has not.
+        with pytest.raises(ValueError, match="thresholds must be positive and finite"):
+            LfbpParams(thresholds=(60, bad))
+
 
 class TestMarking:
     def make_state(self, threshold=10):
@@ -60,6 +67,13 @@ class TestMarking:
         state.queues[0][0] = 10  # not strictly above
         mark_step(state, params)
         assert state.marks[0] == set()
+
+    @pytest.mark.parametrize("threshold,marked", [(Fraction(121, 2), {0}), (Fraction(119, 2), {0, 1}), (60.9, {0})])
+    def test_fractional_threshold_marks_as_its_floor(self, threshold, marked):
+        state, params = self.make_state(threshold)
+        state.queues[0][:2] = [61, 60]
+        mark_step(state, params)
+        assert state.marks[0] == marked
 
     def test_spike_then_drain_keeps_mark(self):
         state, params = self.make_state()
@@ -166,6 +180,18 @@ class TestLfbpRun:
         assert report.edges_reversed == 0
         assert signature(report.final_dags[0]) == \
             signature(orient_explicit(config.network, config.initial_dag))
+
+    def test_fraction_string_threshold_runs_as_its_floor(self):
+        # Queues are integers, so R = 121/2 marks exactly the queues R = 60 does.
+        doc = scenario_to_dict(load_scenario("sixnode_fixed.scn"))
+        reports = []
+        for threshold in ("121/2", 60):
+            doc["lfbp"]["thresholds"] = [threshold]
+            config = scenario_from_dict(doc)
+            assert config.lfbp_params.thresholds == (Fraction(threshold),)
+            reports.append(run(config, "lfbp", 20_000, rho=0.95, seed=1))
+        assert reports[0].to_row() == reports[1].to_row()
+        assert reports[0].reversal_log == reports[1].reversal_log != []
 
     def test_converges_past_initial_bottleneck(self):
         # static topology, rate above the initial orientation's max-flow

@@ -379,11 +379,32 @@ class TestForwardingKernel:
     @pytest.mark.parametrize("ncom", [1, 3])
     def test_high_degree_sums_stay_short(self, ncom):
         # CPython's compiler recurses once per term of a + chain, and fails
-        # near 3,000 terms; the hub of this star has 5,000 arcs.
+        # near 3,000 terms; the hub of this star has 5,000 arcs.  One
+        # commodity sums the hub's winners in t += chains; several send each
+        # link's winner after its contest and sum no chain.
         edges = tuple((0, leaf) for leaf in range(1, 5001))
         lines = sim._kernel_source(5001, (2, 4, 6)[:ncom], edges).splitlines()
-        assert any(line.lstrip().startswith("t += ") for line in lines)
         assert max(line.count(" + ") for line in lines) <= 255
+        assert any(line.lstrip().startswith("t += ") for line in lines) == (ncom == 1)
+
+    def test_several_commodity_star_compiles_and_matches_reference(self):
+        # Every (commodity, tail) local of a 301-node star is set to 0 in
+        # one chained assignment of 903 targets.
+        net = Network.build(list(range(301)), [(0, leaf, 2) for leaf in range(1, 301)], 1, 2)
+        specs = [CommoditySpec(y, 2 * y + 1, 2 * y + 2, 0.0) for y in range(3)]
+        state = SimState(net, specs, "bp", 1.0, 0)
+        source = sim._kernel_source(state.n, tuple(state.dst_idx), state.edge_nodes)
+        assert max(line.count(" = ") for line in source.splitlines()) == 903
+        compile(source, "<star>", "exec")
+        reference = SimState(net, specs, "bp", 1.0, 0)
+        for twin in (state, reference):
+            for y, queue in enumerate(twin.queues):
+                queue[0], queue[2 * y + 1] = 7, 3
+            twin.backlog_now = 30
+        bp_step(state)
+        reference_bp_step(reference)
+        assert state.queues == reference.queues and state.delivered == reference.delivered
+        assert state.backlog_now == reference.backlog_now
 
     def test_high_degree_star_runs(self, tmp_path):
         # One commodity through the hub of a 5,001-node star, end to end.
@@ -448,14 +469,18 @@ def lockstep_with_churn(commodities, policy, slots, topology=TopologyProcess(0.0
 
 
 class TestLockstepWithChurn:
+    @pytest.mark.parametrize("ncom", [2, 3])
     @pytest.mark.parametrize("policy", ["bp", "lfbp"])
-    def test_several_commodities_match_reference_every_slot(self, policy):
+    def test_several_commodities_match_reference_every_slot(self, policy, ncom):
         commodities = [CommoditySpec(0, 1, 16, 3.6), CommoditySpec(1, 4, 13, 3.5), CommoditySpec(2, 5, 8, 4.9)]
         # Some slots start with a (tail, commodity) pair whose winners
-        # overdraw its backlog (the sorted case).
-        state, contended = lockstep_with_churn(commodities, policy, 2_000)
-        assert contended >= 500
-        assert state.topo_events >= 20
+        # overdraw its backlog, so the kernel takes its sends back (the
+        # sorted case).  With two commodities the last commodity's reverse
+        # arc is the dispatch's final else arm.
+        state, contended = lockstep_with_churn(commodities[:ncom], policy, 2_000)
+        contended_floor, topo_floor = {2: (600, 1_000), 3: (500, 20)}[ncom]
+        assert contended >= contended_floor
+        assert state.topo_events >= topo_floor
         assert policy == "bp" or state.reversal_events >= 1
 
     @pytest.mark.parametrize("policy", ["bp", "lfbp"])
