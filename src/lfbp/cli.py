@@ -20,15 +20,15 @@ Scenario files are versioned JSON documents (conventionally ``.scn``):
     }
 
 ``load_scenario`` reads a file, or else the bundled scenario of that name.
-Each object accepts only the fields shown (and ``lfbp.delta``, which must be
-null), each once.  Capacities and lfbp thresholds may be integers or fraction
-strings; every other number must be a JSON number, and ``horizon`` at least 1.
-A load factor or a seed given twice is rejected, as it would run cells twice.
-``initial_dag`` is built at load; any other value is rejected with ``expected
-'by_id', 'optimal' or pair list``.  ``dummy_scale`` S adds floor(S / rho)
-startup packets to every commodity source, lfbp runs only; S / rho and the
-startup packets summed over the commodities (with or without S) must be
-within the float range.
+Each object accepts only the fields shown, each once.  Capacities and lfbp
+thresholds may be integers or fraction strings; every other number must be a
+JSON number, and ``horizon`` at least 1.  A load factor or a seed given twice
+is rejected, as it would run cells twice.  ``initial_dag`` is built at load;
+any other value is rejected with ``expected 'by_id', 'optimal' or pair list``.
+``dummy_scale`` S adds floor(S / rho) startup packets to each commodity
+source, lfbp runs only.  Every load factor gets ``lfbp run --rho``'s checks,
+named ``load_factors[i]``: rate x load at most 700, and S / load and the
+startup packets summed over the commodities within the float range.
 
 Summary CSV columns (one row per run):
     scenario,policy,rho,seed,horizon,arrivals,delivered,delivered_net,
@@ -81,6 +81,7 @@ from .sim import (
     check_load,
     initial_orientation,
     run,
+    startup_packets,
 )
 
 SCHEMA_VERSION = 1
@@ -114,6 +115,7 @@ class ScenarioConfig:
 # NaN, an infinite float, and a fraction string with a zero denominator.
 _CONVERSION_ERRORS = (TypeError, ValueError, OverflowError, ZeroDivisionError)
 _REQUIRED = object()
+_GIVEN_TWICE = Ellipsis  # the JSON hook's value for a repeated key, which no JSON value is
 _SCENARIO_FIELDS = ("version", "name", "description", "nodes", "edges", "commodities", "initial_dag", "lfbp",
                     "topology", "dummy_scale", "load_factors", "horizon", "seeds")
 
@@ -146,8 +148,10 @@ def _list(value, where: str) -> list:
 
 
 def _object(value, where: str, fields) -> dict:
-    """``value`` if it is an object with no field outside ``fields``."""
-    for key in _kind(value, where, dict, "an object"):
+    """``value`` if it is an object whose keys are in ``fields``, each once."""
+    for key, item in _kind(value, where, dict, "an object").items():
+        if item is _GIVEN_TWICE:
+            raise ValidationError(f"{where}: field {key!r} given twice")
         if key not in fields:
             raise ValidationError(f"{where}.{key}: unknown field")
     return value
@@ -184,22 +188,10 @@ def _build(where: str, make, *args):
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _check_startup(commodities, dummy_scale, rho: float, where: str) -> None:
-    """Reject a load at which ``dummy_scale / rho`` is beyond the float range,
-    or the startup packets are: each commodity's ``dummy_packets``, plus
-    ``floor(dummy_scale / rho)`` when ``dummy_scale`` is set, summed over the
-    commodities.  A run's average backlog is about that sum, so it would be
-    beyond the range too."""
-    each = 0
-    if dummy_scale:
-        if math.isinf(dummy_scale / rho):
-            raise ValidationError(f"{where}: dummy_scale / load = {dummy_scale} / {rho} is beyond the float range")
-        each = int(dummy_scale / rho)
-    if sum(c.dummy_packets for c in commodities) + len(commodities) * each > sys.float_info.max:
-        raise ValidationError(
-            f"{where}: the startup packets summed over the commodities, dummy_packets plus "
-            "floor(dummy_scale / load) each, are beyond the float range"
-        )
+def _check_load(commodities, dummy_scale, rho: float, where: str) -> None:
+    """The engine's checks of load ``rho`` and its startup packets, reported at ``where``."""
+    _build(where, check_load, commodities, rho)
+    _build(where, startup_packets, commodities, dummy_scale, rho)
 
 
 def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
@@ -232,11 +224,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
             raise ValidationError(f"{cwhere}.id: duplicate commodity id {cid}")
         ids.add(cid)
         rate = _get(item, "rate", cwhere, _number)
-        if not math.isfinite(rate):
-            raise ValidationError(f"{cwhere}.rate: must be finite, got {rate}")
         dummy_packets = _get(item, "dummy_packets", cwhere, _int, 0)
-        if dummy_packets < 0:
-            raise ValidationError(f"{cwhere}.dummy_packets: must be nonnegative")
         source = node(_get(item, "source", cwhere, _int), f"{cwhere}.source")
         dest = node(_get(item, "dest", cwhere, _int), f"{cwhere}.dest")
         return _build(cwhere, CommoditySpec, cid, source, dest, rate, dummy_packets)
@@ -261,13 +249,9 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     raw = data.get("lfbp")
     if raw is not None:
         lwhere = f"{where}.lfbp"
-        _object(raw, lwhere, ("thresholds", "periods", "delta"))
+        _object(raw, lwhere, ("thresholds", "periods"))
         thresholds = _get(raw, "thresholds", lwhere, _items(_rational), [60])
         periods = _get(raw, "periods", lwhere, _items(_int), [50])
-        if raw.get("delta") is not None:
-            raise ValidationError(
-                f"{lwhere}.delta: no longer used (orientations are a node order); remove it or set it to null"
-            )
         lfbp_params = _build(lwhere, LfbpParams, tuple(thresholds), tuple(periods))
 
     topology = None
@@ -278,16 +262,18 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         fail_prob = _get(raw, "fail_prob", twhere, _number)
         topology = _build(twhere, TopologyProcess, fail_prob, _get(raw, "recover_prob", twhere, _number))
 
+    dummy_scale = data.get("dummy_scale")
+    if dummy_scale is not None:
+        dummy_scale = _number(dummy_scale, f"{where}.dummy_scale")
+        if not (math.isfinite(dummy_scale) and dummy_scale >= 0):
+            raise ValidationError(f"{where}.dummy_scale: must be finite and nonnegative")
     load_factors = tuple(_get(data, "load_factors", where, _items(_number)))
-    if not load_factors or not all(math.isfinite(r) and r > 0 for r in load_factors):
-        raise ValidationError(f"{where}.load_factors: all load factors must be finite and > 0")
+    if not load_factors:
+        raise ValidationError(f"{where}.load_factors: at least one load factor required")
     if len(set(load_factors)) < len(load_factors):
         raise ValidationError(f"{where}.load_factors: each load factor may be given once, got {list(load_factors)}")
-    for pos, c in enumerate(commodities):
-        try:
-            check_load([c], max(load_factors))
-        except ValueError as exc:
-            raise ValidationError(f"{where}.commodities[{pos}].rate: {exc} at the largest of load_factors") from exc
+    for pos, rho in enumerate(load_factors):
+        _check_load(commodities, dummy_scale, rho, f"{where}.load_factors[{pos}]")
     horizon = _get(data, "horizon", where, _int)
     if horizon < 1:
         raise ValidationError(f"{where}.horizon: must be at least 1")
@@ -296,13 +282,6 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
         raise ValidationError(f"{where}.seeds: at least one seed required")
     if len(set(seeds)) < len(seeds):
         raise ValidationError(f"{where}.seeds: each seed may be given once, got {list(seeds)}")
-    dummy_scale = data.get("dummy_scale")
-    if dummy_scale is not None:
-        dummy_scale = _number(dummy_scale, f"{where}.dummy_scale")
-        if not (math.isfinite(dummy_scale) and dummy_scale >= 0):
-            raise ValidationError(f"{where}.dummy_scale: must be finite and nonnegative")
-    field = "dummy_scale" if dummy_scale else "commodities"
-    _check_startup(commodities, dummy_scale, min(load_factors), f"{where}.{field}")
 
     return ScenarioConfig(
         name=name,
@@ -329,16 +308,14 @@ def load_scenario(path) -> ScenarioConfig:
         if not found.is_file():
             raise ValidationError(f"scenario not found (no file or bundled name): {path}")
 
-    def unique_keys(pairs) -> dict:
+    def mark_repeats(pairs) -> dict:
         data = {}
         for key, value in pairs:
-            if key in data:
-                raise ValidationError(f"{found.name}: field {key!r} given twice")
-            data[key] = value
+            data[key] = _GIVEN_TWICE if key in data else value
         return data
 
     try:
-        data = json.loads(found.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+        data = json.loads(found.read_text(encoding="utf-8"), object_pairs_hook=mark_repeats)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{found.name}: invalid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -569,8 +546,7 @@ def main(argv=None) -> int:
             config = _load_arg_scenario(args.scenario)
             rho = config.load_factors[0] if args.rho is None else args.rho
             seed = config.seeds[0] if args.seed is None else args.seed
-            _build("--rho", check_load, config.commodities, rho)
-            _check_startup(config.commodities, config.dummy_scale, rho, "--rho")
+            _check_load(config.commodities, config.dummy_scale, rho, "--rho")
             cell = replace(config, load_factors=(rho,), seeds=(seed,))
             [report] = sweep(cell, (args.policy,), args.out or None, horizon=args.horizon, bucket=args.trace_bucket)
             csv.DictWriter(sys.stdout, SUMMARY_FIELDS, lineterminator="\n").writerow(report.to_row())

@@ -48,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -70,10 +71,10 @@ class CommoditySpec:
     def __post_init__(self):
         if self.source == self.dest:
             raise ValueError(f"commodity {self.id}: source equals destination")
-        if self.rate < 0:
-            raise ValueError(f"commodity {self.id}: negative rate")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError(f"commodity {self.id}: rate must be finite and nonnegative, got {self.rate}")
         if self.dummy_packets < 0:
-            raise ValueError(f"commodity {self.id}: negative dummy packet count")
+            raise ValueError(f"commodity {self.id}: dummy_packets must be nonnegative, got {self.dummy_packets}")
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,27 @@ def check_load(commodities, rho: float) -> None:
             raise ValueError(
                 f"commodity {c.id}: Poisson mean rate x load = {c.rate * rho} exceeds {MAX_POISSON_MEAN}"
             )
+
+
+def startup_packets(commodities, dummy_scale, rho: float) -> list[int]:
+    """Each commodity's startup packets at load ``rho``: its ``dummy_packets``,
+    plus ``floor(dummy_scale / rho)`` when ``dummy_scale`` is set.  Raise
+    ``ValueError`` when ``dummy_scale / rho``, or the packets summed over the
+    commodities, are beyond the float range: a run's average backlog is about
+    that sum."""
+    each = 0
+    if dummy_scale:
+        each = dummy_scale / rho if rho else math.inf
+        if not math.isfinite(each):
+            raise ValueError(f"dummy_scale / load = {dummy_scale} / {rho} is beyond the float range")
+        each = int(each)
+    packets = [c.dummy_packets + each for c in commodities]
+    if sum(packets) > sys.float_info.max:
+        raise ValueError(
+            "the startup packets summed over the commodities, dummy_packets plus "
+            "floor(dummy_scale / load) each, are beyond the float range"
+        )
+    return packets
 
 
 def _stream(seed, label: str) -> random.Random:
@@ -580,8 +602,7 @@ def run(
     dummies = None
     if lfbp:
         params = config.lfbp_params or LfbpParams()
-        extra = int(config.dummy_scale / rho) if config.dummy_scale else 0
-        dummies = [c.dummy_packets + extra for c in config.commodities]
+        dummies = startup_packets(config.commodities, config.dummy_scale, rho)
 
     state = SimState(
         config.network,

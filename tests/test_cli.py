@@ -129,13 +129,15 @@ class TestScenarioParsing:
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
     def test_non_finite_rate_rejected(self, rate):
         commodities = [{"id": 0, "source": 0, "dest": 2, "rate": rate}]
-        with pytest.raises(ValidationError, match=r"commodities\[0\]\.rate: must be finite"):
+        message = rf"^scenario\.commodities\[0\]: commodity 0: rate must be finite and nonnegative, got {rate}$"
+        with pytest.raises(ValidationError, match=message):
             scenario_from_dict(minimal_doc(commodities=commodities))
 
     def test_json_nan_rate_rejected(self, tmp_path):
         path = tmp_path / "nan.scn"
         path.write_text(json.dumps(minimal_doc()).replace('"rate": 1.0', '"rate": NaN'))
-        with pytest.raises(ValidationError, match=r"rate: must be finite"):
+        message = r"^nan\.scn\.commodities\[0\]: commodity 0: rate must be finite and nonnegative, got nan$"
+        with pytest.raises(ValidationError, match=message):
             load_scenario(path)
 
     @pytest.mark.parametrize("factor", [float("nan"), float("inf"), "nan"])
@@ -144,7 +146,7 @@ class TestScenarioParsing:
         if isinstance(factor, str):
             message = r"load_factors\[1\]: expected a number, got str"
         else:
-            message = "load_factors: all load factors must be finite"
+            message = rf"^scenario\.load_factors\[1\]: load factor must be finite and positive, got {factor}$"
         with pytest.raises(ValidationError, match=message):
             scenario_from_dict(minimal_doc(load_factors=[0.5, factor]))
 
@@ -170,7 +172,8 @@ class TestScenarioParsing:
 
     def test_dummy_scale_beyond_float_range_at_smallest_load_rejected(self):
         # floor(dummy_scale / load) startup packets: 1e308 / 0.5 is no float
-        with pytest.raises(ValidationError, match=r"^scenario\.dummy_scale: .* / 0\.5 is beyond the float range$"):
+        message = r"^scenario\.load_factors\[1\]: dummy_scale / load = 1e\+308 / 0\.5 is beyond the float range$"
+        with pytest.raises(ValidationError, match=message):
             scenario_from_dict(minimal_doc(dummy_scale=1e308, load_factors=[1.0, 0.5]))
 
     @pytest.mark.parametrize(
@@ -194,9 +197,11 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize(("rate", "factors"), [(800.0, [0.5, 1.0]), (100.0, [0.5, 7.5])])
     def test_poisson_mean_above_limit_rejected(self, rate, factors):
-        # rate x the largest load factor is the largest per-slot Poisson mean
+        # every load factor is checked, and the message names the one whose
+        # Poisson mean rate x load is above the limit
         commodities = [{"id": 0, "source": 0, "dest": 2, "rate": rate}]
-        with pytest.raises(ValidationError, match=r"commodities\[0\]\.rate: .* exceeds 700"):
+        message = r"^scenario\.load_factors\[1\]: commodity 0: Poisson mean .* exceeds 700$"
+        with pytest.raises(ValidationError, match=message):
             scenario_from_dict(minimal_doc(commodities=commodities, load_factors=factors))
 
     def test_poisson_mean_at_limit_accepted(self):
@@ -310,7 +315,12 @@ class TestSchemaFuzz:
             (("nodes", 0), "x", r"nodes\[0\]: expected an integer"),
             (("commodities", 0), "x", r"commodities\[0\]: expected an object"),
             (("commodities", 0, "dummy_packets"), "x", r"dummy_packets: expected"),
-            (("commodities", 0, "dummy_packets"), -1, r"dummy_packets: must be nonnegative"),
+            pytest.param(
+                ("commodities", 0, "dummy_packets"),
+                -1,
+                r"^scenario\.commodities\[0\]: commodity 0: dummy_packets must be nonnegative, got -1$",
+                id="negative-dummy-packets",
+            ),
             (("commodities", 0, "source"), OUT_OF_RANGE_ID, r"commodities\[0\]\.source: .* not one of the nodes"),
             (("lfbp",), "x", r"lfbp: expected an object"),
             (("lfbp", "periods", 0), float("inf"), r"periods\[0\]: expected an integer"),
@@ -332,7 +342,7 @@ class TestSchemaFuzz:
             pytest.param(
                 ("load_factors",),
                 [0.5, float("nan")],
-                r"^scenario\.load_factors: all load factors must be finite and > 0$",
+                r"^scenario\.load_factors\[1\]: load factor must be finite and positive, got nan$",
                 id="nan-load-factor",
             ),
             pytest.param(
@@ -396,7 +406,6 @@ class TestSchemaFuzz:
     )
     def test_holes_the_fuzz_found(self, field, value, message, tmp_path, capsys):
         doc = scenario_to_dict(load_scenario("grid4x4.scn"))
-        doc["lfbp"]["delta"] = None
         parent = doc
         for key in field[:-1]:
             parent = parent[key]
@@ -415,34 +424,36 @@ class TestSchemaFuzz:
 
 class TestLfbpDelta:
     """Orientations are a node order with nothing numeric to size, so
-    ``lfbp.delta`` must be null and is not written back, and
-    ``lfbp.rescale_every`` is an unknown field."""
+    ``lfbp.delta`` and ``lfbp.rescale_every`` are unknown fields, whatever
+    their value, null included."""
 
     @pytest.mark.parametrize("name", ["sixnode_fixed.scn", "grid4x4.scn"])
     def test_non_null_delta_rejected(self, name):
         for delta in (1, 0, -3, "1/1000", 17, 10**6, "x"):
             doc = scenario_to_dict(load_scenario(name))
             doc["lfbp"]["delta"] = delta
-            with pytest.raises(ValidationError, match=r"lfbp\.delta: no longer used"):
+            with pytest.raises(ValidationError, match=r"^scenario\.lfbp\.delta: unknown field$"):
                 scenario_from_dict(doc)
 
     @pytest.mark.parametrize("name", ["sixnode_fixed.scn", "grid4x4.scn"])
-    def test_null_delta_accepted_and_rescale_every_rejected(self, name):
-        config = load_scenario(name)
-        doc = scenario_to_dict(config)
+    def test_null_delta_and_rescale_every_rejected(self, name, tmp_path):
+        doc = scenario_to_dict(load_scenario(name))
         assert "delta" not in doc["lfbp"] and "rescale_every" not in doc["lfbp"]
-        doc["lfbp"]["delta"] = None
-        assert scenario_from_dict(doc) == config
-        for every in (0, 1, 32):
-            doc["lfbp"]["rescale_every"] = every
-            with pytest.raises(ValidationError, match=r"lfbp\.rescale_every: unknown field"):
-                scenario_from_dict(doc)
+        for field, value in (("delta", None), ("rescale_every", 0), ("rescale_every", 1), ("rescale_every", 32)):
+            changed = copy.deepcopy(doc)
+            changed["lfbp"][field] = value
+            with pytest.raises(ValidationError, match=rf"^scenario\.lfbp\.{field}: unknown field$"):
+                scenario_from_dict(changed)
+            # A file names itself in place of ``scenario``.
+            path = tmp_path / name
+            path.write_text(json.dumps(changed))
+            with pytest.raises(ValidationError, match=rf"^{re.escape(name)}\.lfbp\.{field}: unknown field$"):
+                load_scenario(path)
 
     def test_delta_on_by_id_orientation(self):
-        with pytest.raises(ValidationError, match=r"lfbp\.delta: no longer used .* set it to null"):
-            scenario_from_dict(minimal_doc(lfbp={"thresholds": [10], "periods": [20], "delta": 2}))
-        config = scenario_from_dict(minimal_doc(lfbp={"delta": None}))
-        assert config == scenario_from_dict(minimal_doc(lfbp={}))
+        for delta in (2, None):
+            with pytest.raises(ValidationError, match=r"^scenario\.lfbp\.delta: unknown field$"):
+                scenario_from_dict(minimal_doc(lfbp={"thresholds": [10], "periods": [20], "delta": delta}))
 
 
 class TestSweep:
@@ -775,16 +786,17 @@ class TestMainVerbs:
         assert capsys.readouterr().out.startswith("ok: sixnode-fixed")
 
     @pytest.mark.parametrize(
-        ("field", "repeat"),
-        [("horizon", '"horizon": 50, "seeds": [2], '), ("rate", '"rate": 1.0, ')],
+        ("field", "repeat", "owner"),
+        [("horizon", '"horizon": 50, "seeds": [2], ', "dup.scn"), ("rate", '"rate": 1.0, ', "dup.scn.commodities[0]")],
         ids=["top-level", "in-a-commodity"],
     )
-    def test_repeated_key_rejected(self, field, repeat, tmp_path, capsys):
-        # json.loads alone keeps a repeated key's last value and runs it.
+    def test_repeated_key_rejected(self, field, repeat, owner, tmp_path, capsys):
+        # json.loads alone keeps a repeated key's last value and runs it.  The
+        # message names the object that holds the key.
         text = json.dumps(scenario_to_dict(load_scenario("sixnode_detect.scn")))
         path = tmp_path / "dup.scn"
         path.write_text(text.replace(f'"{field}": ', repeat + f'"{field}": ', 1))
-        message = f"dup.scn: field {field!r} given twice"
+        message = f"{owner}: field {field!r} given twice"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_scenario(path)
         assert cli.main(["validate", "--scenario", str(path)]) == 1
@@ -798,16 +810,18 @@ class TestMainVerbs:
         assert captured.err.startswith("validation error: --rho: dummy_scale / load = 500") and captured.out == ""
 
     @pytest.mark.parametrize(
-        ("name", "commodity", "top", "policy", "field"),
+        ("name", "commodity", "top", "policy"),
         [
             # one commodity's startup packets are no float, with no dummy_scale
-            ("sixnode_fixed.scn", {"dummy_packets": 10**309}, {}, "bp", "commodities"),
+            ("sixnode_fixed.scn", {"dummy_packets": 10**309}, {}, "bp"),
             # each commodity's floor(1.7e308 / 1.0) is a float, the three together are not
-            ("grid4x4_multi.scn", {}, {"dummy_scale": 1.7e308, "load_factors": [1.0]}, "lfbp", "dummy_scale"),
+            ("grid4x4_multi.scn", {}, {"dummy_scale": 1.7e308, "load_factors": [1.0]}, "lfbp"),
         ],
         ids=["dummy_packets", "dummy_scale"],
     )
-    def test_startup_packets_beyond_float_range_rejected(self, name, commodity, top, policy, field, tmp_path, capsys):
+    def test_startup_packets_beyond_float_range_rejected(self, name, commodity, top, policy, tmp_path, capsys):
+        # Checked at every load factor, and named by the first that fails.
+        field = "load_factors[0]"
         doc = scenario_to_dict(load_scenario(name))
         doc["commodities"][0].update(commodity)
         doc.update(top)
@@ -833,6 +847,29 @@ class TestMainVerbs:
         assert cli.main(["run", "--scenario", str(path), "--rho", "0.5", "--horizon", "10", "--out", ""]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("validation error: --rho: the startup packets") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "load",
+        [0.0, float("nan"), float("inf"), 100.0, 1e-307],
+        ids=["zero", "nan", "inf", "poisson-mean-above-700", "dummy-scale-over-load-overflows"],
+    )
+    def test_bad_load_factor_same_message_in_file_and_rho(self, load, tmp_path, capsys):
+        # grid4x4_multi: commodity 0's rate 7.18 at load 100 is a Poisson mean
+        # of 718, and dummy_scale 500 / 1e-307 is beyond the float range.  A load
+        # factor in the file and --rho get the same checks and text.
+        doc = scenario_to_dict(load_scenario("grid4x4_multi.scn"))
+        doc["load_factors"] = [load]
+        path = tmp_path / "f.scn"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--scenario", str(path)]) == 1
+        from_file = capsys.readouterr()
+        argv = ["run", "--scenario", "grid4x4_multi.scn", "--rho", str(load), "--horizon", "10", "--out", ""]
+        assert cli.main(argv) == 1
+        from_rho = capsys.readouterr()
+        assert from_file.out == from_rho.out == ""
+        file_text = from_file.err.removeprefix("validation error: f.scn.load_factors[0]: ")
+        assert file_text != from_file.err
+        assert from_rho.err == f"validation error: --rho: {file_text}"
 
     @pytest.mark.parametrize("rho", ["60", "nan", "inf", "-1", "0"])
     def test_run_bad_rho_exits_one_naming_rho(self, rho, tmp_path, capsys):

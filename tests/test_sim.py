@@ -33,6 +33,7 @@ from lfbp.sim import (
     build_initial_dags,
     poisson_cdf,
     run,
+    startup_packets,
     topology_step,
 )
 
@@ -158,6 +159,13 @@ class TestLoadValidation:
         config = make_config(Network.build([0, 1], [(0, 1, 15)], 0, 1), [CommoditySpec(0, 0, 1, 15.0)])
         with pytest.raises(ValueError, match="commodity 0: .* exceeds 700"):
             run(config, "bp", 10, rho=60.0)
+
+    @pytest.mark.parametrize("rho", [1e-307, 0.0, float("nan")])
+    def test_startup_packets_beyond_float_range_rejected_before_first_slot(self, rho):
+        # grid4x4_multi's dummy_scale 500 / rho is no finite float; the run
+        # raises naming dummy_scale instead of failing to convert or divide.
+        with pytest.raises(ValueError, match=rf"^dummy_scale / load = 500\.0 / {rho} is beyond the float range$"):
+            run(load_scenario("grid4x4_multi.scn"), "lfbp", 10, rho=rho)
 
     def test_mean_at_limit_runs(self):
         config = make_config(Network.build([0, 1], [(0, 1, 1000)], 0, 1), [CommoditySpec(0, 0, 1, 700.0)])
@@ -738,7 +746,16 @@ class TestRun:
     @pytest.mark.parametrize(
         ("attempt", "message"),
         [
-            pytest.param(lambda: CommoditySpec(0, 1, 3, 1.0, -1), "commodity 0: negative dummy packet count", id="dummies"),
+            pytest.param(
+                lambda: CommoditySpec(0, 1, 3, 1.0, -1),
+                "commodity 0: dummy_packets must be nonnegative, got -1",
+                id="dummies",
+            ),
+            pytest.param(
+                lambda: CommoditySpec(0, 0, 1, float("nan")),
+                "commodity 0: rate must be finite and nonnegative, got nan",
+                id="nan-rate",
+            ),
             pytest.param(
                 lambda: SimState(PATH, [ONE], "lfbp", 1.0, 0),
                 "lfbp policy requires per-commodity initial orientations",
@@ -805,7 +822,6 @@ class TestRunMatchesSteps:
         report = run(config, policy, self.SLOTS, rho=rho, seed=seed, bucket=self.BUCKET)
 
         params = config.lfbp_params or LfbpParams()
-        extra = int(config.dummy_scale / rho) if config.dummy_scale else 0
         state = SimState(
             config.network,
             config.commodities,
@@ -814,7 +830,7 @@ class TestRunMatchesSteps:
             seed,
             topology=config.topology,
             initial_dags=build_initial_dags(config, policy),
-            dummies=[c.dummy_packets + extra for c in config.commodities] if policy == "lfbp" else None,
+            dummies=startup_packets(config.commodities, config.dummy_scale, rho) if policy == "lfbp" else None,
         )
         state.epoch_left = params.period(0)
         backlogs, debts = [], []

@@ -374,3 +374,56 @@ def test_package_parameters_are_all_passed():
     bench = sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
     found = unpassed_parameters(package, package + bench)
     assert sorted(f"{file} {name}" for file, _line, name in found) == sorted(UNPASSED_ALLOWED)
+
+
+# The engine's checks and validating constructors that ``cli`` uses.  Each
+# owns its rule and raises ``ValueError`` without a field path, which
+# ``cli._build`` adds.
+ENGINE_CHECKS = ("check_load", "startup_packets", "CommoditySpec", "TopologyProcess", "LfbpParams", "Network.build")
+
+
+def unrouted_engine_checks(path: Path) -> list[str]:
+    """``file:line name`` for each call of a name in ``ENGINE_CHECKS``, and
+    each time one is handed to a callable other than ``_build``."""
+
+    def named(node) -> str | None:
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return f"{node.value.id}.{node.attr}"
+        return node.id if isinstance(node, ast.Name) else None
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        handed = [] if named(node.func) == "_build" else node.args + [keyword.value for keyword in node.keywords]
+        found += [
+            f"{path.name}:{node.lineno} {named(arg)}" for arg in [node.func, *handed] if named(arg) in ENGINE_CHECKS
+        ]
+    return found
+
+
+def test_unrouted_engine_checks_flagged(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "_build('x', check_load, commodities, rho)\n"
+        "spec = CommoditySpec(0, 1, 2, 1.0)\n"
+        "_build('y', Network.build, nodes, edges, 0, 1)\n"
+        "net = Network.build(nodes, edges, 0, 1)\n"
+        "specs = list(map(CommoditySpec, ids))\n"
+        "params = defaults(make=LfbpParams)\n"
+        "graph.build(nodes)\n"
+    )
+    assert sorted(unrouted_engine_checks(probe)) == [
+        "probe.py:2 CommoditySpec",
+        "probe.py:4 Network.build",
+        "probe.py:5 CommoditySpec",
+        "probe.py:6 LfbpParams",
+    ]
+
+
+def test_cli_routes_every_engine_check_through_build():
+    """``cli`` never calls an engine check itself and hands each only to
+    ``_build``, so every owner's ``ValueError`` reaches the user prefixed with
+    its field path, and a second copy of a rule in ``cli`` has no reason to
+    exist."""
+    assert unrouted_engine_checks(PACKAGE / "cli.py") == []
