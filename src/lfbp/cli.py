@@ -58,7 +58,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -66,6 +65,7 @@ from .graph import (
     InvariantViolation,
     Network,
     SamplingError,
+    Value,
     as_rational,
     erdos_renyi_network,
     orient_by_ranking,
@@ -96,19 +96,18 @@ class ValidationError(ValueError):
     names the field or the flag."""
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    name: str
-    network: Network
-    commodities: tuple[CommoditySpec, ...]
-    initial_dag: object  # "by_id" | "optimal" | tuple of (tail, head)
-    lfbp_params: LfbpParams | None
-    topology: TopologyProcess | None
-    load_factors: tuple[float, ...]
-    horizon: int
-    seeds: tuple[int, ...]
-    dummy_scale: float | None = None
-    description: str = ""
+class ScenarioConfig(Value):
+    """A loaded scenario; ``initial_dag`` is "by_id", "optimal" or a tuple of
+    (tail, head) pairs."""
+
+    __slots__ = ("name", "network", "commodities", "initial_dag", "lfbp_params", "topology", "load_factors",
+                 "horizon", "seeds", "dummy_scale", "description")
+
+    def __init__(self, name: str, network: Network, commodities: tuple[CommoditySpec, ...], initial_dag: object,
+                 lfbp_params: LfbpParams | None, topology: TopologyProcess | None, load_factors: tuple[float, ...],
+                 horizon: int, seeds: tuple[int, ...], dummy_scale: float | None = None, description: str = ""):
+        self._set(name, network, commodities, initial_dag, lfbp_params, topology, load_factors, horizon, seeds,
+                  dummy_scale, description)
 
 
 # What converting a rational may raise: a wrong type, a malformed string or
@@ -547,7 +546,7 @@ def main(argv=None) -> int:
             rho = config.load_factors[0] if args.rho is None else args.rho
             seed = config.seeds[0] if args.seed is None else args.seed
             _check_load(config.commodities, config.dummy_scale, rho, "--rho")
-            cell = replace(config, load_factors=(rho,), seeds=(seed,))
+            cell = config.replace(load_factors=(rho,), seeds=(seed,))
             [report] = sweep(cell, (args.policy,), args.out or None, horizon=args.horizon, bucket=args.trace_bucket)
             csv.DictWriter(sys.stdout, SUMMARY_FIELDS, lineterminator="\n").writerow(report.to_row())
         elif args.command == "sweep":

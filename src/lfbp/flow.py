@@ -17,7 +17,6 @@ each later min-cut continues Dinic from the last residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -27,25 +26,28 @@ from .graph import (
     InvariantViolation,
     Network,
     Rational,
+    Value,
     edge_key,
 )
 
 
-@dataclass(frozen=True)
-class FlowAllocation:
+class FlowAllocation(Value):
     """Per-directed-edge flow values plus the net flow delivered at the sink."""
 
-    flow: dict[tuple[int, int], Rational]
-    value: Rational
+    __slots__ = ("flow", "value")
+
+    def __init__(self, flow: dict[tuple[int, int], Rational], value: Rational):
+        self._set(flow, value)
 
 
-@dataclass(frozen=True)
-class CutPartition:
+class CutPartition(Value):
     """A cut's source side and its directed crossing capacity; the sink side
     is every other node of the network."""
 
-    source_side: frozenset[int]
-    capacity: Rational
+    __slots__ = ("source_side", "capacity")
+
+    def __init__(self, source_side: frozenset[int], capacity: Rational):
+        self._set(source_side, capacity)
 
 
 class FlowNetwork:
@@ -145,9 +147,9 @@ def _edge_layout(net: Network) -> tuple[FlowNetwork, list[Edge], list[Rational],
     """``net``'s arcs, one twin pair ``2e``/``2e + 1`` per positive-capacity
     edge ``e`` in ``net.capacity`` order, arc ``2e`` from the edge's first
     endpoint to its second: the ``FlowNetwork``, the edges, their capacities
-    and whether all are ``int``.  Kept in ``net.__dict__``, outside the
-    fields that ``==``, ``repr`` and ``dataclasses.replace`` use."""
-    layout = net.__dict__.get("_edge_layout")
+    and whether all are ``int``.  Kept in ``net``'s private ``_flow_layout``
+    slot, which ``==``, ``repr``, ``replace`` and pickling leave out."""
+    layout = net._flow_layout
     if layout is None:
         fn = FlowNetwork(net.nodes)
         index, head, adj = fn.index, fn.head, fn.adj
@@ -159,7 +161,7 @@ def _edge_layout(net: Network) -> tuple[FlowNetwork, list[Edge], list[Rational],
             adj[i].append(2 * e)
             adj[j].append(2 * e + 1)
         layout = fn, edges, caps, all(type(c) is int for c in caps)
-        net.__dict__["_edge_layout"] = layout
+        object.__setattr__(net, "_flow_layout", layout)
     return layout
 
 

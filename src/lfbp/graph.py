@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import graphlib
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -46,14 +45,73 @@ def as_rational(value) -> Rational:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Network:
-    """Undirected capacitated graph with a designated source and destination."""
+class Value:
+    """A value type.  Its fields are the public names in its ``__slots__``
+    (after those of its bases), in order; its ``__init__`` sets them with
+    ``_set``, and they cannot be assigned or deleted after that.  Two values
+    are equal when they have one type and equal fields, ``hash`` hashes the
+    fields, ``repr`` reads ``Name(field=value, ...)``, and a pickle or copy
+    calls the type with the fields.  A private slot is no field."""
 
-    nodes: frozenset[int]
-    capacity: dict[Edge, Rational]  # keyed by canonical undirected edge
-    source: int
-    dest: int
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(name for name in cls.__dict__.get("__slots__", ()) if name[0] != "_")
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A copy of this value with the fields named in ``changes`` changed."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class Record(Value):
+    """A ``Value`` whose fields may be assigned, and which so has no hash."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+class Network(Value):
+    """Undirected capacitated graph with a designated source and destination.
+
+    ``capacity`` is keyed by canonical undirected edge.  The private
+    ``_flow_layout`` slot caches ``flow._edge_layout``'s arcs."""
+
+    __slots__ = ("nodes", "capacity", "source", "dest", "_flow_layout")
+
+    def __init__(self, nodes: frozenset[int], capacity: dict[Edge, Rational], source: int, dest: int):
+        self._set(nodes, capacity, source, dest)
+        object.__setattr__(self, "_flow_layout", None)
 
     @classmethod
     def build(cls, nodes: Iterable[int], edges: Iterable[tuple], source: int, dest: int) -> "Network":
@@ -83,8 +141,7 @@ class Network:
         return cls(nodes=node_set, capacity=capacity, source=source, dest=dest)
 
 
-@dataclass(frozen=True)
-class DagOrientation:
+class DagOrientation(Value):
     """The live links of a Network and a node order that directs them.
 
     ``live`` holds the live undirected edges; dead edges are simply absent.
@@ -93,9 +150,10 @@ class DagOrientation:
     orientation is acyclic by construction.
     """
 
-    net: Network
-    live: frozenset[Edge]
-    states: dict[int, int]
+    __slots__ = ("net", "live", "states")
+
+    def __init__(self, net: Network, live: frozenset[Edge], states: dict[int, int]):
+        self._set(net, live, states)
 
     def directed_edges(self) -> Iterator[tuple[int, int, Rational]]:
         """Yield (tail, head, capacity) for every live link, in
@@ -167,7 +225,7 @@ def apply_topology_event(dag: DagOrientation, action: str, edge: tuple[int, int]
         live = dag.live | {key}
     else:
         raise ValueError(f"unknown topology action {action!r}")
-    return replace(dag, live=live)
+    return DagOrientation(dag.net, live, dag.states)
 
 
 ER_MAX_TRIES = 1000

@@ -18,8 +18,10 @@ tau = 0 gives M(0); then for each pair A = M(lo) > B = M(hi) a solve where
 the lines of A and B cross, tau = (surplus(A) - surplus(B)) / (|A| - |B|),
 with B contracted into the super-source and all outside A into the
 super-sink, either confirms A - B as one level at rate tau or splits the
-pair at its maximal side C, whose surplus is read off the cut value.  That
-is at most 2*d + 1 solves for d distinct rates, on one network per call.
+pair at its maximal side C, whose surplus is read off the cut value.  A
+single node A - B is a level without a solve.  That is at most
+2*d + 1 - s solves for d distinct positive rates, s of them held by one
+node each, on one network per call.
 
 The inducing flow is read off the same solves: links inside a level take the
 flow of the solve that confirmed it (both of its cuts are tight there),
@@ -30,20 +32,20 @@ the destination.  Conservation must reproduce the rates exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import DagOrientation, InvariantViolation, Rational, as_rational
+from .graph import DagOrientation, InvariantViolation, Rational, Value, as_rational
 from .flow import FlowAllocation, FlowNetwork
 
 
-@dataclass(frozen=True)
-class OverloadVector:
+class OverloadVector(Value):
     """Queue growth rate per node (destination included, always 0) and a flow
     allocation that induces exactly these rates."""
 
-    rates: dict[int, Rational]
-    inducing_flow: FlowAllocation
+    __slots__ = ("rates", "inducing_flow")
+
+    def __init__(self, rates: dict[int, Rational], inducing_flow: FlowAllocation):
+        self._set(rates, inducing_flow)
 
     def support(self) -> frozenset[int]:
         return frozenset(n for n, q in self.rates.items() if q > 0)
@@ -128,7 +130,7 @@ def lex_min_overload(dag: DagOrientation, rate: Rational) -> OverloadVector:
         return result, side, Fraction(sum(fed.values()), base) - result.value + tau * len(side)
 
     rates: dict[int, Rational] = dict.fromkeys(net.nodes, 0)
-    levels = []  # (rate, nodes, confirming solve) of each positive level
+    levels = []  # (rate, nodes, confirming solve, None for one node) of each positive level
     flat, top, gain = solve(0, frozenset(inner), frozenset())
     stack = [(top, gain, frozenset(), 0)] if gain > 0 else []
     while stack:  # every split leaves two strictly smaller pairs
@@ -137,6 +139,9 @@ def lex_min_overload(dag: DagOrientation, rate: Rational) -> OverloadVector:
         if tau == 0:
             continue  # the part of M(0) that stays at rate 0
         group = a - b
+        if len(group) == 1:  # its gain at tau is 0, so the solve would confirm it
+            levels.append((tau, group, None))
+            continue
         result, side, gain = solve(tau, group, b)
         if side == group:
             levels.append((tau, group, result))

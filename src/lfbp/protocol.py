@@ -24,30 +24,29 @@ reverses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .graph import Value
 from .reversal import reverse_toward
 
 if TYPE_CHECKING:  # sim imports this module to run it
     from .sim import SimState
 
 
-@dataclass(frozen=True)
-class LfbpParams:
+class LfbpParams(Value):
     """Detection thresholds R_k and epoch lengths T_k (last value repeats)."""
 
-    thresholds: tuple = (60,)
-    periods: tuple[int, ...] = (50,)
+    __slots__ = ("thresholds", "periods")
     delta = None  # a class attribute, not a field: bench/workloads.py's traced replay reads it
 
-    def __post_init__(self):
-        if not self.thresholds or not self.periods:
+    def __init__(self, thresholds: tuple = (60,), periods: tuple[int, ...] = (50,)):
+        if not thresholds or not periods:
             raise ValueError("thresholds and periods must be non-empty")
-        if any(not 0 < t < math.inf for t in self.thresholds):
+        if any(not 0 < t < math.inf for t in thresholds):
             raise ValueError("thresholds must be positive and finite")
-        if any(p < 1 for p in self.periods):
+        if any(p < 1 for p in periods):
             raise ValueError("periods must be at least one slot")
+        self._set(thresholds, periods)
 
     def threshold(self, epoch: int):
         return self.thresholds[min(epoch, len(self.thresholds) - 1)]

@@ -12,27 +12,39 @@ reaches from the ID order at the network's undirected max-flow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from .graph import DagOrientation, InvariantViolation, Network, Rational, as_rational, edge_key, initial_dag
+from .graph import (
+    DagOrientation,
+    InvariantViolation,
+    Network,
+    Rational,
+    Record,
+    Value,
+    as_rational,
+    edge_key,
+    initial_dag,
+)
 from .flow import CutPartition, ReversalFlow, delta_bound, max_flow_undirected, smallest_min_cut
 from .overload import OverloadVector, lex_min_overload
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    dag: DagOrientation
-    max_flow_value: Rational
-    overloaded: frozenset[int] | None
-    reversed_edges: tuple[tuple[int, int], ...]  # pre-reversal (tail, head)
-    overload: OverloadVector | None = None
+class TraceEntry(Value):
+    """One visited orientation; ``reversed_edges`` are pre-reversal (tail, head)."""
+
+    __slots__ = ("dag", "max_flow_value", "overloaded", "reversed_edges", "overload")
+
+    def __init__(self, dag: DagOrientation, max_flow_value: Rational, overloaded: frozenset[int] | None,
+                 reversed_edges: tuple[tuple[int, int], ...], overload: OverloadVector | None = None):
+        self._set(dag, max_flow_value, overloaded, reversed_edges, overload)
 
 
-@dataclass
-class ReversalTrace:
-    entries: list[TraceEntry]
+class ReversalTrace(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[TraceEntry]):
+        self.entries = entries
 
     @property
     def final(self) -> DagOrientation:
@@ -66,7 +78,7 @@ def reverse_toward(dag: DagOrientation, overloaded: Iterable[int]):
     order = sorted(dag.states, key=dag.states.__getitem__)
     order = [n for n in order if n in overloaded] + [n for n in order if n not in overloaded]
     states = {n: pos for pos, n in enumerate(order)}
-    return replace(dag, states=states), tuple(sorted(flips))
+    return DagOrientation(dag.net, dag.live, states), tuple(sorted(flips))
 
 
 def reversal_step(dag: DagOrientation, rate: Rational):

@@ -50,74 +50,39 @@ import math
 import random
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .graph import DagOrientation, Network, apply_topology_event, initial_dag, orient_explicit
+from .graph import DagOrientation, Network, Record, Value, apply_topology_event, initial_dag, orient_explicit
 from .protocol import LfbpParams, epoch_reversal
 from .reversal import optimal_dag
 
 
-@dataclass(frozen=True)
-class CommoditySpec:
-    """One source-destination traffic demand with a Poisson arrival rate."""
+class CommoditySpec(Value):
+    """One source-destination traffic demand with a Poisson arrival rate;
+    ``rate`` is in base packets/slot, scaled by the load factor at run time."""
 
-    id: int
-    source: int
-    dest: int
-    rate: float  # base packets/slot, scaled by the load factor at run time
-    dummy_packets: int = 0
+    __slots__ = ("id", "source", "dest", "rate", "dummy_packets")
 
-    def __post_init__(self):
-        if self.source == self.dest:
-            raise ValueError(f"commodity {self.id}: source equals destination")
-        if not 0 <= self.rate < math.inf:
-            raise ValueError(f"commodity {self.id}: rate must be finite and nonnegative, got {self.rate}")
-        if self.dummy_packets < 0:
-            raise ValueError(f"commodity {self.id}: dummy_packets must be nonnegative, got {self.dummy_packets}")
+    def __init__(self, id: int, source: int, dest: int, rate: float, dummy_packets: int = 0):
+        if source == dest:
+            raise ValueError(f"commodity {id}: source equals destination")
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"commodity {id}: rate must be finite and nonnegative, got {rate}")
+        if dummy_packets < 0:
+            raise ValueError(f"commodity {id}: dummy_packets must be nonnegative, got {dummy_packets}")
+        self._set(id, source, dest, rate, dummy_packets)
 
 
-@dataclass(frozen=True)
-class TopologyProcess:
+class TopologyProcess(Value):
     """Per-slot independent link failure/recovery probabilities."""
 
-    fail_prob: float
-    recover_prob: float
+    __slots__ = ("fail_prob", "recover_prob")
 
-    def __post_init__(self):
-        for name in ("fail_prob", "recover_prob"):
-            p = getattr(self, name)
+    def __init__(self, fail_prob: float, recover_prob: float):
+        for name, p in zip(self.__slots__, (fail_prob, recover_prob)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {p}")
-
-
-@dataclass
-class MetricsReport:
-    scenario: str
-    policy: str
-    rho: float
-    seed: int
-    horizon: int
-    arrivals: int
-    delivered: int
-    delivered_net: int
-    avg_backlog: float
-    avg_backlog_net: float
-    final_backlog: int
-    reversal_events: int
-    edges_reversed: int
-    topo_events: int
-    live_fraction: float
-    delivered_by_commodity: tuple[int, ...]
-    arrivals_by_commodity: tuple[int, ...]
-    reversal_log: list = field(default_factory=list)
-    # (slot, average backlog, delivered, edges reversed, live links) per bucket
-    buckets: list = field(default_factory=list)
-    final_dags: tuple | None = None
-
-    def to_row(self) -> dict:
-        """One summary CSV row: the ``SUMMARY_FIELDS`` attributes, unchanged."""
-        return {name: getattr(self, name) for name in SUMMARY_FIELDS}
+        self._set(fail_prob, recover_prob)
 
 
 SUMMARY_FIELDS = [
@@ -137,6 +102,29 @@ SUMMARY_FIELDS = [
     "topo_events",
     "live_fraction",
 ]
+
+
+class MetricsReport(Record):
+    """One run's summary (the ``SUMMARY_FIELDS``), per-commodity counts, the
+    reversal log, one (slot, average backlog, delivered, edges reversed,
+    live links) tuple per trace bucket, and the final orientations."""
+
+    __slots__ = (*SUMMARY_FIELDS, "delivered_by_commodity", "arrivals_by_commodity", "reversal_log", "buckets",
+                 "final_dags")
+
+    def __init__(self, scenario: str, policy: str, rho: float, seed: int, horizon: int, arrivals: int,
+                 delivered: int, delivered_net: int, avg_backlog: float, avg_backlog_net: float, final_backlog: int,
+                 reversal_events: int, edges_reversed: int, topo_events: int, live_fraction: float,
+                 delivered_by_commodity: tuple[int, ...], arrivals_by_commodity: tuple[int, ...],
+                 reversal_log: list | None = None, buckets: list | None = None, final_dags: tuple | None = None):
+        self._set(scenario, policy, rho, seed, horizon, arrivals, delivered, delivered_net, avg_backlog,
+                  avg_backlog_net, final_backlog, reversal_events, edges_reversed, topo_events, live_fraction,
+                  delivered_by_commodity, arrivals_by_commodity, [] if reversal_log is None else reversal_log,
+                  [] if buckets is None else buckets, final_dags)
+
+    def to_row(self) -> dict:
+        """One summary CSV row: the ``SUMMARY_FIELDS`` attributes, unchanged."""
+        return {name: getattr(self, name) for name in SUMMARY_FIELDS}
 
 
 # Largest Poisson mean an arrival stream accepts: above it exp(-mean), the
@@ -573,7 +561,7 @@ def build_initial_dags(config, policy: str) -> list[DagOrientation] | None:
     if policy != "lfbp":
         return None
     return [
-        initial_orientation(replace(config.network, source=c.source, dest=c.dest), config.initial_dag)
+        initial_orientation(config.network.replace(source=c.source, dest=c.dest), config.initial_dag)
         for c in config.commodities
     ]
 

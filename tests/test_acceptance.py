@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -250,7 +249,7 @@ def test_criterion_7_multicommodity_backlog():
 
     The 18 (load, policy) cells run through ``sweep``'s two-worker pool;
     criterion 9 pins pooled output equal to serial output."""
-    config = replace(load_scenario("grid4x4_multi.scn"), seeds=(1,))
+    config = load_scenario("grid4x4_multi.scn").replace(seeds=(1,))
     t0 = time.time()
     backlog = {
         (r.rho, r.policy): r.avg_backlog
@@ -302,9 +301,7 @@ def test_criterion_8_threshold_detection():
 def test_criterion_9_determinism(tmp_path, monkeypatch):
     """Byte-identical CSV reruns; identical arrival paths across policies."""
     t0 = time.time()
-    config = replace(
-        load_scenario("sixnode_fixed.scn"), load_factors=(0.5, 0.9), horizon=5_000
-    )
+    config = load_scenario("sixnode_fixed.scn").replace(load_factors=(0.5, 0.9), horizon=5_000)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     sweep(config, ("bp", "lfbp"), a, jobs=1)
     sweep(config, ("bp", "lfbp"), b, jobs=2)

@@ -500,23 +500,31 @@ class TestSweep:
         sweep(config, ("bp",), tmp_path / "b.csv", jobs=4, horizon=20)
         assert sizes == [18, 4]
 
+    @staticmethod
+    def set_up_modules(*flags) -> set[str]:
+        """The modules loaded after ``import lfbp`` and a scenario load in a
+        fresh interpreter started with ``flags``."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        snippet = (
+            f"import sys; sys.path.insert(0, {src!r}); import lfbp; from lfbp import cli; "
+            "cli.load_scenario('grid4x4.scn'); print(' '.join(sys.modules))"
+        )
+        done = subprocess.run([sys.executable, *flags, "-c", snippet], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
     def test_import_and_load_start_no_process_pool(self):
         # Only a sweep with jobs above 1 imports concurrent.futures (and the
         # logging it loads) and starts its process pool, which loads
         # multiprocessing.
-        snippet = (
-            "import sys; import lfbp; from lfbp import cli; cli.load_scenario('grid4x4.scn'); "
-            "print(sorted({'multiprocessing', 'concurrent.futures', 'concurrent.futures.process'} & set(sys.modules)))"
-        )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); {snippet}"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        pool = {"multiprocessing", "concurrent.futures", "concurrent.futures.process"}
+        assert not pool & self.set_up_modules("-I")
+
+    def test_import_and_load_need_no_dataclasses(self):
+        # The value types are plain classes, so set-up pays for neither
+        # dataclasses nor the inspect, ast and dis modules it imports.
+        # Without site, no site package can load them first.
+        assert not {"dataclasses", "inspect"} & self.set_up_modules("-I", "-S")
 
     def test_trace_rows_written(self, tmp_path):
         config = scenario_from_dict(minimal_doc())

@@ -5,7 +5,6 @@ import math
 import pickle
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -274,7 +273,7 @@ class TestPrunedKernel:
 
 class TestEdgeLayout:
     """Each ``Network`` builds its edge-indexed arcs once, on its first
-    max-flow, and keeps them outside its dataclass fields."""
+    max-flow, and keeps them in a private slot outside its fields."""
 
     def test_built_once_and_shared_by_orientations(self):
         net = sixnode()
@@ -288,8 +287,8 @@ class TestEdgeLayout:
     def test_replaced_and_equal_networks_get_their_own(self):
         net = sixnode()
         assert max_flow_undirected(net) == 15
-        halved = replace(net, capacity={e: Fraction(c, 2) for e, c in net.capacity.items()})
-        assert "_edge_layout" not in vars(halved)
+        halved = net.replace(capacity={e: Fraction(c, 2) for e, c in net.capacity.items()})
+        assert halved._flow_layout is None
         assert max_flow_undirected(halved) == Fraction(15, 2)
         assert smallest_min_cut(initial_dag(halved)).capacity == smallest_min_cut(initial_dag(net)).capacity / 2
         twin = sixnode()
@@ -301,7 +300,7 @@ class TestEdgeLayout:
         net, fresh = sixnode(), sixnode()
         before = repr(net)
         max_flow(initial_dag(net))
-        assert "_edge_layout" in vars(net)
+        assert net._flow_layout is not None
         assert repr(net) == before == repr(fresh)
         assert net == fresh and fresh == net
 
@@ -310,7 +309,7 @@ class TestEdgeLayout:
         dag = initial_dag(net)
         want = max_flow(dag)
         copy = pickle.loads(pickle.dumps(net))
-        assert copy == net
+        assert copy == net and copy._flow_layout is None
         assert max_flow_undirected(copy) == max_flow_undirected(net)
         assert max_flow(initial_dag(copy)) == want
         assert smallest_min_cut(initial_dag(copy)) == smallest_min_cut(dag)

@@ -2,9 +2,10 @@
 against the paper's numeric state rule."""
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lfbp import graph
-from lfbp.flow import max_flow, max_flow_undirected, smallest_min_cut
+from lfbp.cli import load_scenario
+from lfbp.flow import CutPartition, max_flow, max_flow_undirected, smallest_min_cut
 from lfbp.graph import (
     DagOrientation,
     InvariantViolation,
@@ -25,7 +27,10 @@ from lfbp.graph import (
     orient_by_ranking,
     orient_explicit,
 )
+from lfbp.overload import lex_min_overload
+from lfbp.protocol import LfbpParams
 from lfbp.reversal import converge, optimal_dag, reverse_toward
+from lfbp.sim import CommoditySpec, run
 
 import oracles
 from conftest import (
@@ -413,7 +418,7 @@ def test_optimal_dag_reaches_undirected_max_flow(n, seed):
     carries it comes back unchanged."""
     rng = random.Random(seed)
     source, dest = rng.sample(range(n), 2)
-    net = replace(mixed_network(rng, n), source=source, dest=dest)
+    net = mixed_network(rng, n).replace(source=source, dest=dest)
     fmax = max_flow_undirected(net)
     dag = optimal_dag(net)
     assert max_flow(dag).value == fmax
@@ -496,3 +501,103 @@ class TestErdosRenyiStream:
         with pytest.raises(ValueError, match="empty capacity range"):
             erdos_renyi_network(5, 0.5, rng, cap_low=4, cap_high=3)
         assert rng.getstate() == state
+
+
+@pytest.fixture(scope="module")
+def values() -> dict[str, object]:
+    """One instance of every value type, the nested ones from real calls."""
+    config = load_scenario("grid4x4.scn")
+    net = Network.build(range(4), [(0, 1, 4), (1, 2, 2), (2, 3, 1), (0, 2, Fraction(1, 2))], 0, 3)
+    dag = initial_dag(net)
+    trace = converge(dag, 7, record_overload=True)
+    return {
+        "Network": net,
+        "DagOrientation": dag,
+        "FlowAllocation": max_flow(dag),
+        "CutPartition": smallest_min_cut(dag),
+        "OverloadVector": lex_min_overload(dag, 7),
+        "TraceEntry": trace.entries[0],
+        "ReversalTrace": trace,
+        "LfbpParams": LfbpParams(),
+        "CommoditySpec": config.commodities[0],
+        "TopologyProcess": config.topology,
+        "MetricsReport": run(config, "lfbp", 300, bucket=100),
+        "ScenarioConfig": config,
+    }
+
+
+VALUE_TYPES = ("Network", "DagOrientation", "FlowAllocation", "CutPartition", "OverloadVector", "TraceEntry",
+               "ReversalTrace", "LfbpParams", "CommoditySpec", "TopologyProcess", "MetricsReport", "ScenarioConfig")
+MUTABLE = {"MetricsReport", "ReversalTrace"}
+# A frozen value hashes its fields; these hold a dict, so hashing them
+# raises.
+HOLDS_A_DICT = {"Network", "DagOrientation", "FlowAllocation", "OverloadVector", "TraceEntry", "ScenarioConfig"}
+
+
+def fields(value) -> tuple[str, ...]:
+    return tuple(name for name in value.__slots__ if name[0] != "_")
+
+
+class TestValueTypes:
+    """Every value type compares, hashes, prints, pickles and copies by its
+    fields, in order, and only a mutable one lets a field be assigned."""
+
+    def test_every_type_covered(self, values):
+        assert list(values) == [type(v).__name__ for v in values.values()] == list(VALUE_TYPES)
+        report = values["MetricsReport"]
+        assert report.final_dags and report.buckets and report.reversal_log
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_pickle_and_deepcopy_round_trip(self, values, name):
+        value = values[name]
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(copied) is type(value) and copied is not value
+            assert copied == value and not copied != value
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_repr_names_each_field_in_order(self, values, name):
+        value = values[name]
+        shown = ", ".join(f"{field}={getattr(value, field)!r}" for field in fields(value))
+        assert repr(value) == f"{name}({shown})"
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_hash_and_assignment(self, values, name):
+        value = values[name]
+        field = fields(value)[0]
+        if name in MUTABLE:
+            assert type(value).__hash__ is None
+            setattr(value.replace(), field, "changed")
+        else:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            if name in HOLDS_A_DICT:
+                with pytest.raises(TypeError, match="unhashable"):
+                    hash(value)
+            else:
+                key = tuple(getattr(value, f) for f in fields(value))
+                assert hash(value) == hash(copy.deepcopy(value)) == hash(key)
+
+    def test_equality_needs_the_same_type(self):
+        class Sub(CutPartition):
+            __slots__ = ()
+
+        cut = CutPartition(frozenset({0}), 3)
+        assert cut == CutPartition(source_side=frozenset({0}), capacity=3)
+        assert cut != Sub(frozenset({0}), 3) and Sub(frozenset({0}), 3) != cut
+        assert cut != (frozenset({0}), 3) and cut != CutPartition(frozenset({0}), 4)
+
+    def test_defaults_and_replace(self, values):
+        assert LfbpParams() == LfbpParams((60,), (50,)) and LfbpParams.delta is None
+        assert repr(LfbpParams()) == "LfbpParams(thresholds=(60,), periods=(50,))"
+        spec = CommoditySpec(0, 1, 2, 1.5)
+        assert repr(spec) == "CommoditySpec(id=0, source=1, dest=2, rate=1.5, dummy_packets=0)"
+        assert spec.replace(rate=2.0) == CommoditySpec(id=0, source=1, dest=2, rate=2.0, dummy_packets=0)
+        with pytest.raises(ValueError, match="source equals destination"):
+            spec.replace(dest=1)
+        with pytest.raises(TypeError):
+            spec.replace(speed=2.0)
+        report = values["MetricsReport"]
+        fresh = report.replace(reversal_log=None, buckets=None)
+        assert fresh.reversal_log == [] and fresh.buckets == [] and fresh.final_dags == report.final_dags

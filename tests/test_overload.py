@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -303,9 +304,8 @@ class TestAgainstReference:
                 digest.update(repr(sorted((n, type(q).__name__, q) for n, q in got.rates.items())).encode())
         assert digest.hexdigest() == "8eec490e7fe4f647a0e52c3679df1a67b4d5bf47a4f82497ea2f321c1d7aaa87"
 
-    def test_at_most_two_solves_per_rate_value_and_one_more(self, monkeypatch):
-        # One solve at tau = 0, then one per pair of nested cut sides: d
-        # distinct rate values (0 included) take at most 2*d + 1 solves.
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
         calls = []
         solve = FlowNetwork.solve
 
@@ -314,18 +314,35 @@ class TestAgainstReference:
             return solve(self, *args)
 
         monkeypatch.setattr(FlowNetwork, "solve", counting)
+        return calls
+
+    def test_at_most_two_solves_per_rate_value_and_one_more(self, monkeypatch):
+        # One solve at tau = 0, then one per pair of nested cut sides that
+        # holds more than one node: d distinct positive rates, s of them
+        # held by one node each, take at most 2*d + 1 - s solves.
+        calls = self.count_solves(monkeypatch)
         rng = random.Random(0x50DE)
-        multi_level = 0
+        multi_level = singles = 0
         for case in range(200):
             dag = random_capacity_dag(rng, rng.randint(4, 20), fractional=case % 2 == 1)
             fk = max_flow(dag).value
             for rate in (fk, fk + Fraction(rng.randint(1, 40), rng.randint(1, 4))):
                 calls.clear()
-                rates = lex_min_overload(dag, rate).rates
-                d = len(set(rates.values()))
-                assert len(calls) <= 2 * d + 1, (case, rate, d, len(calls))
-                multi_level += d > 2
-        assert multi_level >= 50
+                sizes = Counter(q for q in lex_min_overload(dag, rate).rates.values() if q > 0)
+                d, s = len(sizes), list(sizes.values()).count(1)
+                assert len(calls) <= 2 * d + 1 - s, (case, rate, d, s, len(calls))
+                multi_level += d > 1
+                singles += s
+        assert multi_level >= 50 and singles >= 50
+
+    def test_single_node_levels_take_no_solve(self, monkeypatch):
+        # On the path 0 -> 1 -> 2 -> 3 every node holds its own level.  The
+        # tau = 0 solve and the two splits are the only solves; each
+        # single-node pair is a level as it stands.
+        calls = self.count_solves(monkeypatch)
+        net = Network.build(range(4), [(0, 1, 4), (1, 2, 2), (2, 3, 1)], 0, 3)
+        assert lex_min_overload(initial_dag(net), 7).rates == {0: 3, 1: 2, 2: 1, 3: 0}
+        assert len(calls) == 3
 
     def test_peeled_nodes_stay_out_of_later_peels(self):
         # 0 -> 1 -> 2: {0} peels first, at rate - 2, then node 1 takes the

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -172,9 +171,8 @@ class TestReversalGate:
 
 class TestLfbpRun:
     def test_infinite_threshold_means_no_reversals(self):
-        config = replace(
-            load_scenario("sixnode_fixed.scn"),
-            lfbp_params=LfbpParams(thresholds=(10**12,), periods=(50,)),
+        config = load_scenario("sixnode_fixed.scn").replace(
+            lfbp_params=LfbpParams(thresholds=(10**12,), periods=(50,))
         )
         report = run(config, "lfbp", 5_000, rho=0.5, seed=1)
         assert report.edges_reversed == 0
@@ -254,7 +252,7 @@ class TestLfbpRun:
 
     def test_lfbp_params_override(self):
         config = load_scenario("sixnode_fixed.scn")
-        config = replace(config, lfbp_params=LfbpParams(thresholds=(10**12,), periods=(60,)))
+        config = config.replace(lfbp_params=LfbpParams(thresholds=(10**12,), periods=(60,)))
         report = run(config, "lfbp", 2_000, rho=0.5, seed=1)
         assert report.edges_reversed == 0
 

@@ -284,7 +284,7 @@ def fields(run):
         entries = run()
     except InvariantViolation as exc:
         return repr(exc)
-    return [{name: (type(v), v) for name, v in vars(e).items()} for e in entries]
+    return [{name: (type(getattr(e, name)), getattr(e, name)) for name in e.__slots__} for e in entries]
 
 
 def dead_fraction_case():

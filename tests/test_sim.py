@@ -10,7 +10,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -378,7 +377,7 @@ class TestForwardingKernel:
     def test_sweep_compiles_one_kernel(self):
         # Every cell of both policies shares the network and destinations.
         for name in ("sixnode_fixed.scn", "grid4x4_multi.scn"):
-            config = replace(load_scenario(name), load_factors=tuple(k / 10 for k in range(1, 11)))
+            config = load_scenario(name).replace(load_factors=tuple(k / 10 for k in range(1, 11)))
             sim._kernel.cache_clear()
             reports = sweep(config, ("bp", "lfbp"), horizon=100)
             assert len(reports) == 20 * len(config.seeds)
@@ -561,7 +560,7 @@ class TestTopology:
 
         monkeypatch.setattr(sim, "apply_topology_event", counted)
         config = load_scenario(name)
-        config = config if topology is None else replace(config, topology=topology)
+        config = config if topology is None else config.replace(topology=topology)
         report = run(config, "lfbp", slots, rho=0.6, seed=1)
         assert report.topo_events >= 10
         assert len(calls) == report.topo_events * len(config.commodities)
@@ -764,7 +763,7 @@ class TestRun:
             pytest.param(
                 lambda: SimState(
                     PATH,
-                    [ONE, replace(ONE, id=1)],
+                    [ONE, ONE.replace(id=1)],
                     "lfbp",
                     1.0,
                     0,
@@ -809,13 +808,13 @@ class TestRunMatchesSteps:
     def test_grid_with_frequent_link_events(self, policy):
         # The bundled grid sees a handful of events in these slots; here
         # links fail and recover about once a slot.
-        config = replace(load_scenario("grid4x4.scn"), topology=TopologyProcess(0.05, 0.3))
+        config = load_scenario("grid4x4.scn").replace(topology=TopologyProcess(0.05, 0.3))
         report = self.assert_run_matches_steps(config, policy, max(config.load_factors))
         assert report.topo_events >= 2_000
 
     @pytest.mark.parametrize("name", ["sixnode_fixed.scn", "grid4x4_multi.scn"])
     def test_threshold_changing_by_epoch(self, name):
-        config = replace(load_scenario(name), lfbp_params=LfbpParams(thresholds=(30, 90, 45), periods=(150, 50)))
+        config = load_scenario(name).replace(lfbp_params=LfbpParams(thresholds=(30, 90, 45), periods=(150, 50)))
         self.assert_run_matches_steps(config, "lfbp", max(config.load_factors))
 
     def assert_run_matches_steps(self, config, policy, rho, seed=7):
@@ -902,7 +901,7 @@ class TestGoldenSamplePaths:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
     def test_csv_digests(self, name, tmp_path):
-        config = replace(load_scenario(name), seeds=(1,))
+        config = load_scenario(name).replace(seeds=(1,))
         out = tmp_path / "summary.csv"
         sweep(config, ("bp", "lfbp"), out, horizon=5_000, bucket=500)
         paths = (out, out.with_suffix(".trace.csv"), out.with_suffix(".reversals.csv"))

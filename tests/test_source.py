@@ -51,21 +51,23 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
-def non_stdlib_imports(path: Path) -> list[str]:
-    """``file:line module`` for each absolute import of a module outside the
-    standard library (``sys.stdlib_module_names``); a relative import is the
+def absolute_imports(path: Path) -> list[tuple[int, str]]:
+    """``(line, module)`` for each absolute import; a relative import is the
     package's own."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        found += [f"{path.name}:{node.lineno} {module}" for module in modules
-                  if module.partition(".")[0] not in sys.stdlib_module_names]
+            found.append((node.lineno, node.module))
     return found
+
+
+def non_stdlib_imports(path: Path) -> list[str]:
+    """``file:line module`` for each absolute import of a module outside the
+    standard library (``sys.stdlib_module_names``)."""
+    return [f"{path.name}:{line} {module}" for line, module in absolute_imports(path)
+            if module.partition(".")[0] not in sys.stdlib_module_names]
 
 
 def test_non_stdlib_imports_flagged(tmp_path):
@@ -86,6 +88,15 @@ def test_package_imports_only_the_standard_library():
     """``dependencies = []`` in ``pyproject.toml`` promises that the package
     runs on the standard library alone."""
     found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in non_stdlib_imports(path)]
+    assert found == []
+
+
+def test_package_does_not_import_dataclasses():
+    """The value types derive from ``graph.Value``: importing ``dataclasses``
+    would load ``inspect``, ``ast`` and ``dis`` and more than double the cost
+    of ``import lfbp`` plus a scenario load."""
+    found = [f"{path.name}:{line} {module}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, module in absolute_imports(path) if module.partition(".")[0] == "dataclasses"]
     assert found == []
 
 
