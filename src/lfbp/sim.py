@@ -21,9 +21,13 @@ straight-line kernel, ``SimState.forward``, generated and compiled once per
 tests every arc, both directions of every link, and sums each tail's
 winners.  With several, each link's contest is followed by one dispatch
 that sends the winner at once, and each (commodity, tail) then pays one
-test that its sends fit its backlog.  Its source holds only node and arc
-indices; the plan is its data, a capacity per (arc, commodity), 0 where
-that commodity may not send on that arc.  To read it:
+test that its sends fit its backlog.  A tail whose winners overdraw its
+backlog finds its first winner, the least (q[v], v), with one test per arc
+in ascending head order, and sends it the whole backlog when its
+capacity covers it; only when it falls short does ``_overdrawn`` sort the
+winners.  The source holds only node and arc indices; the plan is its data,
+a capacity per (arc, commodity), 0 where that commodity may not send on
+that arc.  To read it:
 ``print(_kernel_source(state.n, tuple(state.dst_idx), state.edge_nodes))``.
 Poisson arrivals come from a CDF table built once per commodity.
 
@@ -387,9 +391,16 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
     test: it is charged its sends, or, when they overdraw its backlog,
     takes them back.
 
-    An overdrawn tail leaves the split to ``_overdrawn``.  What lands at a
-    destination is delivered, added to ``delivered`` and to the count
-    returned."""
+    An overdrawn tail spends its backlog on its first winner, the least
+    ``(q[v], v)``, when that winner's capacity covers it.  One ``if`` per
+    arc, in ascending head ``v`` with a strict ``<``, finds it into ``b``
+    (its queue), ``x`` (its head) and ``w`` (its capacity); with several
+    commodities it sits in the block that takes that arc's send back.  The
+    blocks are flat, since an ``if``/``elif`` chain would recurse once per
+    arm in the compiler.  A tail with one arc needs no test: its one winner
+    overdraws, so it covers.  A first winner that falls short leaves the
+    sorted spend to ``_overdrawn``.  What lands at a destination is
+    delivered, added to ``delivered`` and to the count returned."""
     ncom = len(dsts)
     one = ncom == 1
     out: list[list] = [[] for _ in range(n)]
@@ -428,9 +439,25 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
                 (f"q{v} < {qu}" if one else f"w{k >> 1} == {2 * y + 1 + (k & 1)}", f"c{k * ncom + y}", v)
                 for k, v in arcs
             ]
-            # With several commodities an arc may lose the contest whatever
-            # q[v]; with one, an arc that may send and lost has q[v] >= q[u].
-            split = "".join(f"(q{y * n + v}, {v}, {c}) if {c if one else test} else _LOST, " for test, c, v in won)
+            # How an overdrawn tail spends its backlog ``avail``.  Several
+            # commodities first take back the tail's sends, in the same pass.
+            avail = "t" if one else f"o{y}_{u}"
+            if len(won) == 1:
+                (test, c, v), = won
+                spend = [] if one else [f"if {test}: q_{y}[{v}] -= {c}"]
+                spend += [f"{avail} = {qu}", f"q_{y}[{v}] += {avail}"]
+            else:
+                spend = [f"{avail} = b = {qu}"]
+                for test, c, v in sorted(won, key=lambda arc: arc[2]):
+                    first = f"q{y * n + v} < b: b = q{y * n + v}; x = {v}; w = {c}"
+                    if one:
+                        spend += [f"if {c} and {first}"]
+                    else:
+                        spend += [f"if {test}:", f"    q_{y}[{v}] -= {c}", f"    if {first}"]
+                # With several commodities an arc may lose the contest whatever
+                # q[v]; with one, an arc that may send and lost has q[v] >= q[u].
+                split = "".join(f"(q{y * n + v}, {v}, {c}) if {c if one else test} else _LOST, " for test, c, v in won)
+                spend += [f"if w >= {avail}: q_{y}[x] += {avail}", f"else: _overdrawn(q_{y}, {avail}, ({split}))"]
             if one:
                 terms = [f"({c} if {test} else 0)" for test, c, _v in won]
                 lines += [f"    if {qu}:"]
@@ -438,15 +465,12 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
                 lines += [f"        t {'+=' if i else '='} {chunk}" for i, chunk in enumerate(chunks)]
                 lines += ["        if t:", f"            if t <= {qu}:"]
                 lines += [f"                if {test}: q_0[{v}] += {c}" for test, c, v in won]
-                lines += ["            else:", f"                t = {qu}"]
-                lines += [f"                _overdrawn(q_0, t, ({split}))", f"            q_0[{u}] -= t"]
+                lines += ["            else:"] + [f"                {line}" for line in spend]
+                lines += [f"            q_0[{u}] -= t"]
                 lines += ["            s0 = t"] if u == dst else []
                 continue
-            o = f"o{y}_{u}"
-            lines += [f"    if {o}:", f"        if {o} > {qu}:"]
-            lines += [f"            if {test}: q_{y}[{v}] -= {c}" for test, c, v in won]
-            lines += [f"            {o} = {qu}", f"            _overdrawn(q_{y}, {o}, ({split}))", f"        q_{y}[{u}] -= {o}"]
-            lines += [f"        s{y} = {o}"] if u == dst else []
+            lines += [f"    if {avail}:", f"        if {avail} > {qu}:"] + [f"            {line}" for line in spend]
+            lines += [f"        q_{y}[{u}] -= {avail}"] + ([f"        s{y} = {avail}"] if u == dst else [])
         lines += [f"    k = q{y * n + dst} - s{y}", f"    g = q_{y}[{dst}] - k", f"    q_{y}[{dst}] = k"]
         lines += [f"    D[{y}] += g", f"    r {'+=' if y else '='} g"]
     return "\n".join(lines + ["    return r"]) + "\n"
@@ -463,12 +487,8 @@ def _overdrawn(q: list[int], avail: int, arcs: tuple) -> None:
     IDs).  The winners sort first: an arc that may not send or lost its link
     to another commodity comes as ``_LOST``, and any other losing arc has
     ``q0[v] >= avail``.  The winners' capacities overdraw ``avail``, so no
-    loser is reached.  Most often the first winner takes it all, so it is
-    looked at before any sort."""
-    _qv, v, cap = min(arcs)
-    if avail <= cap:
-        q[v] += avail
-        return
+    loser is reached.  The kernel calls it only when the first winner's
+    capacity falls short of ``avail``: it spends the covering case itself."""
     for _qv, v, cap in sorted(arcs):
         if cap < avail:
             q[v] += cap

@@ -356,6 +356,68 @@ class TestBpStepAgainstReference:
         assert (contended > 100) if qmax == 2 else (contended < 50)
 
 
+def reversed_links(state):
+    """Give ``state`` a kernel and plan for its links in reverse edge order,
+    each link's ends swapped: a tail then lists its arcs in descending head
+    order.  New link ``i`` is old link ``e = m - 1 - i``, so new arc
+    ``2i + d`` is old arc ``2e + 1 - d``."""
+    ncom, m = len(state.commodities), state.m
+    edges = tuple((b, a) for a, b in reversed(state.edge_nodes))
+    state.forward = sim._kernel(state.n, tuple(state.dst_idx), edges)
+    state.plans = tuple(
+        state.plans[(2 * (m - 1 - i) + 1 - d) * ncom + y] for i in range(m) for d in (0, 1) for y in range(ncom)
+    )
+
+
+class TestOverdrawnTail:
+    """An overdrawn tail's first winner, the least (q[v], v), takes the whole
+    backlog in the kernel when its capacity covers it; otherwise
+    ``_overdrawn`` sorts the winners and spends the backlog in order."""
+
+    @pytest.fixture
+    def overdrawn_calls(self, monkeypatch):
+        # A kernel binds ``_overdrawn`` when it is compiled, so the cache is
+        # cleared before the counter goes in and after it comes out.
+        calls = []
+        spend = sim._overdrawn
+        sim._kernel.cache_clear()
+        monkeypatch.setattr(sim, "_overdrawn", lambda *args: calls.append(args) or spend(*args))
+        yield calls
+        sim._kernel.cache_clear()
+
+    @pytest.mark.parametrize("ncom", [1, 3])
+    @pytest.mark.parametrize("short", [False, True], ids=["first-winner-covers", "sorted-spend"])
+    def test_hub_matches_reference(self, ncom, short, overdrawn_calls):
+        # Commodity y owns the star on nodes 5y..5y+4: hub 5y holds 5
+        # packets; leaves 5y+2 and 5y+3 hold 1 each (equal differentials),
+        # 5y+1 holds 3 and leads to the destination 5y+4.  The link to
+        # 5y+2 has capacity 5, just enough, or 2, when the first winner
+        # falls short.
+        edges, specs, start = [], [], []
+        for y in range(ncom):
+            hub = 5 * y
+            edges += [(hub, hub + 1, 10), (hub, hub + 2, 2 if short else 5), (hub, hub + 3, 10), (hub + 1, hub + 4, 1)]
+            specs.append(CommoditySpec(y, hub, hub + 4, 0.0))
+            start.append({hub: 5, hub + 1: 3, hub + 2: 1, hub + 3: 1})
+        net = Network.build(range(5 * ncom), edges, specs[0].source, specs[0].dest)
+        state, reference = (SimState(net, specs, "bp", 1.0, 0) for _ in range(2))
+        for twin in (state, reference):
+            for queue, per_node in zip(twin.queues, start):
+                for node, amount in per_node.items():
+                    queue[node] = amount
+            twin.backlog_now = 10 * ncom
+        reversed_links(state)
+        bp_step(state)
+        reference_bp_step(reference)
+        assert state.queues == reference.queues
+        assert state.delivered == reference.delivered == [1] * ncom
+        assert state.backlog_now == reference.backlog_now
+        for y, queue in enumerate(state.queues):
+            # The lower of the two equal heads is served first.
+            assert queue[5 * y : 5 * y + 4] == ([0, 2, 3, 4] if short else [0, 2, 6, 1])
+        assert len(overdrawn_calls) == (ncom if short else 0)
+
+
 class TestForwardingKernel:
     """One commodity is forwarded by a kernel compiled per network structure
     and destination; capacities, live links and orientation are its data."""
