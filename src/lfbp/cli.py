@@ -55,7 +55,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import random
 import sys
 from importlib import resources
@@ -264,8 +263,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> ScenarioConfig:
     dummy_scale = data.get("dummy_scale")
     if dummy_scale is not None:
         dummy_scale = _number(dummy_scale, f"{where}.dummy_scale")
-        if not (math.isfinite(dummy_scale) and dummy_scale >= 0):
-            raise ValidationError(f"{where}.dummy_scale: must be finite and nonnegative")
+        _build(f"{where}.dummy_scale", startup_packets, (), dummy_scale, 1.0)  # the rule on S alone
     load_factors = tuple(_get(data, "load_factors", where, _items(_number)))
     if not load_factors:
         raise ValidationError(f"{where}.load_factors: at least one load factor required")

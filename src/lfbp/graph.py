@@ -92,15 +92,6 @@ class Value:
         return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
 
-class Record(Value):
-    """A ``Value`` whose fields may be assigned, and which so has no hash."""
-
-    __slots__ = ()
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-
 class Network(Value):
     """Undirected capacitated graph with a designated source and destination.
 

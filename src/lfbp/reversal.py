@@ -20,7 +20,6 @@ from .graph import (
     InvariantViolation,
     Network,
     Rational,
-    Record,
     Value,
     as_rational,
     edge_key,
@@ -40,11 +39,11 @@ class TraceEntry(Value):
         self._set(dag, max_flow_value, overloaded, reversed_edges, overload)
 
 
-class ReversalTrace(Record):
+class ReversalTrace(Value):
     __slots__ = ("entries",)
 
     def __init__(self, entries: list[TraceEntry]):
-        self.entries = entries
+        self._set(entries)
 
     @property
     def final(self) -> DagOrientation:

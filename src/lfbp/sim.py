@@ -17,17 +17,18 @@ does, so ``SimState.rebuild_plans`` compiles them into a forwarding plan at
 those moments, not every slot.  Every commodity count is forwarded by one
 straight-line kernel, ``SimState.forward``, generated and compiled once per
 (node count, destinations, links) and kept in the bounded cache of
-``_kernel``, with a local per (commodity, queue).  With one commodity it
-tests every arc, both directions of every link, and sums each tail's
-winners.  With several, each link's contest is followed by one dispatch
-that sends the winner at once, and each (commodity, tail) then pays one
-test that its sends fit its backlog.  A tail whose winners overdraw its
-backlog finds its first winner, the least (q[v], v), with one test per arc
-in ascending head order, and sends it the whole backlog when its
-capacity covers it; only when it falls short does ``_overdrawn`` sort the
-winners.  The source holds only node and arc indices; the plan is its data,
-a capacity per (arc, commodity), 0 where that commodity may not send on
-that arc.  To read it:
+``_kernel``, with a local per (commodity, queue).  A commodity's destination
+never sends: its local reads 0, and whatever sits there when the round ends
+is delivered.  With one commodity the kernel tests every arc, both
+directions of every link, and sums each tail's winners.  With several, each
+link's contest is followed by one dispatch that sends the winner at once,
+and each (commodity, tail) then pays one test that its sends fit its
+backlog.  A tail whose winners overdraw its backlog finds its first winner,
+the least (q[v], v), with one test per arc in ascending head order, and
+sends it the whole backlog when its capacity covers it; only when it falls
+short does ``_overdrawn`` sort the winners.  The source holds only node and
+arc indices; the plan is its data, a capacity per (arc, commodity), 0 where
+that commodity may not send on that arc.  To read it:
 ``print(_kernel_source(state.n, tuple(state.dst_idx), state.edge_nodes))``.
 Poisson arrivals come from a CDF table built once per commodity.
 
@@ -56,7 +57,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 
-from .graph import DagOrientation, Network, Record, Value, apply_topology_event, initial_dag, orient_explicit
+from .graph import DagOrientation, Network, Value, apply_topology_event, initial_dag, orient_explicit
 from .protocol import LfbpParams, epoch_reversal
 from .reversal import optimal_dag
 
@@ -108,7 +109,7 @@ SUMMARY_FIELDS = [
 ]
 
 
-class MetricsReport(Record):
+class MetricsReport(Value):
     """One run's summary (the ``SUMMARY_FIELDS``), per-commodity counts, the
     reversal log, one (slot, average backlog, delivered, edges reversed,
     live links) tuple per trace bucket, and the final orientations."""
@@ -152,9 +153,11 @@ def check_load(commodities, rho: float) -> None:
 def startup_packets(commodities, dummy_scale, rho: float) -> list[int]:
     """Each commodity's startup packets at load ``rho``: its ``dummy_packets``,
     plus ``floor(dummy_scale / rho)`` when ``dummy_scale`` is set.  Raise
-    ``ValueError`` when ``dummy_scale / rho``, or the packets summed over the
-    commodities, are beyond the float range: a run's average backlog is about
-    that sum."""
+    ``ValueError`` when a set ``dummy_scale`` is not finite and nonnegative,
+    or when ``dummy_scale / rho``, or the packets summed over the commodities,
+    are beyond the float range: a run's average backlog is about that sum."""
+    if dummy_scale is not None and not (math.isfinite(dummy_scale) and dummy_scale >= 0):
+        raise ValueError(f"dummy_scale must be finite and nonnegative, got {dummy_scale}")
     each = 0
     if dummy_scale:
         each = dummy_scale / rho if rho else math.inf
@@ -211,6 +214,8 @@ class SimState:
         initial_dags: list[DagOrientation] | None = None,
         dummies: list[int] | None = None,
     ):
+        if not commodities:
+            raise ValueError("at least one commodity required")
         if policy not in ("bp", "lfbp"):
             raise ValueError(f"unknown policy {policy!r}")
         if policy == "lfbp" and not initial_dags:
@@ -342,16 +347,15 @@ def bp_step(state: SimState) -> SimState:
     tail then serves its winning links in descending differential order
     (ties to the lower neighbour ID, then the lower commodity) without
     overdrawing its start-of-slot backlog of that commodity.  Every send is
-    decided from the queues as they stood before the step; a packet sent to
-    its destination is delivered.
+    decided from the queues as they stood before the step.
 
     A tail whose winning capacities of a commodity sum to at most its
     backlog of that commodity sends each in full; a contended one sorts its
     winners and stops once its backlog is spent.  Each commodity is served
     from its own backlog, so the order across commodities at one tail does
-    not matter.  What lands at the destination is delivered; the destination
-    keeps what it held and did not send (a hand-built state may leave packets
-    there).
+    not matter.  A commodity's destination never sends: the step reads its
+    queue as 0.  Whatever sits there when the round ends is delivered, with
+    what a hand-built state left there (``run`` never leaves any).
 
     With one commodity there is no contest on a link.  With several, a
     commodity's turn on a link yields ``d = q[a] - q[b]``: ``a -> b`` wins
@@ -380,9 +384,8 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
     ``q{y * n + u}``; arc ``k``'s capacity for it is ``c{k * ncom + y}``.
 
     With one commodity, each tail ``u`` sums the capacities of its arcs to
-    a ``v`` with ``q[v] < q[u]``, in chains of at most 256 terms, since
-    CPython's compiler recurses once per term, and sends each in full when
-    the sum fits its backlog.
+    a ``v`` with ``q[v] < q[u]``, one ``if`` per arc, and sends each in full
+    when the sum fits its backlog.
 
     With several, each link ``e`` runs its contest in commodity order into
     a winner code ``w{e}``, and one ``if w{e}:`` dispatch sends the winner's
@@ -399,8 +402,10 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
     blocks are flat, since an ``if``/``elif`` chain would recurse once per
     arm in the compiler.  A tail with one arc needs no test: its one winner
     overdraws, so it covers.  A first winner that falls short leaves the
-    sorted spend to ``_overdrawn``.  What lands at a destination is
-    delivered, added to ``delivered`` and to the count returned."""
+    sorted spend to ``_overdrawn``.  A commodity's destination never sends:
+    its local is set to 0, so it wins no contest and gets no tail block.
+    Whatever sits there when the round ends is delivered, added to ``D`` and
+    to the count returned."""
     ncom = len(dsts)
     one = ncom == 1
     out: list[list] = [[] for _ in range(n)]
@@ -408,8 +413,8 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
         out[a].append((2 * e, b))
         out[b].append((2 * e + 1, a))
     lines = ["def forward(Q, c, D):", "    " + "".join(f"q_{y}, " for y in range(ncom)) + "= Q"]
-    for y in range(ncom):
-        lines += ["    " + "".join(f"q{y * n + u}, " for u in range(n)) + f"= q_{y}", f"    s{y} = 0"]
+    for y, dst in enumerate(dsts):
+        lines += ["    " + "".join(f"q{y * n + u}, " for u in range(n)) + f"= q_{y}", f"    q{y * n + dst} = 0"]
     lines += ["    " + "".join(f"c{k}, " for k in range(2 * len(edges) * ncom)) + "= c"] if edges else []
     if not one and edges:
         lines += ["    " + "".join(f"o{y}_{u} = " for y in range(ncom) for u, arcs in enumerate(out) if arcs) + "0"]
@@ -432,7 +437,7 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
             lines += [f"        {arm}: q_{y}[{v}] += {c}; o{y}_{u} += {c}"]
     for y, dst in enumerate(dsts):
         for u, arcs in enumerate(out):
-            if not arcs:
+            if not arcs or u == dst:
                 continue
             qu = f"q{y * n + u}"
             won = [
@@ -459,20 +464,15 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
                 split = "".join(f"(q{y * n + v}, {v}, {c}) if {c if one else test} else _LOST, " for test, c, v in won)
                 spend += [f"if w >= {avail}: q_{y}[x] += {avail}", f"else: _overdrawn(q_{y}, {avail}, ({split}))"]
             if one:
-                terms = [f"({c} if {test} else 0)" for test, c, _v in won]
-                lines += [f"    if {qu}:"]
-                chunks = [" + ".join(terms[i : i + 256]) for i in range(0, len(terms), 256)]
-                lines += [f"        t {'+=' if i else '='} {chunk}" for i, chunk in enumerate(chunks)]
+                lines += [f"    if {qu}:", "        t = 0"] + [f"        if {test}: t += {c}" for test, c, _v in won]
                 lines += ["        if t:", f"            if t <= {qu}:"]
                 lines += [f"                if {test}: q_0[{v}] += {c}" for test, c, v in won]
                 lines += ["            else:"] + [f"                {line}" for line in spend]
                 lines += [f"            q_0[{u}] -= t"]
-                lines += ["            s0 = t"] if u == dst else []
                 continue
             lines += [f"    if {avail}:", f"        if {avail} > {qu}:"] + [f"            {line}" for line in spend]
-            lines += [f"        q_{y}[{u}] -= {avail}"] + ([f"        s{y} = {avail}"] if u == dst else [])
-        lines += [f"    k = q{y * n + dst} - s{y}", f"    g = q_{y}[{dst}] - k", f"    q_{y}[{dst}] = k"]
-        lines += [f"    D[{y}] += g", f"    r {'+=' if y else '='} g"]
+            lines += [f"        q_{y}[{u}] -= {avail}"]
+        lines += [f"    g = q_{y}[{dst}]", f"    q_{y}[{dst}] = 0", f"    D[{y}] += g", f"    r {'+=' if y else '='} g"]
     return "\n".join(lines + ["    return r"]) + "\n"
 
 
@@ -604,13 +604,14 @@ def run(
     horizon = config.horizon if horizon is None else horizon
     rho = config.load_factors[0] if rho is None else rho
     seed = config.seeds[0] if seed is None else seed
+    for name, value in (("horizon", horizon), ("bucket", bucket)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     lfbp = policy == "lfbp"
 
-    params = None
-    dummies = None
-    if lfbp:
-        params = config.lfbp_params or LfbpParams()
-        dummies = startup_packets(config.commodities, config.dummy_scale, rho)
+    # Both policies check the startup packets; only lfbp starts with them.
+    dummies = startup_packets(config.commodities, config.dummy_scale, rho)
+    params = (config.lfbp_params or LfbpParams()) if lfbp else None
 
     state = SimState(
         config.network,
@@ -620,7 +621,7 @@ def run(
         seed,
         topology=config.topology,
         initial_dags=build_initial_dags(config, policy),
-        dummies=dummies,
+        dummies=dummies if lfbp else None,
     )
     if lfbp:
         state.epoch_left = params.period(0)

@@ -588,11 +588,14 @@ def reference_edge_plan(state):
 
 def reference_bp_step(state):
     """The engine's earlier backpressure round: snapshot every queue vector,
-    pick each live link's winner, then serve each tail's winners sorted by
-    descending differential."""
+    each commodity's destination read as 0, pick each live link's winner,
+    then serve each tail's winners sorted by descending differential.  What
+    the destination held is delivered with what reaches it."""
     edge_plan = reference_edge_plan(state)
     queues = state.queues
     snaps = [q.copy() for q in queues]
+    for snap, dst in zip(snaps, state.dst_idx):
+        snap[dst] = 0
     node_of = state.node_of
     sends_by_tail: dict[int, list] = {}
     for e_idx in state.live_order:
@@ -629,6 +632,10 @@ def reference_bp_step(state):
                 state.backlog_now -= send
             else:
                 queues[y][v] += send
+    for y, dst in enumerate(dst_idx):
+        delivered[y] += queues[y][dst]
+        state.backlog_now -= queues[y][dst]
+        queues[y][dst] = 0
     return state
 
 

@@ -167,7 +167,8 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
     def test_bad_dummy_scale_rejected(self, scale):
-        with pytest.raises(ValidationError, match="dummy_scale: must be finite and nonnegative"):
+        message = r"^scenario\.dummy_scale: dummy_scale must be finite and nonnegative, got "
+        with pytest.raises(ValidationError, match=message):
             scenario_from_dict(minimal_doc(dummy_scale=scale))
 
     def test_dummy_scale_beyond_float_range_at_smallest_load_rejected(self):

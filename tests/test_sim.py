@@ -174,9 +174,10 @@ class TestLoadValidation:
 
 class TestBpStep:
     def test_equal_queues_no_transmission(self):
-        state = tiny_state([(0, 1, 5)], [(0, 1)], [{0: 4, 1: 4}])
+        # Nodes 0 and 1 hold 4 each; node 1 delivers its 4 to node 2.
+        state = tiny_state([(0, 1, 5), (1, 2, 5)], [(0, 1), (1, 2)], [{0: 4, 1: 4}])
         bp_step(state)
-        assert state.queues[0][0] == 4 and state.queues[0][1] == 4
+        assert state.queues[0] == [4, 0, 0] and state.delivered == [4]
 
     def test_isolated_edge_sends_capacity(self):
         state = tiny_state(
@@ -218,9 +219,9 @@ class TestBpStep:
         assert state.backlog_now == 0
 
     def test_strict_inequality_needed(self):
-        state = tiny_state([(0, 1, 5)], [(0, 1)], [{0: 1, 1: 1}])
+        state = tiny_state([(0, 1, 5), (1, 2, 5)], [(0, 1), (1, 2)], [{0: 1, 1: 1}])
         bp_step(state)
-        assert state.delivered == [0]
+        assert state.queues[0] == [1, 0, 0] and state.delivered == [1]
 
     def test_multicommodity_one_winner_per_edge(self):
         specs = [CommoditySpec(0, 0, 1, 0.0), CommoditySpec(1, 1, 0, 0.0)]
@@ -256,20 +257,29 @@ class TestBpStep:
         assert state.delivered == [3, 0]
         assert sum(state.queues[1]) == 3 and state.backlog_now == 3
 
-    def test_destination_tail_keeps_what_it_does_not_send(self):
-        # Hand-built: the destination (node 1) holds packets and, under bp,
-        # is itself a tail toward node 2 while node 0 delivers into it.
-        net = Network.build([0, 1, 2], [(0, 1, 2), (1, 2, 2)], 0, 1)
-        states = [SimState(net, [CommoditySpec(0, 0, 1, 0.0)], "bp", 1.0, 0) for _ in range(2)]
-        for state in states:
-            state.queues[0][:] = [6, 3, 0]
-            state.backlog_now = 9
-        state, reference = states
+    @pytest.mark.parametrize("policy", ["bp", "lfbp"])
+    @pytest.mark.parametrize("ncom", [1, 3])
+    def test_destination_sends_nothing_and_delivers_what_it_holds(self, ncom, policy):
+        # Hand-built: commodity y owns the path 3y -> 3y+1 -> 3y+2, and its
+        # destination 3y+1 holds 5 packets between a tail of 6 and a node
+        # that only the destination could send to.
+        pairs = [(3 * y + i, 3 * y + i + 1) for y in range(ncom) for i in (0, 1)]
+        net = Network.build(range(3 * ncom), [(a, b, 2) for a, b in pairs], 0, 1)
+        specs = [CommoditySpec(y, 3 * y, 3 * y + 1, 0.0) for y in range(ncom)]
+        dags = [orient_explicit(net, pairs)] * ncom if policy == "lfbp" else None
+        state, reference = (SimState(net, specs, policy, 1.0, 0, initial_dags=dags) for _ in range(2))
+        for twin in (state, reference):
+            for y, queue in enumerate(twin.queues):
+                queue[3 * y : 3 * y + 3] = [6, 5, 0]
+            twin.backlog_now = 11 * ncom
         bp_step(state)
         reference_bp_step(reference)
-        assert state.queues == reference.queues == [[4, 1, 2]]
-        assert state.delivered == reference.delivered == [2]
-        assert state.backlog_now == reference.backlog_now == 7
+        assert state.queues == reference.queues
+        for y, queue in enumerate(state.queues):
+            assert queue[3 * y : 3 * y + 3] == [4, 0, 0]
+        # The 5 it held and the 2 it received, with none created or lost.
+        assert state.delivered == reference.delivered == [7] * ncom
+        assert state.backlog_now == reference.backlog_now == sum(map(sum, state.queues)) == 4 * ncom
 
     def test_bidirected_bp_policy_uses_both_directions(self):
         net = Network.build([0, 1, 2], [(0, 1, 2), (1, 2, 2)], 0, 2)
@@ -285,7 +295,8 @@ class TestBpStep:
 
 def twin_states(seed, ncom, policy, qmax):
     """Two identical random engine states: 3-7 nodes, zero-capacity and dead
-    links, ``ncom`` commodities, queues drawn from ``[0, qmax]``."""
+    links, ``ncom`` commodities, queues drawn from ``[0, qmax]``, the
+    destinations' too, as only a hand-built state holds them."""
     rng = random.Random(seed)
     n = rng.randint(3, 7)
     edges = [
@@ -418,6 +429,16 @@ class TestOverdrawnTail:
         assert len(overdrawn_calls) == (ncom if short else 0)
 
 
+def assert_destinations_never_send(source, n, dsts):
+    """A kernel source holds no destination's send count ``s{y}``, no tail
+    block of a destination, and no ``+`` chain."""
+    lines = source.splitlines()
+    assert not any(re.search(r"\bs\d+\b", line) for line in lines)
+    for y, dst in enumerate(dsts):
+        assert f"    if q{y * n + dst}:" not in lines and f"    if o{y}_{dst}:" not in lines
+    assert not any(" + " in line for line in lines)
+
+
 class TestForwardingKernel:
     """One commodity is forwarded by a kernel compiled per network structure
     and destination; capacities, live links and orientation are its data."""
@@ -449,12 +470,19 @@ class TestForwardingKernel:
     def test_high_degree_sums_stay_short(self, ncom):
         # CPython's compiler recurses once per term of a + chain, and fails
         # near 3,000 terms; the hub of this star has 5,000 arcs.  One
-        # commodity sums the hub's winners in t += chains; several send each
-        # link's winner after its contest and sum no chain.
-        edges = tuple((0, leaf) for leaf in range(1, 5001))
-        lines = sim._kernel_source(5001, (2, 4, 6)[:ncom], edges).splitlines()
-        assert max(line.count(" + ") for line in lines) <= 255
-        assert any(line.lstrip().startswith("t += ") for line in lines) == (ncom == 1)
+        # commodity adds each winner with its own if; several send each
+        # link's winner after its contest.  Neither builds a chain.
+        dsts = (2, 4, 6)[:ncom]
+        source = sim._kernel_source(5001, dsts, tuple((0, leaf) for leaf in range(1, 5001)))
+        assert_destinations_never_send(source, 5001, dsts)
+        assert (" t += " in source) == (ncom == 1)
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_bundled_kernel_has_no_destination_tail(self, name):
+        config = load_scenario(name)
+        state = SimState(config.network, list(config.commodities), "bp", config.load_factors[0], 1)
+        source = sim._kernel_source(state.n, tuple(state.dst_idx), state.edge_nodes)
+        assert_destinations_never_send(source, state.n, tuple(state.dst_idx))
 
     def test_several_commodity_star_compiles_and_matches_reference(self):
         # Every (commodity, tail) local of a 301-node star is set to 0 in
@@ -838,6 +866,36 @@ class TestRun:
                 lambda: run(make_config(PATH, [ONE], initial_dag="bogus"), "lfbp"),
                 "expected 'by_id', 'optimal' or pair list, got 'bogus'",
                 id="unknown-initial-dag",
+            ),
+            pytest.param(
+                lambda: run(make_config(PATH, [ONE]), "bp", -5, rho=0.5),
+                "horizon must be nonnegative, got -5",
+                id="negative-horizon",
+            ),
+            pytest.param(
+                lambda: run(make_config(PATH, [ONE]), "bp", 10, rho=0.5, bucket=-3),
+                "bucket must be nonnegative, got -3",
+                id="negative-bucket",
+            ),
+            pytest.param(
+                lambda: SimState(PATH, [], "bp", 0.5, 1),
+                "at least one commodity required",
+                id="no-commodities",
+            ),
+            pytest.param(
+                lambda: run(make_config(PATH, []), "lfbp", 10),
+                "at least one commodity required",
+                id="run-no-commodities",
+            ),
+            pytest.param(
+                lambda: run(make_config(PATH, [ONE], dummy_scale=-500.0), "lfbp", 50, rho=0.5),
+                "dummy_scale must be finite and nonnegative, got -500.0",
+                id="negative-dummy-scale",
+            ),
+            pytest.param(
+                lambda: run(make_config(PATH, [ONE], dummy_scale=math.nan), "bp", 50, rho=0.5),
+                "dummy_scale must be finite and nonnegative, got nan",
+                id="bp-nan-dummy-scale",
             ),
         ],
     )
