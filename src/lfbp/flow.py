@@ -13,6 +13,11 @@ both ways round and those of its orientations from each live link's lower
 to its higher rank.  ``ReversalFlow`` keeps one such flow warm across link
 reversals: turning around links that carry no flow keeps it feasible, so
 each later min-cut continues Dinic from the last residual.
+
+Dinic's DFS takes its last hop with one test.  Each node has at most one
+arc into the sink, recorded once per max-flow, and the level BFS leaves the
+sink alone on its level, so a node one level below the sink goes on only
+through that arc.
 """
 from __future__ import annotations
 
@@ -27,7 +32,6 @@ from .graph import (
     Network,
     Rational,
     Value,
-    edge_key,
 )
 
 
@@ -85,11 +89,17 @@ class MaxFlow:
     derived on demand.
     """
 
-    __slots__ = ("value", "source_side", "scale", "_net", "_cap", "_res", "_s", "_t", "_total")
+    __slots__ = ("value", "source_side", "scale", "_net", "_cap", "_res", "_s", "_t", "_last", "_total")
 
     def __init__(self, net, res, s, t, scale):
         self.scale: int = scale
         self._net, self._cap, self._res, self._s, self._t = net, res[:], res, s, t
+        # Each node's one arc into the sink, or -1: the DFS's last hop.
+        self._last = last = [-1] * len(net.adj)
+        for k in net.adj[t]:
+            if last[net.head[k]] >= 0:
+                raise ValueError(f"node {net.nodes[net.head[k]]!r} has more than one arc into the sink")
+            last[net.head[k]] = k ^ 1
         self._total = 0
         self.augment()
 
@@ -118,7 +128,7 @@ class MaxFlow:
             while level[queue[-1]] == top:
                 level[queue.pop()] = -1
             level[ti] = top
-            self._total += _blocking_flow(adj, head, res, level, si, ti)
+            self._total += _blocking_flow(adj, head, res, level, self._last, si, ti)
         total, scale = self._total, self.scale
         self.value: Rational = total if scale == 1 else Fraction(total, scale)
 
@@ -160,7 +170,7 @@ def _edge_layout(net: Network) -> tuple[FlowNetwork, list[Edge], list[Rational],
             head += (j, i)
             adj[i].append(2 * e)
             adj[j].append(2 * e + 1)
-        layout = fn, edges, caps, all(type(c) is int for c in caps)
+        layout = fn, edges, caps, set(map(type, caps)) <= {int}
         object.__setattr__(net, "_flow_layout", layout)
     return layout
 
@@ -202,13 +212,15 @@ class ReversalFlow:
     min-cut source side.
     """
 
-    __slots__ = ("_flow", "_pair")
+    __slots__ = ("_flow", "_arc")
 
     def __init__(self, dag: DagOrientation, src: int | None = None, dst: int | None = None):
         src = dag.net.source if src is None else src
         dst = dag.net.dest if dst is None else dst
         self._flow, edges = _edge_flow(dag.net, src, dst, dag)
-        self._pair = {edge: 2 * e for e, edge in enumerate(edges)}
+        # Arc 2e runs from edge e's first endpoint to its second, 2e + 1 back.
+        arcs = range(2 * len(edges))
+        self._arc = dict(zip(edges + [(j, i) for i, j in edges], [*arcs[::2], *arcs[1::2]]))
 
     def cut(self) -> CutPartition:
         """The smallest min-cut of the current orientation."""
@@ -222,12 +234,9 @@ class ReversalFlow:
         flow = self._flow
         res, cap = flow._res, flow._cap
         for tail, head in flips:
-            edge = edge_key(tail, head)
-            k = self._pair.get(edge)
+            k = self._arc.get((tail, head))
             if k is None:  # a zero-capacity link has no pair
                 continue
-            if tail != edge[0]:
-                k += 1
             if res[k ^ 1]:
                 raise InvariantViolation(f"flipped link ({tail},{head}) carries flow {res[k ^ 1]}/{flow.scale}")
             res[k], res[k ^ 1] = 0, res[k]
@@ -235,44 +244,54 @@ class ReversalFlow:
         flow.augment()
 
 
-def _blocking_flow(adj, head, res, level, s: int, t: int) -> int:
+def _blocking_flow(adj, head, res, level, last, s: int, t: int) -> int:
     """Saturate every shortest s-t path of the level graph; returns the flow
     pushed.  Iterative DFS with one arc pointer per node: an arc is passed
-    over only once it is saturated or leads to a dead end."""
+    over only once it is saturated or leads to a dead end.
+
+    The last hop takes one test.  The BFS left the sink alone on its level,
+    so a node one level below it goes on only through its one arc into the
+    sink, ``last[u]`` (-1 for none), and is a dead end once that arc is
+    saturated: the arc a pointer scan of its list would find."""
     pointer = [0] * len(adj)
     path: list[int] = []
     pushed = 0
+    top = level[t] - 1
     u = s
     while True:
-        if u == t:
-            f = min(res[k] for k in path)
-            pushed += f
-            first = None
-            for j, k in enumerate(path):
-                res[k] -= f
-                res[k ^ 1] += f
-                if first is None and not res[k]:
-                    first = j
-            u = head[path[first] ^ 1]
-            del path[first:]
-            continue
-        out = adj[u]
-        i, end, below = pointer[u], len(out), level[u] + 1
-        while i < end:
-            k = out[i]
-            if res[k] and level[head[k]] == below:
-                break
-            i += 1
-        pointer[u] = i
-        if i < end:
-            path.append(out[i])
-            u = head[out[i]]
-        elif u == s:
-            return pushed
+        if level[u] == top:
+            k = last[u]
+            if k >= 0 and res[k]:
+                path.append(k)
+                f = min(res[k] for k in path)
+                pushed += f
+                first = None
+                for j, k in enumerate(path):
+                    res[k] -= f
+                    res[k ^ 1] += f
+                    if first is None and not res[k]:
+                        first = j
+                u = head[path[first] ^ 1]
+                del path[first:]
+                continue
         else:
-            level[u] = -1
-            u = head[path.pop() ^ 1]
-            pointer[u] += 1
+            out = adj[u]
+            i, end, below = pointer[u], len(out), level[u] + 1
+            while i < end:
+                k = out[i]
+                if res[k] and level[head[k]] == below:
+                    break
+                i += 1
+            pointer[u] = i
+            if i < end:
+                path.append(out[i])
+                u = head[out[i]]
+                continue
+        if u == s:
+            return pushed
+        level[u] = -1
+        u = head[path.pop() ^ 1]
+        pointer[u] += 1
 
 
 def max_flow(dag: DagOrientation) -> FlowAllocation:

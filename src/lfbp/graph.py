@@ -227,16 +227,19 @@ def erdos_renyi_network(n: int, p: float, rng: random.Random, cap_low: int = 1, 
     ``ER_MAX_TRIES`` times, until the source (node 0) and destination
     (node n-1) are connected.  Capacities are drawn inline as CPython's
     ``rng.randint(cap_low, cap_high)`` draws them, leaving the same stream
-    and ``rng`` state."""
+    and ``rng`` state.  The pair walk yields canonical, distinct, in-range
+    edges, so the network is built without ``Network.build``'s checks."""
     if n < 2:
         raise ValueError("need at least two nodes")
     if cap_low > cap_high:
         raise ValueError(f"empty capacity range [{cap_low}, {cap_high}]")
+    if cap_low < 0:
+        raise ValueError(f"negative capacity range [{cap_low}, {cap_high}]")
     draw, getrandbits = rng.random, rng.getrandbits
     width = cap_high - cap_low + 1
     bits = width.bit_length()
     for _ in range(ER_MAX_TRIES):
-        edges = []
+        capacity: dict[Edge, int] = {}
         adj: list[list[int]] = [[] for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
@@ -244,10 +247,9 @@ def erdos_renyi_network(n: int, p: float, rng: random.Random, cap_low: int = 1, 
                     r = getrandbits(bits)
                     while r >= width:
                         r = getrandbits(bits)
-                    edges.append((i, j, cap_low + r))
+                    capacity[(i, j)] = cap_low + r
                     adj[i].append(j)
                     adj[j].append(i)
-        net = Network.build(range(n), edges, 0, n - 1)
         seen = [True] + [False] * (n - 1)  # reached from the source
         queue = [0]
         for u in queue:
@@ -256,5 +258,5 @@ def erdos_renyi_network(n: int, p: float, rng: random.Random, cap_low: int = 1, 
                     seen[v] = True
                     queue.append(v)
         if seen[n - 1]:
-            return net
+            return Network(frozenset(range(n)), capacity, 0, n - 1)
     raise SamplingError(f"no s-d connected sample of n={n} at p={p} after {ER_MAX_TRIES} tries")

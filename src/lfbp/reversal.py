@@ -66,12 +66,14 @@ def reverse_toward(dag: DagOrientation, overloaded: Iterable[int]):
     (high), and the links within either side keep their direction, so
     acyclicity survives for any node set.
     """
-    overloaded = set(overloaded)
-    flips = [
-        (tail, head)
-        for tail, head, _ in dag.directed_edges()
-        if tail not in overloaded and head in overloaded
-    ]
+    overloaded, rank = set(overloaded), dag.states
+    flips = []
+    for i, j in dag.live:
+        if i in overloaded:
+            if j not in overloaded and rank[j] < rank[i]:
+                flips.append((j, i))
+        elif j in overloaded and rank[i] < rank[j]:
+            flips.append((i, j))
     if not flips:
         return dag, ()
     order = sorted(dag.states, key=dag.states.__getitem__)

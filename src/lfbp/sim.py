@@ -18,12 +18,12 @@ those moments, not every slot.  Every commodity count is forwarded by one
 straight-line kernel, ``SimState.forward``, generated and compiled once per
 (node count, destinations, links) and kept in the bounded cache of
 ``_kernel``, with a local per (commodity, queue).  A commodity's destination
-never sends: its local reads 0, and whatever sits there when the round ends
-is delivered.  With one commodity the kernel tests every arc, both
-directions of every link, and sums each tail's winners.  With several, each
-link's contest is followed by one dispatch that sends the winner at once,
-and each (commodity, tail) then pays one test that its sends fit its
-backlog.  A tail whose winners overdraw its backlog finds its first winner,
+never sends: its local reads 0, no send out of it is emitted, and whatever
+sits there when the round ends is delivered.  With one commodity the kernel
+tests every arc, both directions of every link, and sums each tail's
+winners.  With several, each link's contest is followed by one dispatch that
+sends the winner at once, and each (commodity, tail) then pays one test that
+its sends fit its backlog.  A tail whose winners overdraw its backlog finds its first winner,
 the least (q[v], v), with one test per arc in ascending head order, and
 sends it the whole backlog when its capacity covers it; only when it falls
 short does ``_overdrawn`` sort the winners.  The source holds only node and
@@ -403,9 +403,10 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
     arm in the compiler.  A tail with one arc needs no test: its one winner
     overdraws, so it covers.  A first winner that falls short leaves the
     sorted spend to ``_overdrawn``.  A commodity's destination never sends:
-    its local is set to 0, so it wins no contest and gets no tail block.
-    Whatever sits there when the round ends is delivered, added to ``D`` and
-    to the count returned."""
+    its local is set to 0, so it wins no contest, and it gets no tail block,
+    and no contest test, dispatch arm or ``o{y}_{dst}`` local on a link out
+    of it.  Whatever sits there when the round ends is delivered, added to
+    ``D`` and to the count returned."""
     ncom = len(dsts)
     one = ncom == 1
     out: list[list] = [[] for _ in range(n)]
@@ -417,23 +418,28 @@ def _kernel_source(n: int, dsts: tuple, edges: tuple) -> str:
         lines += ["    " + "".join(f"q{y * n + u}, " for u in range(n)) + f"= q_{y}", f"    q{y * n + dst} = 0"]
     lines += ["    " + "".join(f"c{k}, " for k in range(2 * len(edges) * ncom)) + "= c"] if edges else []
     if not one and edges:
-        lines += ["    " + "".join(f"o{y}_{u} = " for y in range(ncom) for u, arcs in enumerate(out) if arcs) + "0"]
+        tails = [(y, u) for y, dst in enumerate(dsts) for u, arcs in enumerate(out) if arcs and u != dst]
+        lines += ["    " + "".join(f"o{y}_{u} = " for y, u in tails) + "0"]
     for e, (a, b) in enumerate([] if one else edges):
+        # Winner code 2y + 1 is commodity y from a to b, 2y + 2 from b to a;
+        # a commodity's destination never wins, so its direction gets no code.
+        sends = [
+            (2 * y + 1 + (k & 1), y, u, v, f"c{k * ncom + y}")
+            for y, dst in enumerate(dsts)
+            for k, u, v in ((2 * e, a, b), (2 * e + 1, b, a))
+            if u != dst
+        ]
         for y in range(ncom):
-            qa, qb, ab, ba = f"q{y * n + a}", f"q{y * n + b}", f"c{2 * e * ncom + y}", f"c{(2 * e + 1) * ncom + y}"
-            fwd, rev = (f"{qa} > {qb}", f"{qb} > {qa}") if y == 0 else (f"{qa} - {qb} > b", f"{qb} - {qa} > b")
-            # No commodity after the last compares against its difference.
-            if y < ncom - 1:
-                won_fwd, won_rev = f"b, w{e} = {qa} - {qb}, ", f"b, w{e} = {qb} - {qa}, "
-            else:
-                won_fwd = won_rev = f"w{e} = "
-            lines += [f"    if {ab} and {fwd}: {won_fwd}{2 * y + 1}", f"    elif {ba} and {rev}: {won_rev}{2 * y + 2}"]
+            arms = [(code, c, f"q{y * n + u}", f"q{y * n + v}") for code, z, u, v, c in sends if z == y]
+            for i, (code, c, qu, qv) in enumerate(arms):
+                test = f"{qu} > {qv}" if y == 0 else f"{qu} - {qv} > b"
+                # No commodity after the last compares against its difference.
+                won = f"b, w{e} = {qu} - {qv}, " if y < ncom - 1 else f"w{e} = "
+                lines += [f"    {'el' if i else ''}if {c} and {test}: {won}{code}"]
             lines += [] if y else [f"    else: b = w{e} = 0"]
-        # Winner code 2y + 1 is commodity y from a to b, 2y + 2 from b to a.
-        sends = [(y, u, v, f"c{k * ncom + y}") for y in range(ncom) for k, u, v in ((2 * e, a, b), (2 * e + 1, b, a))]
         lines += [f"    if w{e}:"]
-        for code, (y, u, v, c) in enumerate(sends, 1):
-            arm = "else" if code == len(sends) else f"{'el' if code > 1 else ''}if w{e} == {code}"
+        for i, (code, y, u, v, c) in enumerate(sends):
+            arm = "else" if i == len(sends) - 1 else f"{'el' if i else ''}if w{e} == {code}"
             lines += [f"        {arm}: q_{y}[{v}] += {c}; o{y}_{u} += {c}"]
     for y, dst in enumerate(dsts):
         for u, arcs in enumerate(out):

@@ -54,7 +54,7 @@ from lfbp.graph import (
 from lfbp.overload import OverloadVector, lex_min_overload
 from lfbp.reversal import ReversalTrace, TraceEntry, default_max_iters, reverse_toward
 
-from oracles import _fluid_arcs, topological_order
+from oracles import _fluid_arcs, scanning_blocking_flow, topological_order
 
 
 # Network, orientation and scenario-file helpers that only the tests use.
@@ -236,50 +236,10 @@ class ReferenceMaxFlow(MaxFlow):
                 nodes = self._net.nodes
                 self.source_side: frozenset = frozenset(nodes[i] for i in queue)
                 break
-            self._total += _blocking_flow(adj, head, res, level, si, ti)
+            self._total += scanning_blocking_flow(adj, head, res, level, si, ti)
         total, scale = self._total, self.scale
         self.value: Rational = total if scale == 1 else Fraction(total, scale)
 
-
-
-def _blocking_flow(adj, head, res, level, s: int, t: int) -> int:
-    """Saturate every shortest s-t path of the level graph; returns the flow
-    pushed.  Iterative DFS with one arc pointer per node: an arc is passed
-    over only once it is saturated or leads to a dead end."""
-    pointer = [0] * len(adj)
-    path: list[int] = []
-    pushed = 0
-    u = s
-    while True:
-        if u == t:
-            f = min(res[k] for k in path)
-            pushed += f
-            first = None
-            for j, k in enumerate(path):
-                res[k] -= f
-                res[k ^ 1] += f
-                if first is None and not res[k]:
-                    first = j
-            u = head[path[first] ^ 1]
-            del path[first:]
-            continue
-        out = adj[u]
-        i, end, below = pointer[u], len(out), level[u] + 1
-        while i < end:
-            k = out[i]
-            if res[k] and level[head[k]] == below:
-                break
-            i += 1
-        pointer[u] = i
-        if i < end:
-            path.append(out[i])
-            u = head[out[i]]
-        elif u == s:
-            return pushed
-        else:
-            level[u] = -1
-            u = head[path.pop() ^ 1]
-            pointer[u] += 1
 
 
 def net_flow(result: MaxFlow, u, v) -> Rational:

@@ -14,7 +14,9 @@ constructors, reversal and topology event keep every direction in a
 ``heads`` map, as the package did before it derived each direction from the
 node order; they are the reference for the derived one.  ``exhaustive_delta``
 is the cut granularity by full subset-sum enumeration, the upper reference
-for ``delta_bound``'s lower bound.
+for ``delta_bound``'s lower bound.  ``scanning_blocking_flow`` is Dinic's
+blocking flow as it was while the last hop into the sink scanned each
+node's arc list, the reference for the one that takes that hop in one test.
 """
 from __future__ import annotations
 
@@ -336,6 +338,48 @@ def check_state_consistency(dag: DagOrientation) -> None:
                 f"edge ({tail},{head}) violates state order: "
                 f"x[{tail}]={states[tail]} >= x[{head}]={states[head]}"
             )
+
+
+def scanning_blocking_flow(adj, head, res, level, s: int, t: int) -> int:
+    """Saturate every shortest s-t path of the level graph; returns the flow
+    pushed.  Iterative DFS with one arc pointer per node: an arc is passed
+    over only once it is saturated or leads to a dead end.  Every hop,
+    the last one into the sink too, scans the node's arc list from its
+    pointer."""
+    pointer = [0] * len(adj)
+    path: list[int] = []
+    pushed = 0
+    u = s
+    while True:
+        if u == t:
+            f = min(res[k] for k in path)
+            pushed += f
+            first = None
+            for j, k in enumerate(path):
+                res[k] -= f
+                res[k ^ 1] += f
+                if first is None and not res[k]:
+                    first = j
+            u = head[path[first] ^ 1]
+            del path[first:]
+            continue
+        out = adj[u]
+        i, end, below = pointer[u], len(out), level[u] + 1
+        while i < end:
+            k = out[i]
+            if res[k] and level[head[k]] == below:
+                break
+            i += 1
+        pointer[u] = i
+        if i < end:
+            path.append(out[i])
+            u = head[out[i]]
+        elif u == s:
+            return pushed
+        else:
+            level[u] = -1
+            u = head[path.pop() ^ 1]
+            pointer[u] += 1
 
 
 def erdos_renyi_network(

@@ -7,11 +7,16 @@ import random
 import time
 from fractions import Fraction
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfbp import cli, flow
 from lfbp.flow import (
+    FlowNetwork,
     MaxFlow,
     _edge_layout,
     delta_bound,
@@ -19,7 +24,8 @@ from lfbp.flow import (
     max_flow_undirected,
     smallest_min_cut,
 )
-from lfbp.reversal import optimal_dag
+from lfbp.overload import lex_min_overload
+from lfbp.reversal import converge, optimal_dag
 from lfbp.graph import DagOrientation, Network, erdos_renyi_network, initial_dag, orient_explicit
 
 from conftest import (
@@ -37,7 +43,7 @@ from conftest import (
     random_orientation,
     signature,
 )
-from oracles import exhaustive_delta
+from oracles import exhaustive_delta, scanning_blocking_flow
 
 
 def chain(c1, c2):
@@ -269,6 +275,117 @@ class TestPrunedKernel:
             arcs = [(i, j, c) for (i, j), c in net.capacity.items()]
             arcs += [(j, i, c) for i, j, c in arcs]
             self.assert_same(*self.both(*_arc_network(sorted(net.nodes), arcs), net.source, net.dest))
+
+
+@contextmanager
+def lockstep_blocking_flow():
+    """Run every blocking flow of the package next to the scanning reference
+    on copies of its residual and levels, and check that both push the same
+    flow and leave the same residual and levels.  Yields the list of the
+    flows pushed."""
+    shortcut, pushed = flow._blocking_flow, []
+
+    def both(adj, head, res, level, last, s, t):
+        want_res, want_level = res[:], level[:]
+        want = scanning_blocking_flow(adj, head, want_res, want_level, s, t)
+        pushed.append(shortcut(adj, head, res, level, last, s, t))
+        assert (pushed[-1], res, level) == (want, want_res, want_level)
+        return pushed[-1]
+
+    with mock.patch.object(flow, "_blocking_flow", both):
+        yield pushed
+
+
+class TestLastHop:
+    """The blocking flow takes its last hop through each node's one arc into
+    the sink, recorded once per max-flow.  It pushes what the scanning
+    reference pushes, phase by phase, so flows, residuals and cuts stay the
+    same."""
+
+    @staticmethod
+    def pairs(n, twins):
+        """A ``FlowNetwork`` on 0..n-1 with one twin pair per ``(u, v, c,
+        back)``, capacity ``c`` from ``u`` to ``v`` and ``back`` the other
+        way, zeros included, and its residual."""
+        net, res = FlowNetwork(range(n)), []
+        for u, v, c, back in twins:
+            net.head += (v, u)
+            net.adj[u].append(len(res))
+            net.adj[v].append(len(res) + 1)
+            res += (c, back)
+        return net, res
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_solve_as_scanning_reference(self, data):
+        n = data.draw(st.integers(2, 9))
+        s, t = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        links = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+        links = list(dict.fromkeys(tuple(sorted(link)) for link in links if link[0] != link[1]))
+        if data.draw(st.booleans(), label="sink without arcs"):
+            links = [link for link in links if t not in link]
+        elif data.draw(st.booleans(), label="direct source-sink link") and (min(s, t), max(s, t)) not in links:
+            links.append((min(s, t), max(s, t)))
+        cap = st.sampled_from((0, 0, 1, 2, 3, 7))
+        twins = [(u, v, data.draw(cap), data.draw(cap)) for u, v in data.draw(st.permutations(links))]
+        net, res = self.pairs(n, twins)
+        got = net.solve(res[:], s, t, 1)
+        with lockstep_blocking_flow():
+            net.solve(res[:], s, t, 1)
+        def scanning(adj, head, res, level, last, s, t):
+            return scanning_blocking_flow(adj, head, res, level, s, t)
+
+        with mock.patch.object(flow, "_blocking_flow", scanning):
+            want = net.solve(res[:], s, t, 1)
+        assert (got._res, got.value, got.source_side) == (want._res, want.value, want.source_side)
+
+    def test_sink_without_arcs_and_direct_link(self):
+        net, res = self.pairs(3, [(0, 1, 4, 0)])
+        assert net.solve(res, 0, 2, 1).value == 0
+        net, res = self.pairs(3, [(0, 2, 3, 0), (0, 1, 5, 0), (1, 2, 2, 0)])
+        with lockstep_blocking_flow() as pushed:
+            got = net.solve(res, 0, 2, 1)
+        assert pushed == [3, 2] and got.value == 5 and got.source_side == frozenset({0, 1})
+
+    def test_analysis_in_lockstep(self, rng):
+        # Orientations kept warm across reversals, undirected solves and the
+        # lex-min overload's auxiliary network, on zero and fraction
+        # capacities too.
+        with lockstep_blocking_flow() as pushed:
+            for _ in range(100):
+                net = random_network(rng, n_min=3, n_max=9)
+                caps = {e: rng.choice((0, c, Fraction(c, 3))) for e, c in net.capacity.items()}
+                net = Network(net.nodes, caps, net.source, net.dest)
+                dag = random_orientation(rng, net)
+                fmax = max_flow_undirected(net)
+                converge(dag, fmax + rng.choice((0, 1)), record_overload=True)
+                lex_min_overload(dag, fmax)
+        assert len(pushed) > 500 and any(pushed)
+
+    def test_every_package_network_has_one_arc_into_the_sink(self, rng):
+        # The shortcut's premise, on the networks the package itself builds:
+        # an edge layout per network and one auxiliary network per overload.
+        solve, seen = FlowNetwork.solve, []
+
+        def spy(net, res, s, t, scale):
+            into = [net.head[k] for k in net.adj[net.index[t]]]
+            assert len(into) == len(set(into))
+            seen.append(type(t).__name__)
+            return solve(net, res, s, t, scale)
+
+        with mock.patch.object(FlowNetwork, "solve", spy):
+            cli.er_batch(3, (40, 80), seed=rng.randint(0, 99))
+            for _ in range(20):
+                dag = random_orientation(rng, random_network(rng, n_min=3, n_max=9))
+                converge(dag, max_flow_undirected(dag.net), record_overload=True)
+                max_flow(dag)
+        # An edge layout's sink is a node ID, an auxiliary network's a sentinel.
+        assert seen.count("int") > 50 and seen.count("object") > 20
+
+    def test_second_arc_into_the_sink_rejected(self):
+        net, res = self.pairs(3, [(0, 2, 1, 0), (0, 1, 1, 0), (1, 2, 1, 0), (2, 1, 1, 0)])
+        with pytest.raises(ValueError, match="^node 1 has more than one arc into the sink$"):
+            net.solve(res, 0, 2, 1)
 
 
 class TestEdgeLayout:

@@ -341,13 +341,28 @@ def mixed_network(rng: random.Random, n: int) -> Network:
     return Network.build(range(n), edges, 0, n - 1)
 
 
+def test_reverse_toward_flips_zero_capacity_links_and_skips_dead_ones():
+    # Into {2}: 0 -> 2 is live at capacity 0 and flips; 1 -> 2 is dead and
+    # stays out; 3 -> 2 is live and flips; 2 -> 4 leaves the set.
+    net = Network.build(range(5), [(0, 2, 0), (1, 2, 5), (2, 3, 1), (2, 4, 2), (0, 1, 1)], 0, 4)
+    ranking = {0: 0, 1: 1, 3: 2, 2: 3, 4: 4}
+    dag = apply_topology_event(orient_by_ranking(net, ranking), "remove", (1, 2))
+    ref = oracles.reference_apply_topology_event(oracles.reference_orient_by_ranking(net, ranking), "remove", (1, 2))
+    new, flips = reverse_toward(dag, {2})
+    ref, ref_flips = oracles.reference_reverse_toward(ref, {2})
+    assert flips == ref_flips == ((0, 2), (3, 2))
+    assert signature(new) == ref.signature() and new.states == ref.states
+
+
 @given(n=st.integers(2, 12), steps=st.integers(40, 60), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_derived_directions_match_heads_reference(n, steps, seed):
     """Directions derived from the node order equal the ones the ``heads``
     map kept, after every reversal (random sets and dead-end sets) and every
-    topology event, and the max-flows over them agree.  Until the first
-    event, the live links also come out in the reference's order."""
+    topology event, and the max-flows over them agree.  The networks hold
+    zero-capacity links, and removal events leave dead ones for the later
+    reversals to pass over.  Until the first event, the live links also come
+    out in the reference's order."""
     rng = random.Random(seed)
     net = mixed_network(rng, n)
     values = rng.sample(range(-5 * n, 5 * n), n)
@@ -500,6 +515,13 @@ class TestErdosRenyiStream:
         state = rng.getstate()
         with pytest.raises(ValueError, match="empty capacity range"):
             erdos_renyi_network(5, 0.5, rng, cap_low=4, cap_high=3)
+        assert rng.getstate() == state
+
+    def test_negative_capacity_rejected_up_front(self):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=r"^negative capacity range \[-1, 3\]$"):
+            erdos_renyi_network(5, 0.5, rng, cap_low=-1, cap_high=3)
         assert rng.getstate() == state
 
 

@@ -431,11 +431,16 @@ class TestOverdrawnTail:
 
 def assert_destinations_never_send(source, n, dsts):
     """A kernel source holds no destination's send count ``s{y}``, no tail
-    block of a destination, and no ``+`` chain."""
+    block of a destination, and no ``+`` chain.  Nor does it hold a send
+    out of a destination: no contest test or difference that starts from
+    its local, and no ``o{y}_{dst}`` local, which a dispatch arm out of it
+    would add to."""
     lines = source.splitlines()
     assert not any(re.search(r"\bs\d+\b", line) for line in lines)
     for y, dst in enumerate(dsts):
         assert f"    if q{y * n + dst}:" not in lines and f"    if o{y}_{dst}:" not in lines
+        assert not re.search(rf"(and|=) q{y * n + dst} [>-] ", source)
+        assert not re.search(rf"\bo{y}_{dst}\b", source)
     assert not any(" + " in line for line in lines)
 
 
@@ -484,14 +489,22 @@ class TestForwardingKernel:
         source = sim._kernel_source(state.n, tuple(state.dst_idx), state.edge_nodes)
         assert_destinations_never_send(source, state.n, tuple(state.dst_idx))
 
+    def test_no_send_out_of_a_destination(self):
+        # Commodity 0 ends at node 2 and commodity 1 at node 0, so each of
+        # the two links dispatches only three of its four (commodity,
+        # direction) winners.
+        source = sim._kernel_source(3, (2, 0), ((0, 1), (1, 2)))
+        assert_destinations_never_send(source, 3, (2, 0))
+        assert source.count("; o") == 6
+
     def test_several_commodity_star_compiles_and_matches_reference(self):
-        # Every (commodity, tail) local of a 301-node star is set to 0 in
-        # one chained assignment of 903 targets.
+        # Every (commodity, tail) local of a 301-node star but the three
+        # destinations' is set to 0 in one chained assignment of 900 targets.
         net = Network.build(list(range(301)), [(0, leaf, 2) for leaf in range(1, 301)], 1, 2)
         specs = [CommoditySpec(y, 2 * y + 1, 2 * y + 2, 0.0) for y in range(3)]
         state = SimState(net, specs, "bp", 1.0, 0)
         source = sim._kernel_source(state.n, tuple(state.dst_idx), state.edge_nodes)
-        assert max(line.count(" = ") for line in source.splitlines()) == 903
+        assert max(line.count(" = ") for line in source.splitlines()) == 900
         compile(source, "<star>", "exec")
         reference = SimState(net, specs, "bp", 1.0, 0)
         for twin in (state, reference):
