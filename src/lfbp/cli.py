@@ -48,12 +48,14 @@ runs; a file that still cannot be written is reported as an ``--out`` error.
 Importing ``lfbp`` or this module loads neither ``concurrent.futures`` (and
 the ``logging`` it imports) nor a process pool: only ``sweep`` with ``jobs``
 above 1 (``lfbp sweep --jobs N``, N > 1) imports that package and starts its
-``ProcessPoolExecutor``.
+``ProcessPoolExecutor``.  Nor do that import and a scenario load import three
+more standard modules: ``main`` imports ``argparse`` (with its ``gettext``), a
+verb that writes a row imports ``csv`` (``_write_csv``, and ``lfbp run`` for
+its stdout row), and ``graph.orient_explicit`` imports ``graphlib``, so only a
+scenario whose ``initial_dag`` is a pair list loads it.
 """
 from __future__ import annotations
 
-import argparse
-import csv
 import json
 import random
 import sys
@@ -375,6 +377,8 @@ def _out_files(out, bucket: int, lfbp: bool):
 def _write_csv(path, fields, rows) -> None:
     """One CSV file: a header of ``fields``, then one line per row dict.  A
     file that cannot be written is reported as an ``--out`` error."""
+    import csv
+
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
@@ -500,6 +504,8 @@ def _check_args(args) -> None:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lfbp",
         description="Loop-free backpressure experiments: single runs, sweeps, and random-graph convergence batches.",
@@ -546,6 +552,8 @@ def main(argv=None) -> int:
             _check_load(config.commodities, config.dummy_scale, rho, "--rho")
             cell = config.replace(load_factors=(rho,), seeds=(seed,))
             [report] = sweep(cell, (args.policy,), args.out or None, horizon=args.horizon, bucket=args.trace_bucket)
+            import csv
+
             csv.DictWriter(sys.stdout, SUMMARY_FIELDS, lineterminator="\n").writerow(report.to_row())
         elif args.command == "sweep":
             config = _load_arg_scenario(args.scenario)

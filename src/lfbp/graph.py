@@ -8,7 +8,6 @@ link that comes back to life is directed without any recomputation.
 """
 from __future__ import annotations
 
-import graphlib
 import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -190,6 +189,8 @@ def orient_explicit(net: Network, directed_pairs: Iterable[tuple[int, int]]) -> 
     missing = set(net.capacity) - set(pairs)
     if missing:
         raise ValueError(f"missing direction for edges {sorted(missing)}")
+    import graphlib
+
     preds: dict[int, list[int]] = {n: [] for n in net.nodes}
     for tail, head in pairs.values():
         preds[head].append(tail)
@@ -231,6 +232,8 @@ def erdos_renyi_network(n: int, p: float, rng: random.Random, cap_low: int = 1, 
     edges, so the network is built without ``Network.build``'s checks."""
     if n < 2:
         raise ValueError("need at least two nodes")
+    if not (isinstance(cap_low, int) and isinstance(cap_high, int)):
+        raise ValueError(f"non-integer capacity range [{cap_low!r}, {cap_high!r}]")
     if cap_low > cap_high:
         raise ValueError(f"empty capacity range [{cap_low}, {cap_high}]")
     if cap_low < 0:

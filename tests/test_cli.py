@@ -502,13 +502,13 @@ class TestSweep:
         assert sizes == [18, 4]
 
     @staticmethod
-    def set_up_modules(*flags) -> set[str]:
-        """The modules loaded after ``import lfbp`` and a scenario load in a
-        fresh interpreter started with ``flags``."""
+    def set_up_modules(*flags, scenario="grid4x4.scn") -> set[str]:
+        """The modules loaded after ``import lfbp`` and a load of ``scenario``
+        in a fresh interpreter started with ``flags``."""
         src = str(Path(cli.__file__).resolve().parents[1])
         snippet = (
             f"import sys; sys.path.insert(0, {src!r}); import lfbp; from lfbp import cli; "
-            "cli.load_scenario('grid4x4.scn'); print(' '.join(sys.modules))"
+            f"cli.load_scenario({scenario!r}); print(' '.join(sys.modules))"
         )
         done = subprocess.run([sys.executable, *flags, "-c", snippet], capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
@@ -526,6 +526,14 @@ class TestSweep:
         # dataclasses nor the inspect, ast and dis modules it imports.
         # Without site, no site package can load them first.
         assert not {"dataclasses", "inspect"} & self.set_up_modules("-I", "-S")
+
+    def test_import_and_load_need_no_argparse_csv_or_graphlib(self):
+        # Only main imports argparse (and the gettext it loads), and only a
+        # verb that writes a row imports csv.  graphlib sorts an explicit
+        # pair list, so only a scenario that gives one loads it.
+        unused = {"argparse", "gettext", "csv", "_csv"}
+        assert not unused & self.set_up_modules("-I", "-S")
+        assert not {*unused, "graphlib"} & self.set_up_modules("-I", "-S", scenario="sixnode_detect.scn")
 
     def test_trace_rows_written(self, tmp_path):
         config = scenario_from_dict(minimal_doc())

@@ -524,6 +524,16 @@ class TestErdosRenyiStream:
             erdos_renyi_network(5, 0.5, rng, cap_low=-1, cap_high=3)
         assert rng.getstate() == state
 
+    @pytest.mark.parametrize("low, high, shown", [(1, 3.0, r"1, 3\.0"), (1.5, 3, r"1\.5, 3"), (1, "3", "1, '3'")])
+    def test_non_integer_capacity_rejected_up_front(self, low, high, shown):
+        # A float bound once raised AttributeError (a float has no
+        # bit_length), and a string bound TypeError.
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=rf"^non-integer capacity range \[{shown}\]$"):
+            erdos_renyi_network(5, 0.5, rng, cap_low=low, cap_high=high)
+        assert rng.getstate() == state
+
 
 @pytest.fixture(scope="module")
 def values() -> dict[str, object]:
